@@ -45,7 +45,6 @@ from .stability import (
     optimize_radius,
     poly_stability,
     reliability_profile,
-    zero_reliability,
 )
 from .zeros import (
     ConstellationParams,

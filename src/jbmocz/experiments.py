@@ -14,6 +14,8 @@ payload bits (the convention is echoed in the CSV header).
 from __future__ import annotations
 
 import concurrent.futures
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +69,13 @@ EXPERIMENT_KINDS = (
     "loopback",
 )
 
+# channel models each kind implements; kinds not listed use no channel field
+KIND_CHANNELS = {
+    "ber_sequence": ("fading", "awgn"),
+    "ber_ofdm": ("fading", "flat"),
+    "rotation_mse": ("fading",),
+}
+
 
 def jutted_params(num_zeros: int) -> ConstellationParams:
     """Reference jutted constellation for a supported codeword length."""
@@ -99,7 +108,7 @@ class ExperimentConfig:
     info_bits: int = None             # None -> K uncoded / 16 polar
 
     # channel / impairments
-    channel: str = "fading"           # fading | awgn
+    channel: str = "fading"           # see KIND_CHANNELS
     channel_taps: int = 5
     pdp: str = "uniform"
     rotation: object = None           # None | "uniform" | angle (radians)
@@ -128,6 +137,13 @@ class ExperimentConfig:
             raise ValueError("trial count must be positive")
         if self.kind in ("ber_sequence", "ber_ofdm", "rotation_mse") and not self.ebn0_db:
             raise ValueError("Eb/N0 sweep must be nonempty")
+        channels = KIND_CHANNELS.get(self.kind)
+        if channels is not None and self.channel not in channels:
+            raise ValueError(f"channel={self.channel!r} is not implemented by {self.kind}; "
+                             f"use one of {channels}")
+        if self.kind == "ber_ofdm" and (self.payload_bits <= 0 or self.payload_bits % 16):
+            raise ValueError(f"payload_bits={self.payload_bits} must be a positive multiple "
+                             "of 16, the information bits of one polar block")
 
     def constellation(self) -> ConstellationParams:
         if self.radius is not None:
@@ -336,7 +352,7 @@ class _OfdmSetup:
     @classmethod
     def build(cls, config: ExperimentConfig):
         k = config.num_zeros
-        blocks = -(-config.payload_bits // 16)
+        blocks = config.payload_bits // 16
         return cls(
             config=config,
             payload_params=huffman_params(k),
@@ -567,7 +583,8 @@ class LoopbackReport:
 
 def run_loopback(config: ExperimentConfig, iq_path: str = None) -> LoopbackReport:
     """Synthesize the hybrid multi-polynomial packet, write it to an I/Q
-    file, replay it through the sample-level channel, and run the full
+    file (`iq_path`, or a temporary file that is removed before returning),
+    replay it through the sample-level channel, and run the full
     receive chain: coarse sync, CFO correction, step-back, residual timing
     estimation from the jutted symbol, and hard-decision decoding.
 
@@ -604,12 +621,10 @@ def run_loopback(config: ExperimentConfig, iq_path: str = None) -> LoopbackRepor
     ])
     tx = ofdm_modulate(grid, cfg)
 
-    if iq_path is None:
-        import tempfile
-
-        iq_path = tempfile.mktemp(suffix=".iq")
-    write_iq(iq_path, tx)
-    tx_replay = read_iq(iq_path)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = iq_path or os.path.join(scratch, "packet.iq")
+        write_iq(path, tx)
+        tx_replay = read_iq(path)
 
     noise_var = 0.0
     if config.loopback_snr_db is not None:

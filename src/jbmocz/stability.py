@@ -7,6 +7,22 @@ uniform unit-circle grid with unit noise power per bin, scores how robustly
 that zero survives additive coefficient noise.  Averaging over zeros gives a
 per-polynomial score, and averaging over messages a per-codebook score, which
 drives the constellation parameter search.
+
+The profile is computed by spectral division rather than by deflating X once
+per zero.  On the grid w_n = e^{j 2 pi n/N} the deflated polynomial satisfies
+
+    |H_k(w_n)|^2 = |X(w_n)|^2 / d_k[n],   d_k[n] = |w_n - alpha_k|^2,
+
+so one FFT per codeword gives every zero's channel, and the score is
+(1/N) * (sum_n log2(d_k[n] + |X(w_n)|^2) - sum_n log2 d_k[n]).  The second
+sum has the closed form log2|alpha_k^N - 1|^2, because
+prod_n (alpha - w_n) = alpha^N - 1; for |alpha| > 1 it is evaluated as
+2N log2|alpha| + log2|1 - alpha^-N|^2 so that alpha^N cannot overflow.  A
+root within ON_GRID_DISTANCE of a grid point makes the ratio 0/0 (the
+Wilkinson reference has a root at z = 1); such roots are scored exactly, by
+`deflate` and the FFT of the quotient.  The (rows, K, N) values are formed
+in blocks of at most BLOCK_VALUES values, or one row where a single row is
+larger, so the full broadcast over a message stack is never held at once.
 """
 
 from __future__ import annotations
@@ -20,27 +36,52 @@ from .zeros import ConstellationParams, coeffs_to_zeros, encode_bits, zeros_to_c
 DEFAULT_GRID = 1024
 EXACT_LIMIT = 16  # full codebook enumeration refused above this many zeros
 MIN_SAMPLE_COUNT = 64
+ROOT_TOL = 1e-6  # |X(alpha)| relative to sum_i |c_i||alpha|^i
+ON_GRID_DISTANCE = 1e-4  # closer roots are scored by deflation
+BLOCK_VALUES = 2**17  # grid values formed at once by reliability_profile
 
 
-def deflate(coeffs, root, tol: float = 1e-6) -> np.ndarray:
+def _check_roots(coeffs, roots, tol: float = ROOT_TOL) -> None:
+    """Raise ArithmeticError unless every roots[..., j] is a root of the
+    polynomial coeffs[...]: one Horner pass evaluates X(alpha) and the scale
+    sum_i |c_i||alpha|^i for the whole stack."""
+    value = coeffs[..., -1:]
+    scale = np.abs(value)
+    size = np.abs(roots)
+    for i in range(coeffs.shape[-1] - 2, -1, -1):
+        value = coeffs[..., i : i + 1] + roots * value
+        scale = np.abs(coeffs[..., i : i + 1]) + size * scale
+    if np.any(np.abs(value) > tol * scale):
+        raise ArithmeticError("given point is not a root of the polynomial")
+
+
+def deflate(coeffs, root, tol: float = ROOT_TOL) -> np.ndarray:
     """Divide polynomials by (z - root) via synthetic division.
 
     coeffs: (..., K+1), root: scalar or (...,).  Returns the (..., K)
-    quotient coefficients.  Raises if the remainder shows `root` is not a
-    root of the polynomial within `tol` (relative to the evaluation scale).
+    quotient coefficients.  Raises if a Horner evaluation shows `root` is
+    not a root of the polynomial within `tol` (relative to the evaluation
+    scale).  The division runs from the leading coefficient down for
+    |root| <= 1 and from the constant term up for |root| > 1, the direction
+    in which rounding errors shrink by 1/|root| per step instead of growing
+    by |root|.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     root = np.asarray(root, dtype=complex)
+    _check_roots(coeffs, root[..., None], tol)
     deg = coeffs.shape[-1] - 1
-    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], root.shape) + (deg,), dtype=complex)
-    out[..., deg - 1] = coeffs[..., deg]
+    shape = np.broadcast_shapes(coeffs.shape[:-1], root.shape) + (deg,)
+    down = np.empty(shape, dtype=complex)
+    down[..., deg - 1] = coeffs[..., deg]
     for i in range(deg - 1, 0, -1):
-        out[..., i - 1] = coeffs[..., i] + root * out[..., i]
-    remainder = coeffs[..., 0] + root * out[..., 0]
-    scale = np.sum(np.abs(coeffs) * np.abs(root[..., None]) ** np.arange(deg + 1), axis=-1)
-    if np.any(np.abs(remainder) > tol * scale):
-        raise ArithmeticError("given point is not a root of the polynomial")
-    return out
+        down[..., i - 1] = coeffs[..., i] + root * down[..., i]
+    outer = np.abs(root) > 1.0
+    inverse = np.divide(1.0, root, out=np.ones_like(root), where=outer)
+    up = np.empty(shape, dtype=complex)
+    up[..., 0] = -coeffs[..., 0] * inverse
+    for i in range(1, deg):
+        up[..., i] = (up[..., i - 1] - coeffs[..., i]) * inverse
+    return np.where(outer[..., None], up, down)
 
 
 def _grid_power(coeffs, grid_size: int) -> np.ndarray:
@@ -49,22 +90,51 @@ def _grid_power(coeffs, grid_size: int) -> np.ndarray:
     return np.abs(evals) ** 2
 
 
+def _grid_log_distance(roots, grid_size: int) -> np.ndarray:
+    """sum_n log2|w_n - alpha|^2 over the grid, as log2|alpha^N - 1|^2."""
+    outer = np.abs(roots) > 1.0
+    inner = np.divide(1.0, roots, out=roots.copy(), where=outer)
+    growth = np.log2(np.abs(roots), out=np.zeros(roots.shape), where=outer)
+    return 2 * grid_size * growth + np.log2(np.abs(1.0 - inner**grid_size) ** 2)
+
+
 def reliability_profile(coeffs, roots, grid_size: int = DEFAULT_GRID) -> np.ndarray:
     """Per-zero reliability of a unit-norm polynomial.
 
-    Returns (..., K) scores (1/N) * sum_n log2(1 + |H_k(e^{j2pi n/N})|^2),
-    where H_k is the polynomial deflated at roots[..., k].
+    coeffs: (..., K+1), roots: (..., K).  Returns (..., K) scores
+    (1/N) * sum_n log2(1 + |H_k(e^{j2pi n/N})|^2), where H_k is the
+    polynomial deflated at roots[..., k].  Raises ArithmeticError if any
+    root is not a root of its polynomial (the test `deflate` applies).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     roots = np.asarray(roots, dtype=complex)
-    deflated = deflate(coeffs[..., None, :], roots)  # (..., K, K)
-    power = _grid_power(deflated, grid_size)
-    return np.mean(np.log2(1.0 + power), axis=-1)
+    lead = np.broadcast_shapes(coeffs.shape[:-1], roots.shape[:-1])
+    k = roots.shape[-1]
+    coeffs = np.broadcast_to(coeffs, lead + coeffs.shape[-1:]).reshape(-1, coeffs.shape[-1])
+    roots = np.broadcast_to(roots, lead + (k,)).reshape(-1, k)
+    _check_roots(coeffs, roots)
 
+    grid = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    nearest = np.rint(np.angle(roots) * grid_size / (2 * np.pi)).astype(int) % grid_size
+    on_grid = np.abs(roots - grid[nearest]) < ON_GRID_DISTANCE
+    spectral = np.where(on_grid, 0.0, roots)  # placeholder keeps the 0/0 out
 
-def zero_reliability(coeffs, roots, k: int, grid_size: int = DEFAULT_GRID) -> float:
-    """Reliability of the single zero roots[k]."""
-    return float(reliability_profile(coeffs, roots, grid_size)[..., k])
+    power = _grid_power(coeffs, grid_size)
+    sums = np.empty(roots.shape)
+    step = max(1, BLOCK_VALUES // (k * grid_size))
+    for start in range(0, len(roots), step):
+        block = spectral[start : start + step, :, None]
+        values = (grid.real - block.real) ** 2
+        values += (grid.imag - block.imag) ** 2
+        values += power[start : start + step, None, :]
+        sums[start : start + step] = np.log2(values).sum(axis=-1)
+    scores = (sums - _grid_log_distance(spectral, grid_size)) / grid_size
+
+    rows, cols = np.nonzero(on_grid)
+    if rows.size:
+        quotients = deflate(coeffs[rows], roots[rows, cols])
+        scores[rows, cols] = np.mean(np.log2(1.0 + _grid_power(quotients, grid_size)), axis=-1)
+    return scores.reshape(lead + (k,))
 
 
 def poly_stability(coeffs, roots=None, grid_size: int = DEFAULT_GRID) -> float:
@@ -82,10 +152,7 @@ def poly_stability(coeffs, roots=None, grid_size: int = DEFAULT_GRID) -> float:
 def _message_stabilities(messages, params: ConstellationParams, grid_size: int) -> np.ndarray:
     zeros = encode_bits(messages, params)
     coeffs = zeros_to_coeffs(zeros, energy=1.0)
-    out = np.empty(len(messages))
-    for i in range(len(messages)):
-        out[i] = np.mean(reliability_profile(coeffs[i], zeros[i], grid_size))
-    return out
+    return np.mean(reliability_profile(coeffs, zeros, grid_size), axis=-1)
 
 
 def _all_messages(num_zeros: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Harness tests: determinism, CSV schema, metric sanity, CLI plumbing."""
 
+import tempfile
+
 import numpy as np
 import pytest
 import yaml
@@ -44,6 +46,20 @@ class TestConfig:
     def test_unpinned_design_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="ber_sequence", scheme="jutted", num_zeros=7).constellation()
+
+    def test_ofdm_payload_not_whole_polar_blocks_rejected(self):
+        # 500 bits used to be counted over 512 and divided by 500
+        with pytest.raises(ValueError, match="payload_bits"):
+            ExperimentConfig(kind="ber_ofdm", payload_bits=500)
+
+    @pytest.mark.parametrize("kind, channel", [
+        ("ber_sequence", "flat"), ("ber_sequence", "fadnig"), ("ber_ofdm", "awgn"),
+        ("rotation_mse", "awgn"),
+    ])
+    def test_unimplemented_channel_rejected(self, kind, channel):
+        # ber_sequence used to run any unknown channel name as fading
+        with pytest.raises(ValueError, match="channel"):
+            ExperimentConfig(kind=kind, channel=channel)
 
 
 class TestDeterminism:
@@ -132,6 +148,12 @@ class TestOtherRunners:
         assert report.header_errors == 0
         assert report.payload_errors == 0
         assert (tmp_path / "pkt.iq").exists()
+
+    def test_loopback_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = run_loopback(ExperimentConfig(kind="loopback", seed=5))
+        assert report.payload_errors == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_dispatch(self):
         rows = run_experiment(ExperimentConfig(kind="papr_table"))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jbmocz.stability import (
     asymmetry_sweep,
@@ -11,7 +13,6 @@ from jbmocz.stability import (
     optimize_radius,
     poly_stability,
     reliability_profile,
-    zero_reliability,
 )
 from jbmocz.zeros import ConstellationParams, default_radius, encode_bits, zeros_to_coeffs
 
@@ -28,6 +29,14 @@ def wilkinson_unit_norm():
 def unit_codeword(bits, params):
     zeros = encode_bits(np.asarray(bits), params)
     return zeros_to_coeffs(zeros, energy=1.0), zeros
+
+
+def deflated_profile(coeffs, roots, grid=1024):
+    """Reference profile: deflate at every root, then transform each
+    quotient onto the grid."""
+    quotients = deflate(np.asarray(coeffs)[..., None, :], roots)
+    power = np.abs(grid * np.fft.ifft(quotients, n=grid, axis=-1)) ** 2
+    return np.mean(np.log2(1.0 + power), axis=-1)
 
 
 class TestDeflate:
@@ -60,11 +69,20 @@ class TestDeflate:
         with pytest.raises(ArithmeticError):
             deflate(x, 2.5)
 
+    def test_outer_roots_stable_at_k256(self):
+        # forward division by |root| = 1.5 amplified rounding by 1.5^256
+        coeffs, zeros = unit_codeword(np.random.default_rng(1).integers(0, 2, 256),
+                                      ConstellationParams(256, 1.5))
+        quotients = deflate(coeffs[None, :], zeros)
+        for root, h in zip(zeros, quotients):
+            np.testing.assert_allclose(np.convolve(h, [-root, 1.0]), coeffs, atol=1e-12)
+        assert np.mean(deflated_profile(coeffs, zeros)) == pytest.approx(0.9289, abs=1e-4)
+
 
 class TestZeroReliability:
     def test_monomial_edge_case(self):
         # X(z) = z: deflating its single root leaves the constant 1
-        assert zero_reliability(np.array([0.0, 1.0]), np.array([0.0]), 0) == pytest.approx(1.0)
+        assert reliability_profile(np.array([0.0, 1.0]), np.array([0.0]))[..., 0] == pytest.approx(1.0)
 
     def test_two_methods_agree(self):
         rng = np.random.default_rng(1)
@@ -77,7 +95,7 @@ class TestZeroReliability:
             for n in range(grid)
         ])
         expected = np.mean(np.log2(1.0 + direct))
-        assert zero_reliability(coeffs, zeros, 3, grid) == pytest.approx(expected, abs=1e-9)
+        assert reliability_profile(coeffs, zeros, grid)[..., 3] == pytest.approx(expected, abs=1e-9)
 
     def test_jutted_zero_least_stable(self):
         params = ConstellationParams(8, 1.176, 1.15)
@@ -94,6 +112,63 @@ class TestZeroReliability:
             reliability_profile(rotated, zeros), reliability_profile(coeffs, zeros),
             atol=1e-9,
         )
+
+
+class TestSpectralProfile:
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(2, 256), radius=st.floats(1.001, 1.1), zeta=st.floats(1.0, 1.2),
+           seed=st.integers(0, 2**32 - 1), phase=st.floats(0.0, 2 * np.pi))
+    def test_matches_stable_deflation(self, k, radius, zeta, seed, phase):
+        bits = np.random.default_rng(seed).integers(0, 2, k)
+        coeffs, zeros = unit_codeword(bits, ConstellationParams(k, radius, zeta))
+        coeffs = coeffs * np.exp(1j * phase)
+        np.testing.assert_allclose(reliability_profile(coeffs, zeros),
+                                   deflated_profile(coeffs, zeros), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k, rows", [(8, 40), (200, 3)])
+    def test_stack_equals_rows(self, k, rows):
+        # K=8 packs 16 rows into a block, K=200 spreads one row over one block
+        bits = np.random.default_rng(4).integers(0, 2, (rows, k))
+        coeffs, zeros = unit_codeword(bits, ConstellationParams(k, 1.02, 1.1))
+        stacked = reliability_profile(coeffs, zeros)
+        assert stacked.shape == (rows, k)
+        for c, z, row in zip(coeffs, zeros, stacked):
+            np.testing.assert_allclose(row, reliability_profile(c, z), rtol=0, atol=1e-15)
+
+    def test_finite_at_k256_wide_radius(self):
+        params = ConstellationParams(256, 1.5)
+        bits = np.vstack([np.ones(256, dtype=int), np.zeros(256, dtype=int),
+                          np.random.default_rng(5).integers(0, 2, (4, 256))])
+        coeffs, zeros = unit_codeword(bits, params)
+        assert np.all(np.isfinite(reliability_profile(coeffs, zeros)))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-7, 5e-5, 2e-4, 1e-3])
+    def test_roots_on_and_near_grid_match_deflation(self, offset):
+        # zeros 0 and 1 sit on (or offset from) points of the 1024-point grid
+        on_grid = np.exp(2j * np.pi * np.array([0, 37]) / 1024) * (1.0 + offset)
+        zeros = np.concatenate([on_grid, [0.5j, 1.3 - 0.4j, -0.9]])
+        coeffs = zeros_to_coeffs(zeros, energy=1.0)
+        profile = reliability_profile(coeffs, zeros)
+        assert np.all(np.isfinite(profile))
+        np.testing.assert_allclose(profile, deflated_profile(coeffs, zeros), rtol=0, atol=1e-12)
+
+    def test_wilkinson_matches_deflation(self):
+        roots = np.arange(1, 21, dtype=complex)
+        w = wilkinson_unit_norm()
+        np.testing.assert_allclose(reliability_profile(w, roots), deflated_profile(w, roots),
+                                   rtol=0, atol=1e-10)
+
+    def test_non_root_rejected(self):
+        coeffs, zeros = unit_codeword(np.ones(8, dtype=int), ConstellationParams(8, 1.176))
+        wrong = zeros.copy()
+        wrong[3] *= 1.01
+        with pytest.raises(ArithmeticError):
+            reliability_profile(coeffs, wrong)
+        with pytest.raises(ArithmeticError):
+            poly_stability(coeffs, wrong)
+        stack = np.vstack([zeros, wrong])
+        with pytest.raises(ArithmeticError):
+            reliability_profile(np.vstack([coeffs, coeffs]), stack)
 
 
 class TestPolyStability:
