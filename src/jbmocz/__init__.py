@@ -15,7 +15,6 @@ from .phy import (
     estimate_channel_blind,
     estimate_noise_var,
     map_fm,
-    map_tm,
     ofdm_demodulate,
     ofdm_modulate,
     papr_fm,
@@ -27,11 +26,11 @@ from .phy import (
 )
 from .polar import PolarSpec, polar_construct, polar_decode_sc, polar_encode
 from .rotation import (
-    RotationEstimate,
     apply_rotation,
     correct_rotation,
-    estimate_rotation,
+    estimate_rotation_bins,
     oversampled_magnitudes,
+    rotation_bins,
     rotation_mse,
 )
 from .stability import (

@@ -38,7 +38,13 @@ from .phy import (
     write_iq,
 )
 from .polar import PolarSpec, polar_construct, polar_decode_sc, polar_encode
-from .rotation import estimate_rotation_bins, rotation_mse
+from .rotation import (
+    apply_rotation,
+    correct_rotation,
+    estimate_rotation_bins,
+    rotation_bins,
+    rotation_mse,
+)
 from .stability import (
     asymmetry_sweep,
     codebook_stability,
@@ -144,6 +150,37 @@ class ExperimentConfig:
         if self.kind == "ber_ofdm" and (self.payload_bits <= 0 or self.payload_bits % 16):
             raise ValueError(f"payload_bits={self.payload_bits} must be a positive multiple "
                              "of 16, the information bits of one polar block")
+        if self.kind == "ber_ofdm" and self.num_zeros != 32:
+            raise ValueError(f"num_zeros={self.num_zeros}: ber_ofdm carries (32,16) polar "
+                             "blocks on K=32 codewords")
+        if self.kind == "ber_sequence":
+            self._check_sequence_coding()
+        if self.kind == "loopback":
+            for name in ("num_zeros", "payload_bits", "idft_size"):
+                if getattr(self, name) != getattr(ExperimentConfig, name):
+                    raise ValueError(f"{name}={getattr(self, name)!r}: loopback runs the fixed "
+                                     "K=127, 424-bit, 512-point packet; leave it unset")
+        if self.kind == "design_curves":
+            if self.radius is not None:
+                raise ValueError(f"radius={self.radius}: design_curves searches the radius "
+                                 "for each asymmetry; leave it unset")
+            if self.asymmetry is not None and not isinstance(self.asymmetry, (tuple, list)):
+                raise ValueError(f"asymmetry={self.asymmetry!r}: design_curves sweeps a list "
+                                 "of asymmetries")
+
+    def _check_sequence_coding(self):
+        if self.coding not in ("none", "polar"):
+            raise ValueError(f"coding={self.coding!r} must be 'none' or 'polar'")
+        if self.coding == "polar":
+            if self.num_zeros != 32:
+                raise ValueError(f"num_zeros={self.num_zeros}: polar-coded runs use "
+                                 "K=32 codewords")
+            if self.info_bits not in (None, 16):
+                raise ValueError(f"info_bits={self.info_bits}: the (32,16) polar code "
+                                 "carries 16 information bits")
+        elif self.info_bits not in (None, self.num_zeros):
+            raise ValueError(f"info_bits={self.info_bits}: an uncoded codeword carries "
+                             f"num_zeros={self.num_zeros} bits")
 
     def constellation(self) -> ConstellationParams:
         if self.radius is not None:
@@ -222,8 +259,7 @@ def _run_chunks(worker, n_trials, seed, point, threads, chunk=4096):
 
 def _sequence_chunk(rng, n, params, config: ExperimentConfig, polar_spec, noise_var,
                     template):
-    k = params.num_zeros
-    n_info = config.info_bits or (16 if config.coding == "polar" else k)
+    n_info = 16 if config.coding == "polar" else params.num_zeros
     messages = rng.integers(0, 2, (n, n_info))
     if config.coding == "polar":
         bits = polar_encode(messages, polar_spec)
@@ -240,15 +276,10 @@ def _sequence_chunk(rng, n, params, config: ExperimentConfig, polar_spec, noise_
         received = chan.convolve_channel(coeffs, taps, noise_var, rng)
     if config.rotation is not None:
         spec = chan.ImpairmentSpec(rotation=config.rotation)
-        phis = spec.draw_rotations(n, rng)
-        ramp = np.arange(received.shape[-1])
-        received = received * np.exp(-1j * phis[:, None] * ramp)
+        received = apply_rotation(received, spec.draw_rotations(n, rng))
         if config.correct:
-            n_bins = template.size
-            mags = n_bins * np.abs(np.fft.ifft(received, n=n_bins, axis=-1))
-            bins = estimate_rotation_bins(mags, template)
-            angles = 2.0 * np.pi * bins / n_bins
-            received = received * np.exp(1j * angles[:, None] * ramp)
+            bins = rotation_bins(received, template)
+            received = correct_rotation(received, 2.0 * np.pi * bins / template.size)
     if config.coding == "polar":
         decoded = polar_decode_sc(pseudo_llrs(received, params), polar_spec)
     else:
@@ -262,9 +293,7 @@ def run_ber_sequence(config: ExperimentConfig) -> list:
     params = config.constellation()
     k = params.num_zeros
     polar_spec = polar_construct(32, 16) if config.coding == "polar" else None
-    n_info = config.info_bits or (16 if config.coding == "polar" else k)
-    if config.coding == "polar" and k != 32:
-        raise ValueError("polar-coded runs use K=32 codewords")
+    n_info = 16 if config.coding == "polar" else k
     template = make_template(params, 1024) if config.correct else None
     name = f"ber-seq-{config.scheme}"
     if config.coding == "polar":
@@ -293,12 +322,10 @@ def _rotation_mse_chunk(rng, n, params, noise_var, templates):
     taps = (rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))) / np.sqrt(2.0)
     received = chan.convolve_channel(coeffs, taps, noise_var, rng)
     phis = rng.uniform(0.0, 2.0 * np.pi, n)
-    received = received * np.exp(-1j * phis[:, None] * np.arange(received.shape[-1]))
+    received = apply_rotation(received, phis)
     sums = []
     for template in templates:
-        n_bins = template.size
-        mags = n_bins * np.abs(np.fft.ifft(received, n=n_bins, axis=-1))
-        est = 2.0 * np.pi * estimate_rotation_bins(mags, template) / n_bins
+        est = 2.0 * np.pi * rotation_bins(received, template) / template.size
         sums.append(rotation_mse(phis, est) * n)
     return (*sums, n)
 
@@ -337,6 +364,29 @@ def run_rotation_mse(config: ExperimentConfig) -> list:
 # asserted against the sample-level path in the test suite).  The phase ramp
 # multiplies the noisy received cells, which keeps a common random stream
 # exactly comparable across step-back values.
+#
+# A chunk runs in blocks of OFDM_BLOCK_PACKETS packets, each in two phases.
+# The draw loop makes the random draws packet by packet, in a fixed order:
+# messages, channel taps, cell noise, then (fm_chest) preamble bits,
+# preamble noise and guard noise, then the step-back.  The batched compute
+# does everything else once per block, on (packets, codewords, K+1) stacks:
+# polar encoding, synthesis, gains, the step-back ramp, the rotation or
+# channel estimate, pseudo-LLRs, SC decoding and error counts.  So the
+# random stream, and with it the CSV, does not depend on the block size.
+# Each packet also keeps its own matrix shapes in the zero-testing products
+# (the packet axis is a stack axis), so every packet's numbers are those of
+# a receiver that decodes one packet at a time, bit for bit.
+#
+# Throughput grows with the block but so does memory: at K=32 with 512
+# payload bits a block peaks near 100 KB per packet in each worker thread.
+# On the 2-thread ofdm_k32 benchmark (2-vCPU Xeon VM), blocks of 8, 12 and
+# 16 packets raised peak RSS by 6%, 8% and 10% over the one-packet receiver
+# and ran 1150-1360, 1475-1550 and 1650-1750 packets/s (each packet through
+# all three schemes).  12 is the largest block that stays clearly inside a
+# 10% memory budget.
+
+OFDM_BLOCK_PACKETS = 12
+
 
 @dataclass
 class _OfdmSetup:
@@ -365,11 +415,45 @@ class _OfdmSetup:
         )
 
 
-def _subcarrier_gains(rng, n_sub, idft_size, taps, profile, flat):
-    if flat:
-        return np.ones(n_sub, dtype=complex)
-    cir = chan.draw_cir(taps, rng, profile=profile)
-    return np.fft.fft(cir, idft_size)[:n_sub]
+def _draw_packets(rng, count, setup: _OfdmSetup, noise_shape, noise_var, with_chest):
+    """The random draws of `count` packets, made one packet at a time into
+    arrays with a leading packet axis.  "cirs" is absent on a flat channel,
+    and the preamble draws are present only with_chest."""
+    cfg = setup.config
+    n_sub, ktm = cfg.num_zeros + 1, cfg.tm_preamble_zeros
+    shapes = {"messages": ((setup.blocks, 16), int), "noise": (noise_shape, complex),
+              "step_backs": ((), int)}
+    if cfg.channel != "flat":
+        shapes["cirs"] = ((cfg.channel_taps,), complex)
+    if with_chest:
+        shapes.update(pre_bits=((n_sub, ktm), int), pre_noise=((n_sub, ktm + 1), complex),
+                      guard_noise=((cfg.idft_size - n_sub, ktm + 1), complex))
+    draws = {name: np.empty((count,) + shape, dtype) for name, (shape, dtype) in shapes.items()}
+    for p in range(count):
+        draws["messages"][p] = rng.integers(0, 2, (setup.blocks, 16))
+        if "cirs" in draws:
+            draws["cirs"][p] = chan.draw_cir(cfg.channel_taps, rng, profile=cfg.pdp)
+        draws["noise"][p] = chan.complex_noise(noise_shape, noise_var, rng)
+        if with_chest:
+            draws["pre_bits"][p] = rng.integers(0, 2, (n_sub, ktm))
+            for name in ("pre_noise", "guard_noise"):
+                draws[name][p] = chan.complex_noise(shapes[name][0], noise_var, rng)
+        draws["step_backs"][p] = (rng.integers(0, 6) if cfg.step_back == "random"
+                                  else int(cfg.step_back))
+    return draws
+
+
+def _subcarrier_gains(draws, n_sub, idft_size):
+    """(P, n_sub) gains: the transform of each packet's taps, or ones on a
+    flat channel."""
+    if "cirs" not in draws:
+        return np.ones((len(draws["messages"]), n_sub), dtype=complex)
+    return np.fft.fft(draws["cirs"], idft_size, axis=-1)[:, :n_sub]
+
+
+def _step_back_ramp(step_backs, n_sub, idft_size):
+    """(P, n_sub) residual-timing phase e^{-j 2 pi l delta / N} per packet."""
+    return np.exp(-2j * np.pi * np.arange(n_sub) * step_backs[:, None] / idft_size)
 
 
 def _cell_noise_var(ebn0_db, cell_energy, info_bits, idft_size, cp_len):
@@ -385,107 +469,99 @@ def _cell_noise_var(ebn0_db, cell_energy, info_bits, idft_size, cp_len):
     return n0_time / idft_size
 
 
+def _packet_errors(rng, n_packets, setup: _OfdmSetup, decode, noise_shape, noise_var,
+                   with_chest=False):
+    """Error counts of a chunk, run block by block: the draw loop, then
+    decode(draws) -> (P, blocks, 16) decoded messages."""
+    bit_errors = block_errors = 0
+    for start in range(0, n_packets, OFDM_BLOCK_PACKETS):
+        count = min(OFDM_BLOCK_PACKETS, n_packets - start)
+        draws = _draw_packets(rng, count, setup, noise_shape, noise_var, with_chest)
+        errs = decode(draws) != draws["messages"]
+        bit_errors += int(errs.sum())
+        block_errors += int(errs.any(axis=-1).sum())
+    cfg = setup.config
+    return bit_errors, block_errors, n_packets * cfg.payload_bits, n_packets * setup.blocks
+
+
+def _fm_zeros(messages, setup: _OfdmSetup):
+    """(P, M, K) zeros of each packet's FM symbols: a jutted first codeword,
+    then Huffman payload codewords."""
+    code_bits = polar_encode(messages, setup.polar_spec)
+    zeros = encode_bits(code_bits, setup.payload_params)
+    zeros[:, 0] = encode_bits(code_bits[:, 0], setup.first_params)
+    return zeros
+
+
 def _ofdm_fm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db, with_chest):
     cfg = setup.config
     k = cfg.num_zeros
     n_sub = k + 1
     n_idft = cfg.idft_size
-    blocks = setup.blocks
-    spec = setup.polar_spec
     ktm = cfg.tm_preamble_zeros
 
-    cell_energy = blocks * (k + 1)
+    cell_energy = setup.blocks * (k + 1)
     if with_chest:
         cell_energy += n_sub * (ktm + 1)
     noise_var = _cell_noise_var(ebn0_db, cell_energy, cfg.payload_bits,
                                 n_idft, cfg.cp_len)
 
-    bit_errors = block_errors = 0
-    for _ in range(n_packets):
-        messages = rng.integers(0, 2, (blocks, 16))
-        code_bits = polar_encode(messages, spec)
-        coeffs = np.empty((blocks, k + 1), dtype=complex)
-        coeffs[0] = zeros_to_coeffs(encode_bits(code_bits[0], setup.first_params))
-        coeffs[1:] = zeros_to_coeffs(encode_bits(code_bits[1:], setup.payload_params))
-        grid = map_fm(coeffs)  # (S, M)
+    def decode(draws):
+        gains = _subcarrier_gains(draws, n_sub, n_idft)
+        ramp = _step_back_ramp(draws["step_backs"], n_sub, n_idft)
+        if with_chest:
+            # estimated first, so the preamble and guard cells are freed
+            # before the payload stack exists
+            pre = zeros_to_coeffs(encode_bits(draws.pop("pre_bits"), setup.preamble_params))
+            pre_rx = ramp[..., None] * (gains[..., None] * pre + draws.pop("pre_noise"))
+            equalizer = estimate_channel_blind(
+                pre_rx, setup.preamble_params,
+                estimate_noise_var(draws.pop("guard_noise"))).equalizer
 
-        gains = _subcarrier_gains(rng, n_sub, n_idft, cfg.channel_taps, cfg.pdp,
-                                  cfg.channel == "flat")
-        received = gains[:, None] * grid + chan.complex_noise(grid.shape, noise_var, rng)
+        # (P, M, S): FM symbol m of packet p carries codeword m on its S
+        # subcarriers; the received stack is built in place
+        received = zeros_to_coeffs(_fm_zeros(draws["messages"], setup))
+        received *= gains[:, None]
+        received += draws.pop("noise").transpose(0, 2, 1)
+        received *= ramp[:, None]
 
         if with_chest:
-            pre_bits = rng.integers(0, 2, (n_sub, ktm))
-            pre = zeros_to_coeffs(encode_bits(pre_bits, setup.preamble_params))
-            pre_rx = gains[:, None] * pre + chan.complex_noise(pre.shape, noise_var, rng)
-            guard = chan.complex_noise((n_idft - n_sub, ktm + 1), noise_var, rng)
+            received *= equalizer[:, None]
         else:
-            pre_rx = guard = None
+            bins = rotation_bins(received[:, 0], setup.template)
+            received = correct_rotation(received,
+                                        (2.0 * np.pi * bins / setup.template.size)[:, None])
 
-        if cfg.step_back == "random":
-            delta = int(rng.integers(0, 6))
-        else:
-            delta = int(cfg.step_back)
-        ramp = np.exp(-2j * np.pi * np.arange(n_sub) * delta / n_idft)
-        received = ramp[:, None] * received
-        if with_chest:
-            pre_rx = ramp[:, None] * pre_rx
+        # received[:, :1] keeps the jutted symbol a one-row product per packet
+        llrs = np.empty(received.shape[:-1] + (k,), dtype=float)
+        llrs[:, :1] = pseudo_llrs(received[:, :1], setup.first_params)
+        llrs[:, 1:] = pseudo_llrs(received[:, 1:], setup.payload_params)
+        return polar_decode_sc(llrs, setup.polar_spec)
 
-        if with_chest:
-            est = estimate_channel_blind(pre_rx, setup.preamble_params,
-                                         estimate_noise_var(guard))
-            received = est.equalizer[:, None] * received
-        else:
-            mags = n_idft * np.abs(np.fft.ifft(received[:, 0], n=n_idft))
-            n_hat = int(estimate_rotation_bins(mags, setup.template))
-            angle = 2.0 * np.pi * n_hat / n_idft
-            received = received * np.exp(
-                1j * angle * np.arange(n_sub)
-            )[:, None]
-
-        llrs = np.empty((blocks, k), dtype=float)
-        llrs[0] = pseudo_llrs(received[:, 0], setup.first_params)
-        llrs[1:] = pseudo_llrs(received[:, 1:].T, setup.payload_params)
-        decoded = polar_decode_sc(llrs, spec)
-        errs = decoded != messages
-        bit_errors += int(errs.sum())
-        block_errors += int(errs.any(axis=1).sum())
-    return bit_errors, block_errors, n_packets * cfg.payload_bits, n_packets * blocks
+    return _packet_errors(rng, n_packets, setup, decode, (n_sub, setup.blocks), noise_var,
+                          with_chest)
 
 
 def _ofdm_tm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db):
     cfg = setup.config
     k = cfg.num_zeros
     blocks = setup.blocks  # subcarriers
-    spec = setup.polar_spec
 
     cell_energy = blocks * (k + 1)
     noise_var = _cell_noise_var(ebn0_db, cell_energy, cfg.payload_bits,
                                 cfg.idft_size, cfg.cp_len)
 
-    bit_errors = block_errors = 0
-    for _ in range(n_packets):
-        messages = rng.integers(0, 2, (blocks, 16))
-        code_bits = polar_encode(messages, setup.polar_spec)
-        coeffs = zeros_to_coeffs(encode_bits(code_bits, setup.tm_params))  # (S, K+1)
-
-        gains = _subcarrier_gains(rng, blocks, cfg.idft_size, cfg.channel_taps, cfg.pdp,
-                                  cfg.channel == "flat")
-        received = gains[:, None] * coeffs + chan.complex_noise(coeffs.shape, noise_var, rng)
-
-        if cfg.step_back == "random":
-            delta = int(rng.integers(0, 6))
-        else:
-            delta = int(cfg.step_back)
+    def decode(draws):
+        # (P, S, K+1): subcarrier s of packet p carries codeword s
+        code_bits = polar_encode(draws["messages"], setup.polar_spec)
+        received = zeros_to_coeffs(encode_bits(code_bits, setup.tm_params))
+        received *= _subcarrier_gains(draws, blocks, cfg.idft_size)[..., None]
+        received += draws.pop("noise")
         # constant per-subcarrier phase: rotates nothing in time mapping
-        received = received * np.exp(
-            -2j * np.pi * np.arange(blocks) * delta / cfg.idft_size
-        )[:, None]
+        received *= _step_back_ramp(draws["step_backs"], blocks, cfg.idft_size)[..., None]
+        return polar_decode_sc(pseudo_llrs(received, setup.tm_params), setup.polar_spec)
 
-        decoded = polar_decode_sc(pseudo_llrs(received, setup.tm_params), spec)
-        errs = decoded != messages
-        bit_errors += int(errs.sum())
-        block_errors += int(errs.any(axis=1).sum())
-    return bit_errors, block_errors, n_packets * cfg.payload_bits, n_packets * blocks
+    return _packet_errors(rng, n_packets, setup, decode, (blocks, k + 1), noise_var)
 
 
 def _ofdm_worker(scheme, setup, ebn0):
@@ -642,12 +718,9 @@ def run_loopback(config: ExperimentConfig, iq_path: str = None) -> LoopbackRepor
     # residual timing from the raw samples of the jutted symbol's window
     window = slice(start + cfg.symbol_len + cfg.cp_len,
                    start + cfg.symbol_len + cfg.cp_len + n_idft)
-    mags = np.abs(rx[window])
     template = make_template(first_params, n_idft)
-    n_hat = int(estimate_rotation_bins(mags, template))
-    angle = 2.0 * np.pi * n_hat / n_idft
-    ramp = np.exp(1j * angle * np.arange(n_sub))
-    rx_grid = rx_grid * ramp[:, None]
+    n_hat = int(estimate_rotation_bins(np.abs(rx[window]), template))
+    rx_grid = correct_rotation(rx_grid.T, 2.0 * np.pi * n_hat / n_idft).T
 
     header_hat = dizet_hard(rx_grid[0 : 2 * (header_len + 1) : 2, 0], sync_params)
     decoded = np.empty((blocks, k), dtype=int)

@@ -29,7 +29,6 @@ class OfdmConfig:
     sample_rate: float
     subcarriers: int
     symbols: int
-    mapping: str = "fm"
 
     def __post_init__(self):
         if self.subcarriers > self.idft_size:
@@ -38,8 +37,6 @@ class OfdmConfig:
             raise ValueError("negative CP length")
         if self.idft_size % 2:
             raise ValueError("IDFT size must be even for the repeated sync symbol")
-        if self.mapping not in ("fm", "tm"):
-            raise ValueError(f"mapping must be 'fm' or 'tm', got {self.mapping!r}")
 
     @property
     def symbol_len(self) -> int:
@@ -62,16 +59,6 @@ def map_fm(codewords) -> np.ndarray:
 
 def demap_fm(grid) -> np.ndarray:
     return np.asarray(grid, dtype=complex).T.copy()
-
-
-def map_tm(codewords) -> np.ndarray:
-    """Time mapping: codeword p fills row p of a (P, K+1) grid."""
-    codewords = np.atleast_2d(np.asarray(codewords, dtype=complex))
-    return codewords.copy()
-
-
-def demap_tm(grid) -> np.ndarray:
-    return np.asarray(grid, dtype=complex).copy()
 
 
 def ofdm_modulate(grid, config: OfdmConfig) -> np.ndarray:
@@ -235,36 +222,45 @@ def measured_papr_db(samples) -> float:
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    """Per-subcarrier complex gains with the matching MMSE equalizer."""
+    """Per-subcarrier complex gains with the matching MMSE equalizer; for
+    stacked packets, gains and equalizer are (..., S) and noise_var (...)."""
 
     gains: np.ndarray
-    noise_var: float
+    noise_var: float | np.ndarray
     equalizer: np.ndarray
 
 
-def estimate_noise_var(null_cells) -> float:
-    """Noise power per resource cell, averaged over null-subcarrier cells."""
+def estimate_noise_var(null_cells):
+    """Noise power per resource cell, averaged over null-subcarrier cells.
+
+    null_cells: the cells of one packet, of any shape, or (..., G, T) for
+    stacked packets, averaged over their last two axes to one value per
+    packet.
+    """
     null_cells = np.asarray(null_cells)
     if null_cells.size == 0:
         raise ValueError("no null cells supplied")
-    return float(np.mean(np.abs(null_cells) ** 2))
+    per_packet = null_cells.reshape(null_cells.shape[:-2] + (-1,))
+    return np.mean(np.abs(per_packet) ** 2, axis=-1)
 
 
 def estimate_channel_blind(received_tm_grid, params_tm: ConstellationParams,
-                           noise_var: float) -> ChannelEstimate:
+                           noise_var) -> ChannelEstimate:
     """Decision-directed channel estimate from a TM preamble.
 
     Each subcarrier's K_tm+1 received coefficients are hard-decoded,
     re-encoded, and least-squares fitted to a single complex gain; the MMSE
-    equalizer assumes unit re-encoded symbol power.
+    equalizer assumes unit re-encoded symbol power.  received_tm_grid is
+    (S, K_tm + 1), or (..., S, K_tm + 1) for stacked packets with one
+    noise_var per packet.
     """
-    grid = np.asarray(received_tm_grid, dtype=complex)  # (S, K_tm + 1)
+    grid = np.asarray(received_tm_grid, dtype=complex)
     bits = dizet_hard(grid, params_tm)
     reencoded = zeros_to_coeffs(encode_bits(bits, params_tm))
     gains = np.sum(np.conj(reencoded) * grid, axis=-1) / np.sum(
         np.abs(reencoded) ** 2, axis=-1
     )
-    equalizer = np.conj(gains) / (np.abs(gains) ** 2 + noise_var)
+    equalizer = np.conj(gains) / (np.abs(gains) ** 2 + np.expand_dims(noise_var, -1))
     return ChannelEstimate(gains=gains, noise_var=noise_var, equalizer=equalizer)
 
 

@@ -10,24 +10,26 @@ by correlating against the template over all N cyclic shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .zeros import Template
 
 
-def apply_rotation(coeffs, angle: float) -> np.ndarray:
+def apply_rotation(coeffs, angle) -> np.ndarray:
     """Multiply coefficient l by e^{-j*angle*l}; rotates every zero of the
-    polynomial counterclockwise by `angle`."""
+    polynomial counterclockwise by `angle`.
+
+    coeffs: (..., L).  angle: a scalar, or one angle per polynomial, of a
+    shape that broadcasts against coeffs.shape[:-1].
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
-    ramp = np.exp(-1j * angle * np.arange(coeffs.shape[-1]))
-    return coeffs * ramp
+    angle = np.asarray(angle, dtype=float)[..., None]
+    return coeffs * np.exp(-1j * angle * np.arange(coeffs.shape[-1]))
 
 
-def correct_rotation(coeffs, angle: float) -> np.ndarray:
-    """Undo apply_rotation(coeffs, angle)."""
-    return apply_rotation(coeffs, -angle)
+def correct_rotation(coeffs, angle) -> np.ndarray:
+    """Undo apply_rotation(coeffs, angle), with the same angle shapes."""
+    return apply_rotation(coeffs, -np.asarray(angle, dtype=float))
 
 
 def oversampled_magnitudes(coeffs, n_samples: int) -> np.ndarray:
@@ -36,16 +38,6 @@ def oversampled_magnitudes(coeffs, n_samples: int) -> np.ndarray:
     matching OFDM symbol)."""
     coeffs = np.asarray(coeffs, dtype=complex)
     return n_samples * np.abs(np.fft.ifft(coeffs, n=n_samples, axis=-1))
-
-
-@dataclass(frozen=True)
-class RotationEstimate:
-    """Quantized rotation estimate: bin index in [N], the angle
-    2*pi*bin/N, and the winning correlation score."""
-
-    bin: int
-    angle: float
-    score: float
 
 
 def _correlation_scores(magnitudes: np.ndarray, template: np.ndarray) -> np.ndarray:
@@ -58,12 +50,13 @@ def _correlation_scores(magnitudes: np.ndarray, template: np.ndarray) -> np.ndar
     return np.fft.irfft(spec, n=len(template), axis=-1)
 
 
-def estimate_rotation(magnitudes, template: Template) -> RotationEstimate:
-    """Estimate the rotation angle from N magnitude samples.
+def estimate_rotation_bins(magnitudes, template: Template) -> np.ndarray:
+    """Estimate the rotation of each of (..., N) magnitude rows as a bin
+    index in [N]; bin m stands for the angle 2*pi*m/N.
 
     Picks the cyclic shift of the template with the largest inner product
     against the magnitudes; ties break toward the smallest bin.  For a
-    magnitude vector that is a cyclically shifted template the answer is
+    magnitude row that is a cyclically shifted template the answer is
     exact; for arbitrary angles the estimate quantizes to the nearest of
     the N bins.
     """
@@ -73,23 +66,14 @@ def estimate_rotation(magnitudes, template: Template) -> RotationEstimate:
             f"expected {template.size} magnitude samples, got {magnitudes.shape[-1]}"
         )
     scores = _correlation_scores(magnitudes, template.samples)
-    best = int(np.argmax(scores))
-    return RotationEstimate(
-        bin=best,
-        angle=2.0 * np.pi * best / template.size,
-        score=float(scores[best]),
-    )
-
-
-def estimate_rotation_bins(magnitudes, template: Template) -> np.ndarray:
-    """Vectorized estimator: (..., N) magnitudes -> (...,) bin indices."""
-    magnitudes = np.asarray(magnitudes, dtype=float)
-    if magnitudes.shape[-1] != template.size:
-        raise ValueError(
-            f"expected {template.size} magnitude samples, got {magnitudes.shape[-1]}"
-        )
-    scores = _correlation_scores(magnitudes, template.samples)
     return np.argmax(scores, axis=-1)
+
+
+def rotation_bins(coeffs, template: Template) -> np.ndarray:
+    """Rotation bins of (..., L) received coefficients: the magnitudes of
+    each row on the template's N-point grid, matched against the template.
+    Correct a row with correct_rotation(coeffs, 2*pi*bin/N)."""
+    return estimate_rotation_bins(oversampled_magnitudes(coeffs, template.size), template)
 
 
 def rotation_mse(true_angles, est_angles) -> float:

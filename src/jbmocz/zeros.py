@@ -118,16 +118,23 @@ def zeros_to_coeffs(zeros, energy: float = None) -> np.ndarray:
         energy = float(k + 1)
     if not energy > 0:
         raise ValueError(f"energy must be positive, got {energy}")
-    order = _low_discrepancy_order(k)
     coeffs = np.zeros(zeros.shape[:-1] + (k + 1,), dtype=complex)
     coeffs[..., 0] = 1.0
-    for i in order:
-        alpha = zeros[..., i, None]
-        shifted = np.roll(coeffs, 1, axis=-1)
-        shifted[..., 0] = 0.0
-        coeffs = shifted - alpha * coeffs
-    norm = np.linalg.norm(coeffs, axis=-1, keepdims=True)
-    return coeffs * (np.sqrt(energy) / norm)
+    spare = np.empty_like(coeffs)
+    # multiply by (z - alpha): the next coefficients are the current ones
+    # shifted up one power minus alpha times the current ones, written into
+    # the spare buffer, after which the two buffers swap roles
+    for i in _low_discrepancy_order(k):
+        np.multiply(zeros[..., i, None], coeffs, out=spare)
+        np.subtract(0.0, spare[..., :1], out=spare[..., :1])
+        np.subtract(coeffs[..., :-1], spare[..., 1:], out=spare[..., 1:])
+        coeffs, spare = spare, coeffs
+    # np.linalg.norm(coeffs, axis=-1) by its own steps, in the spare buffer
+    np.conjugate(coeffs, out=spare)
+    spare *= coeffs
+    norm = np.sqrt(np.add.reduce(spare.real, axis=-1, keepdims=True))
+    coeffs *= np.sqrt(energy) / norm
+    return coeffs
 
 
 def coeffs_to_zeros(coeffs) -> np.ndarray:

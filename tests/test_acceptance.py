@@ -8,7 +8,7 @@ from jbmocz.dizet import dizet_hard
 from jbmocz.experiments import ExperimentConfig, run_ber_ofdm, run_ber_sequence, run_loopback, run_rotation_mse
 from jbmocz.phy import papr_fm, papr_fm_huffman, papr_peak_at_dc
 from jbmocz.polar import polar_construct, polar_decode_sc, polar_encode
-from jbmocz.rotation import apply_rotation, correct_rotation, estimate_rotation, oversampled_magnitudes
+from jbmocz.rotation import apply_rotation, correct_rotation, rotation_bins
 from jbmocz.stability import codebook_stability, optimize_radius, poly_stability
 from jbmocz.zeros import (
     ConstellationParams,
@@ -155,8 +155,8 @@ def test_criterion_5_noiseless_correctness():
     x = zeros_to_coeffs(encode_bits(msg, fig2))
     received = apply_rotation(x, (12 / 7) * fig2.base_angle)
     template = make_template(fig2, 1024)
-    est = estimate_rotation(oversampled_magnitudes(received, 1024), template)
-    decoded = dizet_hard(correct_rotation(received, est.angle), fig2)
+    angle = 2 * np.pi * rotation_bins(received, template) / 1024
+    decoded = dizet_hard(correct_rotation(received, angle), fig2)
     scenario = np.array_equal(decoded, msg)
     ok = exact and scenario
     report(5, ok, f"multipath exact decode {exact}, rotation scenario decode {scenario}")

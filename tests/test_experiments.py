@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from jbmocz import experiments
 from jbmocz.cli import load_config, main
 from jbmocz.experiments import (
     ExperimentConfig,
@@ -61,6 +62,43 @@ class TestConfig:
         with pytest.raises(ValueError, match="channel"):
             ExperimentConfig(kind=kind, channel=channel)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_zeros", 32), ("payload_bits", 64), ("idft_size", 128),
+    ])
+    def test_loopback_fixed_packet_fields_rejected(self, field, value):
+        # loopback used to run its fixed K=127 packet whatever these said
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(kind="loopback", **{field: value})
+
+    def test_design_curves_radius_rejected(self):
+        # the radius used to be ignored: each asymmetry gets a radius search
+        with pytest.raises(ValueError, match="radius"):
+            ExperimentConfig(kind="design_curves", radius=1.3)
+
+    def test_design_curves_scalar_asymmetry_rejected(self):
+        # a scalar used to be ignored in favour of the default sweep
+        with pytest.raises(ValueError, match="asymmetry"):
+            ExperimentConfig(kind="design_curves", asymmetry=1.1)
+
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(num_zeros=32, info_bits=16), "info_bits"),                    # uncoded: K
+        (dict(num_zeros=32, coding="polar", info_bits=32), "info_bits"),    # polar: 16
+        (dict(num_zeros=64, coding="polar"), "num_zeros"),
+        (dict(num_zeros=32, coding="ldpc"), "coding"),
+    ])
+    def test_sequence_coding_mismatch_rejected(self, overrides, field):
+        # these used to fail deep in encode_bits, or ran uncoded
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(kind="ber_sequence", **overrides)
+
+    def test_ofdm_num_zeros_rejected(self):
+        with pytest.raises(ValueError, match="num_zeros"):
+            ExperimentConfig(kind="ber_ofdm", num_zeros=64)
+
+    def test_matching_info_bits_accepted(self):
+        ExperimentConfig(kind="ber_sequence", num_zeros=16, info_bits=16)
+        ExperimentConfig(kind="ber_sequence", num_zeros=32, coding="polar", info_bits=16)
+
 
 class TestDeterminism:
     def test_byte_identical_csv_across_thread_counts(self, tmp_path):
@@ -74,6 +112,26 @@ class TestDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_ofdm_csv_identical_across_thread_counts(self, tmp_path):
+        outs = []
+        for threads in (1, 3):
+            cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(10.0,),
+                                   trials=530, payload_bits=64, seed=12, threads=threads)
+            path = tmp_path / f"t{threads}.csv"
+            write_csv(run_ber_ofdm(cfg), path, header_note="note")
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_ofdm_rows_independent_of_packet_block(self, monkeypatch, block):
+        # the draw loop keeps the random stream packet-ordered, so the block
+        # size of the batched compute cannot change a number
+        cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(8.0,), trials=45,
+                               payload_bits=48, seed=4)
+        expected = run_ber_ofdm(cfg)
+        monkeypatch.setattr(experiments, "OFDM_BLOCK_PACKETS", block)
+        assert run_ber_ofdm(cfg) == expected
+
     def test_repeat_run_identical(self):
         cfg = ExperimentConfig(kind="rotation_mse", scheme="jutted", num_zeros=31,
                                ebn0_db=(4.0,), trials=500, seed=7,
@@ -81,6 +139,41 @@ class TestDeterminism:
         a = run_rotation_mse(cfg)
         b = run_rotation_mse(cfg)
         assert a == b
+
+
+# ber_ofdm rows recorded with the packet-at-a-time receiver the batched
+# one replaced (per channel: seed 2026, 600 packets, 128 payload bits, all
+# three schemes, random step-back)
+GOLDEN_OFDM = {
+    ("fading", 12.0): """\
+experiment,param_name,param_value,metric,value,trials,seed
+ber-ofdm-fm,ebn0_db,12,ber,0.1363932292,600,2026
+ber-ofdm-fm,ebn0_db,12,bler,0.293125,600,2026
+ber-ofdm-fm_chest,ebn0_db,12,ber,0.15125,600,2026
+ber-ofdm-fm_chest,ebn0_db,12,bler,0.3270833333,600,2026
+ber-ofdm-tm,ebn0_db,12,ber,0.0605859375,600,2026
+ber-ofdm-tm,ebn0_db,12,bler,0.1352083333,600,2026
+""",
+    ("flat", 6.0): """\
+experiment,param_name,param_value,metric,value,trials,seed
+ber-ofdm-fm,ebn0_db,6,ber,0.06731770833,600,2026
+ber-ofdm-fm,ebn0_db,6,bler,0.1677083333,600,2026
+ber-ofdm-fm_chest,ebn0_db,6,ber,0.2865364583,600,2026
+ber-ofdm-fm_chest,ebn0_db,6,bler,0.6783333333,600,2026
+ber-ofdm-tm,ebn0_db,6,ber,0.03180989583,600,2026
+ber-ofdm-tm,ebn0_db,6,bler,0.07895833333,600,2026
+""",
+}
+
+
+@pytest.mark.parametrize("channel, ebn0", list(GOLDEN_OFDM))
+def test_ofdm_golden_csv(tmp_path, channel, ebn0):
+    # 600 packets: chunks of 256, 256 and 88, so the last block is partial
+    cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, channel=channel, ebn0_db=(ebn0,),
+                           trials=600, seed=2026, payload_bits=128)
+    path = tmp_path / "golden.csv"
+    write_csv(run_ber_ofdm(cfg), path)
+    assert path.read_text() == GOLDEN_OFDM[(channel, ebn0)]
 
 
 class TestBerSequenceRows:

@@ -9,11 +9,9 @@ from jbmocz.phy import (
     OfdmConfig,
     build_sync_symbol,
     demap_fm,
-    demap_tm,
     estimate_channel_blind,
     estimate_noise_var,
     map_fm,
-    map_tm,
     measured_papr_db,
     ofdm_demodulate,
     ofdm_modulate,
@@ -55,7 +53,6 @@ class TestResourceMapping:
         rng = np.random.default_rng(0)
         codewords = random_codewords(rng, ConstellationParams(8, 1.2), 5)
         np.testing.assert_array_equal(demap_fm(map_fm(codewords)), codewords)
-        np.testing.assert_array_equal(demap_tm(map_tm(codewords)), codewords)
 
     def test_fm_symbol_evaluates_polynomial(self):
         rng = np.random.default_rng(1)
@@ -268,6 +265,22 @@ class TestChannelEstimation:
         assert estimate_noise_var(np.array([2.0 + 0j])) == pytest.approx(4.0)
         with pytest.raises(ValueError):
             estimate_noise_var(np.array([]))
+
+    def test_stacked_packets_match_one_at_a_time(self):
+        rng = np.random.default_rng(17)
+        params = ConstellationParams(4, 1.3066)
+        pre = np.stack([random_codewords(rng, params, 33) for _ in range(3)])
+        gains = rng.normal(size=(3, 33)) + 1j * rng.normal(size=(3, 33))
+        received = gains[..., None] * pre + complex_noise(pre.shape, 0.05, rng)
+        guard = complex_noise((3, 223, 5), 0.05, rng)
+        noise_vars = estimate_noise_var(guard)
+        assert noise_vars.shape == (3,)
+        est = estimate_channel_blind(received, params, noise_vars)
+        for p in range(3):
+            assert noise_vars[p] == estimate_noise_var(guard[p])
+            one = estimate_channel_blind(received[p], params, estimate_noise_var(guard[p]))
+            np.testing.assert_array_equal(est.gains[p], one.gains)
+            np.testing.assert_array_equal(est.equalizer[p], one.equalizer)
 
 
 class TestIqFiles:

@@ -8,9 +8,9 @@ from jbmocz.rotation import (
     _correlation_scores,
     apply_rotation,
     correct_rotation,
-    estimate_rotation,
     estimate_rotation_bins,
     oversampled_magnitudes,
+    rotation_bins,
     rotation_mse,
 )
 from jbmocz.zeros import ConstellationParams, coeffs_to_zeros, encode_bits, make_template, zeros_to_coeffs
@@ -46,6 +46,19 @@ class TestApplyRotation:
         np.testing.assert_allclose(correct_rotation(apply_rotation(x, 1.234), 1.234), x,
                                    atol=1e-12)
 
+    def test_per_row_angles_match_scalar_calls(self):
+        rows = np.stack([fig2_codeword(), 2j * fig2_codeword(), -fig2_codeword()])
+        angles = np.array([0.3, 2.0, 5.9])
+        for fn in (apply_rotation, correct_rotation):
+            stacked = fn(rows, angles)
+            for i in range(3):
+                np.testing.assert_array_equal(stacked[i], fn(rows[i], angles[i]))
+        # one angle per packet across a (packets, symbols, L) stack
+        packets = np.stack([rows, rows[::-1]])
+        stacked = apply_rotation(packets, angles[:2, None])
+        for p in range(2):
+            np.testing.assert_array_equal(stacked[p], apply_rotation(packets[p], angles[p]))
+
 
 class TestEstimator:
     def setup_method(self):
@@ -55,36 +68,40 @@ class TestEstimator:
         self.template = make_template(self.params, 1024)
 
     def test_unrotated_is_bin_zero(self):
-        mags = oversampled_magnitudes(self.coeffs, 1024)
-        assert estimate_rotation(mags, self.template).bin == 0
+        assert rotation_bins(self.coeffs, self.template) == 0
 
     def test_exact_at_integer_bins(self):
         for m in (1, 63, 512, 1023):
             phi = 2 * np.pi * m / 1024
-            mags = oversampled_magnitudes(apply_rotation(self.coeffs, phi), 1024)
-            est = estimate_rotation(mags, self.template)
-            assert est.bin == m
-            assert est.angle == pytest.approx(phi)
+            assert rotation_bins(apply_rotation(self.coeffs, phi), self.template) == m
 
     def test_quantizes_to_nearest_bin(self):
         rng = np.random.default_rng(1)
-        for phi in rng.uniform(0, 2 * np.pi, 100):
-            mags = oversampled_magnitudes(apply_rotation(self.coeffs, phi), 1024)
-            est = estimate_rotation(mags, self.template)
-            err = abs(est.angle - phi)
-            assert min(err, 2 * np.pi - err) <= np.pi / 1024 + 1e-12
+        phis = rng.uniform(0, 2 * np.pi, 100)
+        rotated = apply_rotation(np.tile(self.coeffs, (100, 1)), phis)
+        err = np.abs(2 * np.pi * rotation_bins(rotated, self.template) / 1024 - phis)
+        assert np.all(np.minimum(err, 2 * np.pi - err) <= np.pi / 1024 + 1e-12)
+
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(6)
+        rotated = apply_rotation(np.tile(self.coeffs, (4, 3, 1)), rng.uniform(0, 6, (4, 3)))
+        bins = rotation_bins(rotated, self.template)
+        assert bins.shape == (4, 3)
+        for i in range(4):
+            for j in range(3):
+                assert rotation_bins(rotated[i, j], self.template) == bins[i, j]
 
     def test_shift_equivariance(self):
         mags = oversampled_magnitudes(apply_rotation(self.coeffs, 0.39), 1024)
-        base = estimate_rotation(mags, self.template).bin
+        base = estimate_rotation_bins(mags, self.template)
         for m in (1, 100, 1000):
-            shifted = estimate_rotation(np.roll(mags, m), self.template).bin
+            shifted = estimate_rotation_bins(np.roll(mags, m), self.template)
             assert shifted == (base + m) % 1024
 
     def test_scale_invariance(self):
         mags = oversampled_magnitudes(apply_rotation(self.coeffs, 2.5), 1024)
-        base = estimate_rotation(mags, self.template).bin
-        assert estimate_rotation(123.4 * mags, self.template).bin == base
+        base = estimate_rotation_bins(mags, self.template)
+        assert estimate_rotation_bins(123.4 * mags, self.template) == base
 
     def test_huffman_score_periodicity(self):
         params = ConstellationParams(8, 1.176)
@@ -109,7 +126,7 @@ class TestEstimator:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            estimate_rotation(np.ones(512), self.template)
+            estimate_rotation_bins(np.ones(512), self.template)
         with pytest.raises(ValueError):
             estimate_rotation_bins(np.ones((3, 512)), self.template)
 
@@ -120,8 +137,8 @@ class TestEndToEnd:
         phi = (12 / 7) * FIG2.base_angle
         received = apply_rotation(x, phi)
         template = make_template(FIG2, 1024)
-        est = estimate_rotation(oversampled_magnitudes(received, 1024), template)
-        corrected = correct_rotation(received, est.angle)
+        angle = 2 * np.pi * rotation_bins(received, template) / 1024
+        corrected = correct_rotation(received, angle)
         np.testing.assert_array_equal(dizet_hard(corrected, FIG2), FIG2_BITS)
 
     def test_one_bin_off_still_decodes(self):

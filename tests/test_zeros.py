@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jbmocz.zeros import (
     ConstellationParams,
+    _low_discrepancy_order,
     aacf,
     aacf_closed_form,
     aacf_edge_scale,
@@ -104,6 +105,32 @@ class TestZerosToCoeffs:
     def test_bad_energy(self):
         with pytest.raises(ValueError):
             zeros_to_coeffs(np.array([1.0 + 0j]), energy=0.0)
+
+
+def _roll_loop_coeffs(zeros, energy=None):
+    """Reference synthesis: the shift-by-np.roll recurrence that the in-place
+    loop of zeros_to_coeffs replaced."""
+    zeros = np.asarray(zeros, dtype=complex)
+    k = zeros.shape[-1]
+    energy = float(k + 1) if energy is None else energy
+    coeffs = np.zeros(zeros.shape[:-1] + (k + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
+    for i in _low_discrepancy_order(k):
+        shifted = np.roll(coeffs, 1, axis=-1)
+        shifted[..., 0] = 0.0
+        coeffs = shifted - zeros[..., i, None] * coeffs
+    return coeffs * (np.sqrt(energy) / np.linalg.norm(coeffs, axis=-1, keepdims=True))
+
+
+class TestInPlaceSynthesis:
+    @pytest.mark.parametrize("k", [2, 3, 4, 16, 31, 32, 63, 64, 127, 128, 256])
+    def test_bit_identical_to_roll_loop(self, k):
+        rng = np.random.default_rng(k)
+        params = ConstellationParams(k, default_radius(k), 1.05)
+        for shape in ((k,), (7, k), (3, 2, k)):
+            zeros = encode_bits(rng.integers(0, 2, shape), params)
+            assert np.array_equal(zeros_to_coeffs(zeros), _roll_loop_coeffs(zeros))
+            assert np.array_equal(zeros_to_coeffs(zeros, 1.0), _roll_loop_coeffs(zeros, 1.0))
 
 
 class TestCoeffsToZeros:
