@@ -55,6 +55,7 @@ from .zeros import (
     default_radius,
     demap_zeros,
     encode_bits,
+    encode_coeffs,
     make_template,
     power_spectrum,
     zeros_to_coeffs,

@@ -51,7 +51,7 @@ from .stability import (
     default_radius_grid,
     min_codebook_stability,
 )
-from .zeros import ConstellationParams, default_radius, encode_bits, make_template, zeros_to_coeffs
+from .zeros import ConstellationParams, default_radius, encode_coeffs, make_template
 
 # Reference jutted designs R*(K, zeta): radius optimized for the minimum
 # codebook stability, asymmetry chosen for the target template peakiness
@@ -82,6 +82,18 @@ KIND_CHANNELS = {
     "rotation_mse": ("fading",),
 }
 
+# fields a kind does not read, so they must keep their defaults, with what
+# the kind runs instead
+KIND_FIXED_FIELDS = {
+    "ber_ofdm": (("scheme", "radius", "asymmetry", "coding", "rotation", "correct"),
+                 "polar-coded packets of a jutted first symbol and Huffman payload, "
+                 "rotated only by the step-back"),
+    "rotation_mse": (("channel_taps", "pdp", "rotation"),
+                     "one Rayleigh tap and a uniform rotation per trial"),
+    "loopback": (("num_zeros", "payload_bits", "idft_size"),
+                 "the fixed K=127, 424-bit, 512-point packet"),
+}
+
 
 def jutted_params(num_zeros: int) -> ConstellationParams:
     """Reference jutted constellation for a supported codeword length."""
@@ -97,8 +109,9 @@ def huffman_params(num_zeros: int) -> ConstellationParams:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative experiment description; unused fields are ignored by
-    kinds that do not need them."""
+    """Declarative experiment description.  A kind ignores the fields it
+    does not read, except those in KIND_FIXED_FIELDS, which must keep their
+    defaults."""
 
     kind: str
     seed: int = 0
@@ -155,11 +168,16 @@ class ExperimentConfig:
                              "blocks on K=32 codewords")
         if self.kind == "ber_sequence":
             self._check_sequence_coding()
-        if self.kind == "loopback":
-            for name in ("num_zeros", "payload_bits", "idft_size"):
-                if getattr(self, name) != getattr(ExperimentConfig, name):
-                    raise ValueError(f"{name}={getattr(self, name)!r}: loopback runs the fixed "
-                                     "K=127, 424-bit, 512-point packet; leave it unset")
+        fixed_fields, runs = KIND_FIXED_FIELDS.get(self.kind, ((), ""))
+        for name in fixed_fields:
+            if getattr(self, name) != getattr(ExperimentConfig, name):
+                raise ValueError(f"{name}={getattr(self, name)!r}: {self.kind} runs {runs}; "
+                                 "leave it unset")
+        if self.kind == "rotation_mse":
+            least = 2 * self.num_zeros + 2
+            if any(bins < least for bins in self.estimator_bins):
+                raise ValueError(f"estimator_bins={self.estimator_bins}: a K={self.num_zeros} "
+                                 f"template needs at least {least} bins")
         if self.kind == "design_curves":
             if self.radius is not None:
                 raise ValueError(f"radius={self.radius}: design_curves searches the radius "
@@ -265,7 +283,7 @@ def _sequence_chunk(rng, n, params, config: ExperimentConfig, polar_spec, noise_
         bits = polar_encode(messages, polar_spec)
     else:
         bits = messages
-    coeffs = zeros_to_coeffs(encode_bits(bits, params))
+    coeffs = encode_coeffs(bits, params)
     if config.channel == "awgn":
         received = coeffs + chan.complex_noise(coeffs.shape, noise_var, rng)
     else:
@@ -318,7 +336,7 @@ def run_ber_sequence(config: ExperimentConfig) -> list:
 def _rotation_mse_chunk(rng, n, params, noise_var, templates):
     k = params.num_zeros
     bits = rng.integers(0, 2, (n, k))
-    coeffs = zeros_to_coeffs(encode_bits(bits, params))
+    coeffs = encode_coeffs(bits, params)
     taps = (rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))) / np.sqrt(2.0)
     received = chan.convolve_channel(coeffs, taps, noise_var, rng)
     phis = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -484,13 +502,13 @@ def _packet_errors(rng, n_packets, setup: _OfdmSetup, decode, noise_shape, noise
     return bit_errors, block_errors, n_packets * cfg.payload_bits, n_packets * setup.blocks
 
 
-def _fm_zeros(messages, setup: _OfdmSetup):
-    """(P, M, K) zeros of each packet's FM symbols: a jutted first codeword,
-    then Huffman payload codewords."""
+def _fm_coeffs(messages, setup: _OfdmSetup):
+    """(P, M, K+1) codewords of each packet's FM symbols: a jutted first
+    codeword, then Huffman payload codewords."""
     code_bits = polar_encode(messages, setup.polar_spec)
-    zeros = encode_bits(code_bits, setup.payload_params)
-    zeros[:, 0] = encode_bits(code_bits[:, 0], setup.first_params)
-    return zeros
+    coeffs = encode_coeffs(code_bits, setup.payload_params)
+    coeffs[:, 0] = encode_coeffs(code_bits[:, 0], setup.first_params)
+    return coeffs
 
 
 def _ofdm_fm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db, with_chest):
@@ -512,7 +530,7 @@ def _ofdm_fm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db, with_chest):
         if with_chest:
             # estimated first, so the preamble and guard cells are freed
             # before the payload stack exists
-            pre = zeros_to_coeffs(encode_bits(draws.pop("pre_bits"), setup.preamble_params))
+            pre = encode_coeffs(draws.pop("pre_bits"), setup.preamble_params)
             pre_rx = ramp[..., None] * (gains[..., None] * pre + draws.pop("pre_noise"))
             equalizer = estimate_channel_blind(
                 pre_rx, setup.preamble_params,
@@ -520,7 +538,7 @@ def _ofdm_fm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db, with_chest):
 
         # (P, M, S): FM symbol m of packet p carries codeword m on its S
         # subcarriers; the received stack is built in place
-        received = zeros_to_coeffs(_fm_zeros(draws["messages"], setup))
+        received = _fm_coeffs(draws["messages"], setup)
         received *= gains[:, None]
         received += draws.pop("noise").transpose(0, 2, 1)
         received *= ramp[:, None]
@@ -554,7 +572,7 @@ def _ofdm_tm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db):
     def decode(draws):
         # (P, S, K+1): subcarrier s of packet p carries codeword s
         code_bits = polar_encode(draws["messages"], setup.polar_spec)
-        received = zeros_to_coeffs(encode_bits(code_bits, setup.tm_params))
+        received = encode_coeffs(code_bits, setup.tm_params)
         received *= _subcarrier_gains(draws, blocks, cfg.idft_size)[..., None]
         received += draws.pop("noise")
         # constant per-subcarrier phase: rotates nothing in time mapping
@@ -689,8 +707,8 @@ def run_loopback(config: ExperimentConfig, iq_path: str = None) -> LoopbackRepor
     block_bits_matrix = padded.reshape(blocks, k)
 
     coeffs = np.empty((blocks, k + 1), dtype=complex)
-    coeffs[0] = zeros_to_coeffs(encode_bits(block_bits_matrix[0], first_params))
-    coeffs[1:] = zeros_to_coeffs(encode_bits(block_bits_matrix[1:], payload_params))
+    coeffs[0] = encode_coeffs(block_bits_matrix[0], first_params)
+    coeffs[1:] = encode_coeffs(block_bits_matrix[1:], payload_params)
     grid = np.hstack([
         build_sync_symbol(header, sync_params, n_sub)[:, None],
         map_fm(coeffs),

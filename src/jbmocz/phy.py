@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dizet import dizet_hard
-from .zeros import ConstellationParams, encode_bits, power_spectrum, zeros_to_coeffs
+from .zeros import ConstellationParams, encode_coeffs, power_spectrum
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def build_sync_symbol(header_bits, sync_params: ConstellationParams,
             f"header of {header_bits.shape[-1]} bits does not match "
             f"{sync_params.num_zeros} sync zeros"
         )
-    coeffs = zeros_to_coeffs(encode_bits(header_bits, sync_params))
+    coeffs = encode_coeffs(header_bits, sync_params)
     if 2 * len(coeffs) - 1 > num_subcarriers:
         raise ValueError("sync codeword does not fit on the even subcarriers")
     column = np.zeros(num_subcarriers, dtype=complex)
@@ -256,7 +256,7 @@ def estimate_channel_blind(received_tm_grid, params_tm: ConstellationParams,
     """
     grid = np.asarray(received_tm_grid, dtype=complex)
     bits = dizet_hard(grid, params_tm)
-    reencoded = zeros_to_coeffs(encode_bits(bits, params_tm))
+    reencoded = encode_coeffs(bits, params_tm)
     gains = np.sum(np.conj(reencoded) * grid, axis=-1) / np.sum(
         np.abs(reencoded) ** 2, axis=-1
     )

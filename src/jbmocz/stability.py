@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .zeros import ConstellationParams, coeffs_to_zeros, encode_bits, zeros_to_coeffs
+from .zeros import ConstellationParams, coeffs_to_zeros, encode_bits, encode_coeffs
 
 DEFAULT_GRID = 1024
 EXACT_LIMIT = 16  # full codebook enumeration refused above this many zeros
@@ -151,7 +151,7 @@ def poly_stability(coeffs, roots=None, grid_size: int = DEFAULT_GRID) -> float:
 
 def _message_stabilities(messages, params: ConstellationParams, grid_size: int) -> np.ndarray:
     zeros = encode_bits(messages, params)
-    coeffs = zeros_to_coeffs(zeros, energy=1.0)
+    coeffs = encode_coeffs(messages, params, energy=1.0)
     return np.mean(reliability_profile(coeffs, zeros, grid_size), axis=-1)
 
 
@@ -260,7 +260,7 @@ def stability_report(bits, params: ConstellationParams,
                      grid_size: int = DEFAULT_GRID) -> StabilityReport:
     """Reliability profile of the codeword encoding `bits`."""
     zeros = encode_bits(np.asarray(bits), params)
-    coeffs = zeros_to_coeffs(zeros, energy=1.0)
+    coeffs = encode_coeffs(bits, params, energy=1.0)
     per_zero = reliability_profile(coeffs, zeros, grid_size)
     return StabilityReport(per_zero=per_zero, poly=float(np.mean(per_zero)),
                            params=params)

@@ -9,13 +9,34 @@ breaking the rotational symmetry of the constellation.
 
 Coefficient vectors are ordered lowest power first: coeffs[i] multiplies z**i.
 Most functions accept stacked inputs, operating on the last axis.
+
+Codewords are synthesized from bits by `encode_coeffs`.  Because the zero
+phases are fixed, the log of the codeword at the K+1 roots of unity
+w_n = e^{j 2 pi n/(K+1)} is linear in the bits:
+
+    log X(w_n) = base_n + sum_k b_k delta[k, n],
+    base_n = sum_k log(w_n - inner_k),
+    delta[k, n] = log(w_n - outer_k) - log(w_n - inner_k),
+
+so a stack of messages takes one real GEMM against the (K, 2(K+1)) table
+of delta's real and imaginary parts, an exp, and a (K+1)-point FFT.  The
+leading coefficient of the monic product is set to exactly 1 before the
+rescale, rather than rephasing by the computed one: at R=1.5, K=127 that
+coefficient is ~R^-K of the norm, below its rounding.  base and delta are
+cached for the last SYNTHESIS_CACHE_SIZE constellations (a bounded cache,
+since a radius search visits dozens).  `zeros_to_coeffs` expands arbitrary
+zeros by the K-step product recurrence; it is the reference for the
+identity.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+SYNTHESIS_CACHE_SIZE = 3  # constellations whose synthesis tables are kept
 
 
 def default_radius(num_zeros: int) -> float:
@@ -135,6 +156,58 @@ def zeros_to_coeffs(zeros, energy: float = None) -> np.ndarray:
     norm = np.sqrt(np.add.reduce(spare.real, axis=-1, keepdims=True))
     coeffs *= np.sqrt(energy) / norm
     return coeffs
+
+
+@functools.lru_cache(maxsize=SYNTHESIS_CACHE_SIZE)
+def _synthesis_tables(params: ConstellationParams):
+    """(base, delta) of the log-linear synthesis, read-only.
+
+    base: (K+1,) complex, sum_k log(w_n - inner_k).  delta: (K, 2(K+1))
+    float, row k the interleaved real and imaginary parts of
+    log((w_n - outer_k) / (w_n - inner_k)) (delta up to 2 pi j, which exp
+    ignores), so that bits @ delta viewed as complex is
+    sum_k b_k delta[k, n].
+    """
+    k = params.num_zeros
+    w = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
+    inner = w - params.inner_points()[:, None]
+    base = np.log(inner).sum(axis=0)
+    delta = np.log((w - params.outer_points()[:, None]) / inner).view(float)
+    base.flags.writeable = delta.flags.writeable = False
+    return base, delta
+
+
+def encode_coeffs(bits, params: ConstellationParams, energy: float = None) -> np.ndarray:
+    """Coefficient vectors of binary messages, zeros_to_coeffs(encode_bits(
+    bits, params), energy) computed by the log-linear identity (module
+    docstring).
+
+    bits: (..., K) array of 0/1.  Returns (..., K+1) coefficients with
+    squared 2-norm `energy` (default K+1) and a real, positive leading
+    coefficient.
+    """
+    bits = np.asarray(bits)
+    k = params.num_zeros
+    if bits.shape[-1] != k:
+        raise ValueError(f"expected {k} bits per message, got {bits.shape[-1]}")
+    if energy is None:
+        energy = float(k + 1)
+    if not energy > 0:
+        raise ValueError(f"energy must be positive, got {energy}")
+    base, delta = _synthesis_tables(params)
+    rows = bits.reshape(-1, k) != 0
+    # log X(w_n) for every row, then X(w_n), in one buffer
+    values = np.matmul(rows, delta).view(complex)
+    values += base
+    np.exp(values, out=values)
+    coeffs = np.fft.fft(values, norm="forward", out=values)
+    # the monic product's leading coefficient is 1; the computed one is
+    # lost below rounding of the norm when R^K is large
+    coeffs[:, -1] = 1.0
+    flat = coeffs.view(float)
+    scale = np.sqrt(energy / np.einsum("ij,ij->i", flat, flat))
+    coeffs *= scale[:, None]
+    return coeffs.reshape(bits.shape[:-1] + (k + 1,))
 
 
 def coeffs_to_zeros(coeffs) -> np.ndarray:

@@ -95,6 +95,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="num_zeros"):
             ExperimentConfig(kind="ber_ofdm", num_zeros=64)
 
+    @pytest.mark.parametrize("field, value", [
+        ("scheme", "huffman"), ("radius", 1.3), ("asymmetry", 1.2), ("coding", "polar"),
+        ("rotation", "uniform"), ("correct", True),
+    ])
+    def test_ofdm_unread_fields_rejected(self, field, value):
+        # ber_ofdm used to run its fixed packet whatever these said
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(kind="ber_ofdm", num_zeros=32, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("channel_taps", 3), ("pdp", "exp"), ("rotation", 0.5),
+    ])
+    def test_rotation_mse_unread_fields_rejected(self, field, value):
+        # rotation_mse used to draw one tap and a uniform rotation regardless
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(kind="rotation_mse", num_zeros=31, **{field: value})
+
+    def test_rotation_mse_too_few_estimator_bins_rejected(self):
+        # the CLI default (64, 1024) is too coarse for K=32; the run used to
+        # die inside make_template
+        with pytest.raises(ValueError, match="estimator_bins"):
+            load_config("rotation_mse", overrides={"num_zeros": 32})
+        ExperimentConfig(kind="rotation_mse", num_zeros=31, estimator_bins=(64,))
+
     def test_matching_info_bits_accepted(self):
         ExperimentConfig(kind="ber_sequence", num_zeros=16, info_bits=16)
         ExperimentConfig(kind="ber_sequence", num_zeros=32, coding="polar", info_bits=16)
