@@ -75,6 +75,8 @@ EXPERIMENT_KINDS = (
     "loopback",
 )
 
+OFDM_SCHEMES = ("fm", "fm_chest", "tm")  # receivers ber_ofdm can run
+
 # channel models each kind implements; kinds not listed use no channel field
 KIND_CHANNELS = {
     "ber_sequence": ("fading", "awgn"),
@@ -166,6 +168,10 @@ class ExperimentConfig:
         if self.kind == "ber_ofdm" and self.num_zeros != 32:
             raise ValueError(f"num_zeros={self.num_zeros}: ber_ofdm carries (32,16) polar "
                              "blocks on K=32 codewords")
+        if self.kind == "ber_ofdm" and (
+                not self.ofdm_schemes or not set(self.ofdm_schemes) <= set(OFDM_SCHEMES)):
+            raise ValueError(f"ofdm_schemes={self.ofdm_schemes!r} must be a nonempty list "
+                             f"of {OFDM_SCHEMES}")
         if self.kind == "ber_sequence":
             self._check_sequence_coding()
         fixed_fields, runs = KIND_FIXED_FIELDS.get(self.kind, ((), ""))
@@ -174,6 +180,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name}={getattr(self, name)!r}: {self.kind} runs {runs}; "
                                  "leave it unset")
         if self.kind == "rotation_mse":
+            if not self.estimator_bins:
+                raise ValueError("estimator_bins=(): rotation_mse needs at least one "
+                                 "estimator size")
             least = 2 * self.num_zeros + 2
             if any(bins < least for bins in self.estimator_bins):
                 raise ValueError(f"estimator_bins={self.estimator_bins}: a K={self.num_zeros} "

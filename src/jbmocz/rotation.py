@@ -6,6 +6,15 @@ coefficients, which rotates every zero counterclockwise by a common angle.
 Because all codewords share one magnitude template, the rotation shows up as
 a cyclic shift of the sampled magnitude |Y(e^{j omega})| and can be estimated
 by correlating against the template over all N cyclic shifts.
+
+`rotation_bins` runs that pipeline (N-point magnitude IFFT, then the
+correlation by rfft, template product, irfft and argmax) over a coefficient
+stack in blocks of at most BLOCK_VALUES grid values, or one row where a
+single row is larger.  A 4096-row stack at N = 1024 would otherwise hold
+several 32-64 MB intermediates at once and stream each through memory; a
+64-row block keeps the working set of a few MB in a core's L2 cache and
+bounds the peak memory of the call.  FFTs treat each row on its own, so the
+bins do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .zeros import Template
+
+BLOCK_VALUES = 2**16  # grid values (rows x N) estimated at once by rotation_bins
 
 
 def apply_rotation(coeffs, angle) -> np.ndarray:
@@ -72,8 +83,19 @@ def estimate_rotation_bins(magnitudes, template: Template) -> np.ndarray:
 def rotation_bins(coeffs, template: Template) -> np.ndarray:
     """Rotation bins of (..., L) received coefficients: the magnitudes of
     each row on the template's N-point grid, matched against the template.
-    Correct a row with correct_rotation(coeffs, 2*pi*bin/N)."""
-    return estimate_rotation_bins(oversampled_magnitudes(coeffs, template.size), template)
+    Correct a row with correct_rotation(coeffs, 2*pi*bin/N).
+
+    Runs in blocks of at most BLOCK_VALUES grid values (see the module
+    docstring); a single (L,) row gives a scalar bin."""
+    coeffs = np.asarray(coeffs)
+    rows = coeffs.reshape(-1, coeffs.shape[-1])
+    step = max(1, BLOCK_VALUES // template.size)
+    bins = np.empty(len(rows), dtype=np.intp)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        bins[start : start + step] = estimate_rotation_bins(
+            oversampled_magnitudes(block, template.size), template)
+    return bins.reshape(coeffs.shape[:-1])[()]
 
 
 def rotation_mse(true_angles, est_angles) -> float:

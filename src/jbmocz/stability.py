@@ -27,6 +27,7 @@ larger, so the full broadcast over a message stack is never held at once.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,7 +225,10 @@ def optimize_radius(
     """Grid argmax of the minimum codebook stability over radii.
 
     Ties break toward the smaller radius (first maximum of the ascending
-    grid).
+    grid).  An argmax on the first or last radius of a grid of more than
+    one radius emits a RuntimeWarning naming K, zeta and the edge: the
+    stability may still rise beyond it, so the grid did not bracket the
+    optimum.
     """
     radius_grid = np.asarray(radius_grid, dtype=float)
     if radius_grid.size == 0:
@@ -236,12 +240,25 @@ def optimize_radius(
         )
         for r in radius_grid
     ]
-    return float(radius_grid[int(np.argmax(scores))])
+    best = int(np.argmax(scores))
+    if radius_grid.size > 1 and best in (0, radius_grid.size - 1):
+        edge = "first" if best == 0 else "last"
+        warnings.warn(
+            f"optimize_radius: K={num_zeros}, zeta={asymmetry}: the best radius "
+            f"{radius_grid[best]:.6g} is the {edge} radius of the grid "
+            f"[{radius_grid[0]:.6g}, {radius_grid[-1]:.6g}], so the optimum may lie "
+            "outside it", RuntimeWarning, stacklevel=2)
+    return float(radius_grid[best])
 
 
 def default_radius_grid(num_zeros: int) -> np.ndarray:
     """Search grid for the radius: fine 1e-3 steps for long codewords,
-    coarser and wider for short ones."""
+    coarser and wider for short ones.
+
+    For K < 32 the minimum codebook stability can fall monotonically in R
+    (at K=8: 1.2017 at R=1.005, 0.8958 at R=1.3), so optimize_radius lands
+    on the grid's lower edge, 1.005, and warns that the grid did not
+    bracket an optimum."""
     if num_zeros >= 32:
         return np.arange(1.001, 1.5, 0.001)
     return np.arange(1.005, 2.0, 0.005)

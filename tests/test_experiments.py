@@ -119,6 +119,18 @@ class TestConfig:
             load_config("rotation_mse", overrides={"num_zeros": 32})
         ExperimentConfig(kind="rotation_mse", num_zeros=31, estimator_bins=(64,))
 
+    @pytest.mark.parametrize("schemes", [(), ("fm", "fmx")])
+    def test_ofdm_schemes_rejected(self, schemes):
+        # no schemes used to write a CSV with a header and no rows; an
+        # unknown one failed only in the worker, after setup
+        with pytest.raises(ValueError, match="ofdm_schemes"):
+            ExperimentConfig(kind="ber_ofdm", num_zeros=32, ofdm_schemes=schemes)
+
+    def test_rotation_mse_no_estimator_bins_rejected(self):
+        # used to synthesize and send every trial, then return no rows
+        with pytest.raises(ValueError, match="estimator_bins"):
+            ExperimentConfig(kind="rotation_mse", num_zeros=31, estimator_bins=())
+
     def test_matching_info_bits_accepted(self):
         ExperimentConfig(kind="ber_sequence", num_zeros=16, info_bits=16)
         ExperimentConfig(kind="ber_sequence", num_zeros=32, coding="polar", info_bits=16)
@@ -226,6 +238,7 @@ class TestBerSequenceRows:
 
 
 class TestOtherRunners:
+    @pytest.mark.slow
     def test_design_curves_rows(self):
         cfg = ExperimentConfig(kind="design_curves", num_zeros=8,
                                asymmetry=(1.0, 1.15), seed=0)

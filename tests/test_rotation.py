@@ -1,10 +1,15 @@
 """Zero-rotation impairment and template-correlation estimator tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jbmocz.dizet import dizet_hard
 from jbmocz.rotation import (
+    BLOCK_VALUES,
     _correlation_scores,
     apply_rotation,
     correct_rotation,
@@ -13,7 +18,14 @@ from jbmocz.rotation import (
     rotation_bins,
     rotation_mse,
 )
-from jbmocz.zeros import ConstellationParams, coeffs_to_zeros, encode_bits, make_template, zeros_to_coeffs
+from jbmocz.zeros import (
+    ConstellationParams,
+    coeffs_to_zeros,
+    encode_bits,
+    encode_coeffs,
+    make_template,
+    zeros_to_coeffs,
+)
 
 FIG2 = ConstellationParams(8, 1.176, 1.15)
 FIG2_BITS = np.array([1, 0, 1, 1, 1, 0, 0, 1])
@@ -129,6 +141,81 @@ class TestEstimator:
             estimate_rotation_bins(np.ones(512), self.template)
         with pytest.raises(ValueError):
             estimate_rotation_bins(np.ones((3, 512)), self.template)
+
+
+def received_stack(params, shape, seed, noise_std=0.3):
+    """Codewords of random bits, each rotated by a random angle, plus noise."""
+    rng = np.random.default_rng(seed)
+    coeffs = encode_coeffs(rng.integers(0, 2, shape + (params.num_zeros,)), params)
+    rotated = apply_rotation(coeffs, rng.uniform(0, 2 * np.pi, shape))
+    noise = rng.standard_normal(coeffs.shape) + 1j * rng.standard_normal(coeffs.shape)
+    return rotated + noise_std * noise
+
+
+def whole_stack_bins(coeffs, template):
+    """The unblocked pipeline: one magnitude IFFT and correlation over the
+    whole stack."""
+    return estimate_rotation_bins(oversampled_magnitudes(coeffs, template.size), template)
+
+
+class TestBlockedRotationBins:
+    params = ConstellationParams(32, 1.05, 1.1)
+
+    @pytest.mark.parametrize("n_bins", [66, 256, 1000, 1024])
+    def test_row_counts_around_block(self, n_bins):
+        template = make_template(self.params, n_bins)
+        block = BLOCK_VALUES // n_bins
+        for rows in (1, block - 1, block, block + 1, 4097):
+            received = received_stack(self.params, (rows,), seed=rows)
+            bins = rotation_bins(received, template)
+            assert bins.shape == (rows,)
+            assert np.array_equal(bins, whole_stack_bins(received, template)), rows
+
+    @pytest.mark.parametrize("n_bins", [66, 256, 1000, 1024])
+    def test_shapes(self, n_bins):
+        template = make_template(self.params, n_bins)
+        block = BLOCK_VALUES // n_bins
+        row = received_stack(self.params, (), seed=7)
+        single = rotation_bins(row, template)
+        assert np.ndim(single) == 0
+        assert single == whole_stack_bins(row, template)
+        for shape in ((block + 3,), (3, block // 2 + 1), (2, 5, block // 3 + 2)):
+            received = received_stack(self.params, shape, seed=len(shape))
+            bins = rotation_bins(received, template)
+            assert bins.shape == shape
+            assert np.array_equal(bins, whole_stack_bins(received, template)), shape
+
+    def test_empty_stack(self):
+        template = make_template(self.params, 1024)
+        bins = rotation_bins(np.zeros((0, 33), dtype=complex), template)
+        assert bins.shape == (0,)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(2, 127), radius=st.floats(1.001, 1.5), zeta=st.floats(1.0, 1.2),
+           extra_bins=st.integers(0, 1024), rows=st.integers(1, 600),
+           noise_std=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_whole_stack(self, k, radius, zeta, extra_bins, rows, noise_std, seed):
+        params = ConstellationParams(k, radius, zeta)
+        template = make_template(params, 2 * k + 2 + extra_bins)
+        received = received_stack(params, (rows,), seed, noise_std)
+        assert np.array_equal(rotation_bins(received, template),
+                              whole_stack_bins(received, template))
+
+    def test_peak_memory_bounded_by_block(self):
+        # the whole-stack pipeline peaks near 96 MB on this call; blocks
+        # hold a few block-sized intermediates, the largest BLOCK_VALUES
+        # complex values, plus the (rows,) result
+        template = make_template(self.params, 1024)
+        received = received_stack(self.params, (4096,), seed=3)
+        rotation_bins(received, template)
+        bound = 4 * BLOCK_VALUES * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            rotation_bins(received, template)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestEndToEnd:
