@@ -34,9 +34,21 @@ def draw_cir(num_taps: int, rng: np.random.Generator, profile: str = "uniform",
 
 
 def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian samples of the given variance."""
+    """Circularly-symmetric complex Gaussian samples of the given variance.
+
+    One normal draw of (2,) + shape gives the real parts, then the imaginary
+    parts: the stream of two draws of `shape`, real parts first.
+    """
+    try:
+        shape = tuple(shape)
+    except TypeError:  # an int
+        shape = (shape,)
     scale = np.sqrt(variance / 2.0)
-    return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    draws = rng.normal(size=(2,) + shape)
+    noise = np.empty(shape, dtype=complex)
+    np.multiply(draws[0], scale, out=noise.real)
+    np.multiply(draws[1], scale, out=noise.imag)
+    return noise
 
 
 def convolve_channel(coeffs, taps, noise_var: float, rng: np.random.Generator) -> np.ndarray:

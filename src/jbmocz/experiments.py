@@ -94,6 +94,13 @@ KIND_FIXED_FIELDS = {
                      "one Rayleigh tap and a uniform rotation per trial"),
     "loopback": (("num_zeros", "payload_bits", "idft_size"),
                  "the fixed K=127, 424-bit, 512-point packet"),
+    "papr_table": (("num_zeros", "radius", "asymmetry", "scheme"),
+                   "its fixed table of the K=63 and K=127 Huffman and K=127 jutted "
+                   "constellations"),
+    "design_curves": (("threads", "trials", "ebn0_db"),
+                      "one serial radius search per asymmetry, with no Monte-Carlo "
+                      "trials or Eb/N0 points"),
+    "stability_report": (("channel",), "a noiseless codebook score, through no channel"),
 }
 
 
@@ -404,15 +411,20 @@ def run_rotation_mse(config: ExperimentConfig) -> list:
 # (the packet axis is a stack axis), so every packet's numbers are those of
 # a receiver that decodes one packet at a time, bit for bit.
 #
-# Throughput grows with the block but so does memory: at K=32 with 512
-# payload bits a block peaks near 100 KB per packet in each worker thread.
-# On the 2-thread ofdm_k32 benchmark (2-vCPU Xeon VM), blocks of 8, 12 and
-# 16 packets raised peak RSS by 6%, 8% and 10% over the one-packet receiver
-# and ran 1150-1360, 1475-1550 and 1650-1750 packets/s (each packet through
-# all three schemes).  12 is the largest block that stays clearly inside a
-# 10% memory budget.
+# Throughput grows with the block but so does memory.  Bits are carried as
+# uint8, each stack is freed once used, and pseudo_llrs, whose temporaries
+# are the largest of a block, runs on OFDM_LLR_PACKETS packets at a time.
+# At K=32 with 512 payload bits a 24-packet block then peaks at 50-60 KB
+# per packet in each worker thread (81-89 KB untrimmed).  On the 2-thread
+# ofdm_k32 benchmark (2-vCPU Xeon VM), 24-packet blocks ran 3310 packets/s
+# (each packet through all three schemes) at 45.4 MB peak RSS, against
+# 1763 packets/s and 44.0 MB for untrimmed 12-packet blocks (medians of 10
+# runs each); single runs at 32 and 48 packets reached 46.4-48.4 and
+# 48.8-50.9 MB.  24 is the largest block that stays clearly inside a 5%
+# memory budget.
 
-OFDM_BLOCK_PACKETS = 12
+OFDM_BLOCK_PACKETS = 24
+OFDM_LLR_PACKETS = 12
 
 
 @dataclass
@@ -448,12 +460,12 @@ def _draw_packets(rng, count, setup: _OfdmSetup, noise_shape, noise_var, with_ch
     and the preamble draws are present only with_chest."""
     cfg = setup.config
     n_sub, ktm = cfg.num_zeros + 1, cfg.tm_preamble_zeros
-    shapes = {"messages": ((setup.blocks, 16), int), "noise": (noise_shape, complex),
+    shapes = {"messages": ((setup.blocks, 16), np.uint8), "noise": (noise_shape, complex),
               "step_backs": ((), int)}
     if cfg.channel != "flat":
         shapes["cirs"] = ((cfg.channel_taps,), complex)
     if with_chest:
-        shapes.update(pre_bits=((n_sub, ktm), int), pre_noise=((n_sub, ktm + 1), complex),
+        shapes.update(pre_bits=((n_sub, ktm), np.uint8), pre_noise=((n_sub, ktm + 1), complex),
                       guard_noise=((cfg.idft_size - n_sub, ktm + 1), complex))
     draws = {name: np.empty((count,) + shape, dtype) for name, (shape, dtype) in shapes.items()}
     for p in range(count):
@@ -511,6 +523,14 @@ def _packet_errors(rng, n_packets, setup: _OfdmSetup, decode, noise_shape, noise
     return bit_errors, block_errors, n_packets * cfg.payload_bits, n_packets * setup.blocks
 
 
+def _packet_llrs(received, params):
+    """pseudo_llrs of a (P, M, L) packet stack, OFDM_LLR_PACKETS packets at
+    a time, since its temporaries are the largest of a block.  Each packet
+    is its own matrix product, so no number depends on the split."""
+    return np.concatenate([pseudo_llrs(received[start : start + OFDM_LLR_PACKETS], params)
+                           for start in range(0, len(received), OFDM_LLR_PACKETS)])
+
+
 def _fm_coeffs(messages, setup: _OfdmSetup):
     """(P, M, K+1) codewords of each packet's FM symbols: a jutted first
     codeword, then Huffman payload codewords."""
@@ -539,11 +559,14 @@ def _ofdm_fm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db, with_chest):
         if with_chest:
             # estimated first, so the preamble and guard cells are freed
             # before the payload stack exists
-            pre = encode_coeffs(draws.pop("pre_bits"), setup.preamble_params)
-            pre_rx = ramp[..., None] * (gains[..., None] * pre + draws.pop("pre_noise"))
+            pre_rx = encode_coeffs(draws.pop("pre_bits"), setup.preamble_params)
+            pre_rx *= gains[..., None]
+            pre_rx += draws.pop("pre_noise")
+            pre_rx *= ramp[..., None]
             equalizer = estimate_channel_blind(
                 pre_rx, setup.preamble_params,
                 estimate_noise_var(draws.pop("guard_noise"))).equalizer
+            del pre_rx
 
         # (P, M, S): FM symbol m of packet p carries codeword m on its S
         # subcarriers; the received stack is built in place
@@ -560,9 +583,9 @@ def _ofdm_fm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db, with_chest):
                                         (2.0 * np.pi * bins / setup.template.size)[:, None])
 
         # received[:, :1] keeps the jutted symbol a one-row product per packet
-        llrs = np.empty(received.shape[:-1] + (k,), dtype=float)
-        llrs[:, :1] = pseudo_llrs(received[:, :1], setup.first_params)
-        llrs[:, 1:] = pseudo_llrs(received[:, 1:], setup.payload_params)
+        llrs = np.concatenate([_packet_llrs(received[:, :1], setup.first_params),
+                               _packet_llrs(received[:, 1:], setup.payload_params)], axis=1)
+        del received
         return polar_decode_sc(llrs, setup.polar_spec)
 
     return _packet_errors(rng, n_packets, setup, decode, (n_sub, setup.blocks), noise_var,
@@ -586,7 +609,9 @@ def _ofdm_tm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db):
         received += draws.pop("noise")
         # constant per-subcarrier phase: rotates nothing in time mapping
         received *= _step_back_ramp(draws["step_backs"], blocks, cfg.idft_size)[..., None]
-        return polar_decode_sc(pseudo_llrs(received, setup.tm_params), setup.polar_spec)
+        llrs = _packet_llrs(received, setup.tm_params)
+        del received
+        return polar_decode_sc(llrs, setup.polar_spec)
 
     return _packet_errors(rng, n_packets, setup, decode, (blocks, k + 1), noise_var)
 

@@ -6,6 +6,7 @@ import pytest
 from jbmocz.channel import (
     ImpairmentSpec,
     apply_ofdm_channel,
+    complex_noise,
     convolve_channel,
     draw_cir,
     ebn0_to_noise_var,
@@ -43,6 +44,20 @@ class TestDrawCir:
             draw_cir(0, rng)
         with pytest.raises(ValueError):
             draw_cir(3, rng, profile="bogus")
+
+
+class TestComplexNoise:
+    @pytest.mark.parametrize("shape", [7, (33, 32), (3, 223, 5), (0, 4), ()])
+    @pytest.mark.parametrize("seed", [0, 1, 2026])
+    def test_stream_of_two_draws(self, shape, seed):
+        # the one draw of (2,) + shape keeps the numbers of the two draws it
+        # replaced, real parts first
+        rng = np.random.default_rng(seed)
+        scale = np.sqrt(0.3 / 2.0)
+        two_draws = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        one_draw = complex_noise(shape, 0.3, np.random.default_rng(seed))
+        assert one_draw.shape == two_draws.shape and one_draw.dtype == complex
+        assert np.array_equal(one_draw, two_draws)
 
 
 class TestConvolveChannel:

@@ -1,13 +1,14 @@
 """Harness tests: determinism, CSV schema, metric sanity, CLI plumbing."""
 
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from jbmocz import experiments
-from jbmocz.cli import load_config, main
+from jbmocz.cli import KIND_DEFAULTS, load_config, main
 from jbmocz.experiments import (
     ExperimentConfig,
     MetricRow,
@@ -131,6 +132,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="estimator_bins"):
             ExperimentConfig(kind="rotation_mse", num_zeros=31, estimator_bins=())
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("papr_table", "num_zeros", 5), ("papr_table", "radius", 9.0),
+        ("papr_table", "asymmetry", 1.1), ("papr_table", "scheme", "huffman"),
+        ("design_curves", "threads", 2), ("design_curves", "trials", 5),
+        ("design_curves", "ebn0_db", (3.0,)), ("stability_report", "channel", "bogus"),
+    ])
+    def test_unread_fields_rejected(self, kind, field, value):
+        # papr_table used to run its fixed table, design_curves its serial
+        # search and stability_report its noiseless score whatever these said
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(kind=kind, **{field: value})
+
     def test_matching_info_bits_accepted(self):
         ExperimentConfig(kind="ber_sequence", num_zeros=16, info_bits=16)
         ExperimentConfig(kind="ber_sequence", num_zeros=32, coding="polar", info_bits=16)
@@ -158,14 +171,18 @@ class TestDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("block", [1, 7, 12, 300])
     def test_ofdm_rows_independent_of_packet_block(self, monkeypatch, block):
         # the draw loop keeps the random stream packet-ordered, so the block
-        # size of the batched compute cannot change a number
-        cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(8.0,), trials=45,
+        # size of the batched compute cannot change a number, nor can the
+        # slices pseudo_llrs runs on (here half a block); 260 packets make
+        # chunks of 256 and 4, so a 300-packet block is cut short by its chunk
+        cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(8.0,), trials=260,
                                payload_bits=48, seed=4)
+        assert (experiments.OFDM_BLOCK_PACKETS, experiments.OFDM_LLR_PACKETS) == (24, 12)
         expected = run_ber_ofdm(cfg)
         monkeypatch.setattr(experiments, "OFDM_BLOCK_PACKETS", block)
+        monkeypatch.setattr(experiments, "OFDM_LLR_PACKETS", max(1, block // 2))
         assert run_ber_ofdm(cfg) == expected
 
     def test_repeat_run_identical(self):
@@ -326,6 +343,16 @@ class TestCli:
         config.write_text("warp_factor: 9\n")
         with pytest.raises(ValueError):
             load_config("papr_table", str(config))
+
+    def test_kind_defaults_and_benchmark_configs_load(self):
+        # the rejections of unread fields must leave every default and the
+        # benchmark's inputs loadable
+        for kind in KIND_DEFAULTS:
+            load_config(kind)
+        configs = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+        for name, kind in (("ofdm_k32", "ber_ofdm"), ("seq_k32_polar_rot", "ber_sequence"),
+                           ("seq_k64_fading", "ber_sequence")):
+            load_config(kind, str(configs / f"{name}.yaml"))
 
     def test_stability_command(self, tmp_path):
         out = tmp_path / "stab.csv"

@@ -2,8 +2,41 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from jbmocz.polar import PolarSpec, polar_construct, polar_decode_sc, polar_encode
+from jbmocz.polar import (
+    PolarSpec,
+    _node_plan,
+    _sc_decode,
+    _sc_recurse,
+    polar_construct,
+    polar_decode_sc,
+    polar_encode,
+)
+
+
+def generator_matrix(n):
+    """F^{tensor m} with F = [[1, 0], [1, 1]]: x = u G over GF(2)."""
+    g = np.ones((1, 1), dtype=int)
+    while len(g) < n:
+        g = np.kron(np.array([[1, 0], [1, 1]]), g)
+    return g
+
+
+@st.composite
+def sc_cases(draw):
+    """A random frozen set at block length 1-64 and an LLR stack rich in
+    exact zeros of both signs, magnitude ties, and huge, tiny and infinite
+    values."""
+    n = 2 ** draw(st.integers(0, 6))
+    mask = draw(arrays(bool, n))
+    frozen = tuple(int(i) for i in np.nonzero(mask)[0])
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+                       st.floats(allow_nan=False))
+    llrs = draw(arrays(float, (draw(st.integers(1, 6)), n), elements=values))
+    return PolarSpec(n, n - len(frozen), frozen), llrs
 
 
 class TestConstruction:
@@ -50,6 +83,16 @@ class TestEncode:
         with pytest.raises(ValueError):
             polar_encode(np.zeros(8, dtype=int), polar_construct(32, 16))
 
+    @pytest.mark.parametrize("dtype", [int, np.uint8, bool])
+    def test_generator_matrix_and_dtype(self, dtype):
+        spec = polar_construct(32, 16)
+        msgs = np.random.default_rng(5).integers(0, 2, (3, 40, 16))
+        u = np.zeros((3, 40, 32), dtype=int)
+        u[..., spec.info_positions] = msgs
+        code = polar_encode(msgs.astype(dtype), spec)
+        assert code.dtype == dtype
+        np.testing.assert_array_equal(code.astype(int), u @ generator_matrix(32) % 2)
+
 
 class TestDecode:
     def test_high_confidence_round_trip(self):
@@ -85,3 +128,37 @@ class TestDecode:
         llrs = rng.normal(size=(200, 32))
         np.testing.assert_array_equal(polar_decode_sc(llrs, spec),
                                       polar_decode_sc(123.0 * llrs, spec))
+
+
+class TestNodeShortcuts:
+    @settings(max_examples=300, deadline=None)
+    @given(sc_cases())
+    def test_equals_leaf_recursion(self, case):
+        # Rate-0, Rate-1 and repetition nodes must decide every bit as the
+        # leaf-by-leaf recursion does, in u and in x
+        spec, llrs = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, x = _sc_decode(llrs, spec)
+            u_ref, x_ref = _sc_recurse(llrs, spec.frozen_mask)
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(x, x_ref)
+
+    def test_zero_llr_row_falls_back(self):
+        # SC decodes (0, 1) to x = (1, 1), not to its hard decision (0, 1)
+        rate1 = PolarSpec(2, 2, ())
+        np.testing.assert_array_equal(polar_decode_sc([0.0, 1.0], rate1), [0, 1])
+        llrs = np.array([[0.0, 1.0], [-3.0, 1.0], [2.0, -0.0]])
+        u, x = _sc_decode(llrs, rate1)
+        np.testing.assert_array_equal(x, [[1, 1], [0, 1], [1, 1]])
+        np.testing.assert_array_equal(u, [[0, 1], [1, 1], [0, 1]])
+
+    def test_node_plan_of_the_32_16_code(self):
+        # FFFFFFF.FFF.F...FFF.F...F....... is walked in 19 nodes, not 63
+        spec = polar_construct(32, 16)
+        assert "".join("F" if f else "." for f in spec.frozen_mask) == \
+            "FFFFFFF.FFF.F...FFF.F...F......."
+
+        def count(plan):
+            return 1 + (sum(map(count, plan)) if isinstance(plan, tuple) else 0)
+
+        assert count(_node_plan(spec)) == 19

@@ -123,11 +123,20 @@ class TestSpectralProfile:
     @given(k=st.integers(2, 256), radius=st.floats(1.001, 1.1), zeta=st.floats(1.0, 1.2),
            seed=st.integers(0, 2**32 - 1), phase=st.floats(0.0, 2 * np.pi))
     def test_matches_stable_deflation(self, k, radius, zeta, seed, phase):
+        # The synthesized coefficients leave |X(alpha_k)| near 2e-12 at large
+        # K, so spectral division and deflation define values up to 2.5e-12
+        # apart.  Each zero k is therefore scored on P_k = Q_k (z - alpha_k),
+        # Q_k the stable quotient, which has alpha_k as a root to working
+        # precision, and both paths see that one polynomial.
         bits = np.random.default_rng(seed).integers(0, 2, k)
         coeffs, zeros = unit_codeword(bits, ConstellationParams(k, radius, zeta))
-        coeffs = coeffs * np.exp(1j * phase)
-        np.testing.assert_allclose(reliability_profile(coeffs, zeros),
-                                   deflated_profile(coeffs, zeros), rtol=0, atol=1e-12)
+        quotients = deflate(coeffs * np.exp(1j * phase), zeros)
+        products = np.zeros((k, k + 1), dtype=complex)
+        products[:, 1:] = quotients
+        products[:, :-1] -= zeros[:, None] * quotients
+        np.testing.assert_allclose(reliability_profile(products, zeros[:, None]),
+                                   deflated_profile(products, zeros[:, None]),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k, rows", [(8, 40), (200, 3)])
     def test_stack_equals_rows(self, k, rows):
