@@ -46,7 +46,9 @@ from .rotation import (
     rotation_mse,
 )
 from .stability import (
+    EXACT_LIMIT,
     asymmetry_sweep,
+    codebook_stabilities,
     codebook_stability,
     default_radius_grid,
     min_codebook_stability,
@@ -84,14 +86,24 @@ KIND_CHANNELS = {
     "rotation_mse": ("fading",),
 }
 
+OFDM_FIELDS = ("idft_size", "cp_len", "sample_rate", "payload_bits", "tm_preamble_zeros",
+               "step_back")
+LOOPBACK_FIELDS = ("loopback_snr_db", "loopback_step_back")
+
 # fields a kind does not read, so they must keep their defaults, with what
-# the kind runs instead
+# the kind runs instead.  ber_sequence still accepts ofdm_schemes: the
+# benchmark's warm-up narrows it to one scheme on every kind.
 KIND_FIXED_FIELDS = {
+    "ber_sequence": (("pdp", "estimator_bins") + OFDM_FIELDS + LOOPBACK_FIELDS,
+                     "single codewords through equal-power taps, with no OFDM framing "
+                     "and a 1024-bin rotation template"),
     "ber_ofdm": (("scheme", "radius", "asymmetry", "coding", "rotation", "correct"),
                  "polar-coded packets of a jutted first symbol and Huffman payload, "
                  "rotated only by the step-back"),
-    "rotation_mse": (("channel_taps", "pdp", "rotation"),
-                     "one Rayleigh tap and a uniform rotation per trial"),
+    "rotation_mse": (("channel_taps", "pdp", "rotation", "coding", "info_bits", "correct",
+                      "ofdm_schemes") + OFDM_FIELDS + LOOPBACK_FIELDS,
+                     "uncoded codewords through one Rayleigh tap and a uniform rotation "
+                     "per trial, scored by every estimator size"),
     "loopback": (("num_zeros", "payload_bits", "idft_size"),
                  "the fixed K=127, 424-bit, 512-point packet"),
     "papr_table": (("num_zeros", "radius", "asymmetry", "scheme"),
@@ -181,6 +193,9 @@ class ExperimentConfig:
                              f"of {OFDM_SCHEMES}")
         if self.kind == "ber_sequence":
             self._check_sequence_coding()
+            if self.correct and self.rotation is None:
+                raise ValueError("correct=True: ber_sequence corrects only a rotation it "
+                                 "applies; set rotation or leave correct unset")
         fixed_fields, runs = KIND_FIXED_FIELDS.get(self.kind, ((), ""))
         for name in fixed_fields:
             if getattr(self, name) != getattr(ExperimentConfig, name):
@@ -682,11 +697,15 @@ SAMPLED_CODEBOOK_SIZE = 256
 def run_stability_report(config: ExperimentConfig) -> list:
     params = config.constellation()
     k = params.num_zeros
-    exact = k <= 16
-    samples = None if exact else SAMPLED_CODEBOOK_SIZE
-    cbar = codebook_stability(params, samples=samples, seed=config.seed)
-    cmin = min_codebook_stability(params, seed=config.seed)
-    n_eval = 2**k if exact else samples
+    if k <= EXACT_LIMIT:
+        # one scoring of the whole codebook gives both the mean and the minimum
+        scores = codebook_stabilities(params)
+        cbar, cmin = float(np.mean(scores)), float(np.min(scores))
+        n_eval = 2**k
+    else:
+        cbar = codebook_stability(params, samples=SAMPLED_CODEBOOK_SIZE, seed=config.seed)
+        cmin = min_codebook_stability(params, seed=config.seed)
+        n_eval = SAMPLED_CODEBOOK_SIZE
     return [
         MetricRow("stability", "num_zeros", k, "c_bar", cbar, n_eval, config.seed),
         MetricRow("stability", "num_zeros", k, "c_min", cmin, n_eval, config.seed),

@@ -20,9 +20,19 @@ prod_n (alpha - w_n) = alpha^N - 1; for |alpha| > 1 it is evaluated as
 2N log2|alpha| + log2|1 - alpha^-N|^2 so that alpha^N cannot overflow.  A
 root within ON_GRID_DISTANCE of a grid point makes the ratio 0/0 (the
 Wilkinson reference has a root at z = 1); such roots are scored exactly, by
-`deflate` and the FFT of the quotient.  The (rows, K, N) values are formed
-in blocks of at most BLOCK_VALUES values, or one row where a single row is
-larger, so the full broadcast over a message stack is never held at once.
+`deflate` and the FFT of the quotient.
+
+Every zero of a codebook stack is one of the constellation's 2K points (a
+66-message K=128 stack has 8448 (row, zero) pairs but 256 distinct roots),
+so d[n] is built once per distinct root, not once per pair.  Each pair then
+gathers its root's d and its row's |X(w_n)|^2, and its N values are reduced
+by one log2 and one sum, the same arithmetic, bit for bit, as forming them
+pair by pair.  The distances are built for BLOCK_VALUES // (3N) roots at a
+time and the pairs, sorted by root, are scored as many at a time, so the
+distance table and the two gather buffers hold at most BLOCK_VALUES grid
+values (or 3N where N alone exceeds a third of it), whatever the size of
+the stack; beyond that the profile holds the (rows, N) power array and a
+few values per pair.
 """
 
 from __future__ import annotations
@@ -46,12 +56,16 @@ def _check_roots(coeffs, roots, tol: float = ROOT_TOL) -> None:
     """Raise ArithmeticError unless every roots[..., j] is a root of the
     polynomial coeffs[...]: one Horner pass evaluates X(alpha) and the scale
     sum_i |c_i||alpha|^i for the whole stack."""
-    value = coeffs[..., -1:]
+    shape = np.broadcast_shapes(coeffs.shape[:-1] + (1,), roots.shape)
+    value = np.broadcast_to(coeffs[..., -1:], shape).copy()
     scale = np.abs(value)
     size = np.abs(roots)
+    magnitude = np.abs(coeffs)
     for i in range(coeffs.shape[-1] - 2, -1, -1):
-        value = coeffs[..., i : i + 1] + roots * value
-        scale = np.abs(coeffs[..., i : i + 1]) + size * scale
+        value *= roots
+        value += coeffs[..., i : i + 1]
+        scale *= size
+        scale += magnitude[..., i : i + 1]
     if np.any(np.abs(value) > tol * scale):
         raise ArithmeticError("given point is not a root of the polynomial")
 
@@ -120,16 +134,31 @@ def reliability_profile(coeffs, roots, grid_size: int = DEFAULT_GRID) -> np.ndar
     on_grid = np.abs(roots - grid[nearest]) < ON_GRID_DISTANCE
     spectral = np.where(on_grid, 0.0, roots)  # placeholder keeps the 0/0 out
 
+    # d[n] once per distinct root, `step` roots at a time; the (row, zero)
+    # pairs, sorted by root, gather it `step` at a time (module docstring)
+    distinct, inverse = np.unique(spectral, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    sorted_inverse = inverse[order]
     power = _grid_power(coeffs, grid_size)
-    sums = np.empty(roots.shape)
-    step = max(1, BLOCK_VALUES // (k * grid_size))
-    for start in range(0, len(roots), step):
-        block = spectral[start : start + step, :, None]
-        values = (grid.real - block.real) ** 2
-        values += (grid.imag - block.imag) ** 2
-        values += power[start : start + step, None, :]
-        sums[start : start + step] = np.log2(values).sum(axis=-1)
-    scores = (sums - _grid_log_distance(spectral, grid_size)) / grid_size
+    step = max(1, BLOCK_VALUES // (3 * grid_size))
+    tables, values, powers = np.empty((3, step, grid_size))
+    sums = np.empty(inverse.size)
+    for start in range(0, distinct.size, step):
+        block = distinct[start : start + step, None]
+        table, scratch = tables[: block.size], powers[: block.size]
+        np.square(np.subtract(grid.real, block.real, out=table), out=table)
+        table += np.square(np.subtract(grid.imag, block.imag, out=scratch), out=scratch)
+        lo, hi = np.searchsorted(sorted_inverse, (start, start + step))
+        for first in range(lo, hi, step):
+            pairs = order[first : first + step]
+            chunk = values[: pairs.size]
+            table.take(sorted_inverse[first : first + step] - start, axis=0, out=chunk,
+                       mode="clip")
+            chunk += power.take(pairs // k, axis=0, out=powers[: pairs.size], mode="clip")
+            sums[pairs] = np.log2(chunk, out=chunk).sum(axis=-1)
+    log_distance = _grid_log_distance(distinct, grid_size)[inverse]
+    scores = ((sums - log_distance) / grid_size).reshape(roots.shape)
 
     rows, cols = np.nonzero(on_grid)
     if rows.size:
@@ -156,9 +185,17 @@ def _message_stabilities(messages, params: ConstellationParams, grid_size: int) 
     return np.mean(reliability_profile(coeffs, zeros, grid_size), axis=-1)
 
 
-def _all_messages(num_zeros: int) -> np.ndarray:
-    idx = np.arange(2**num_zeros, dtype=np.uint32)
-    return (idx[:, None] >> np.arange(num_zeros)) & 1
+def codebook_stabilities(params: ConstellationParams,
+                         grid_size: int = DEFAULT_GRID) -> np.ndarray:
+    """Polynomial stability of every codeword of the full 2^K codebook, in
+    message order (message m carries bit i of m on zero i); refused for
+    K > 16."""
+    k = params.num_zeros
+    if k > EXACT_LIMIT:
+        raise ValueError(f"exact enumeration of 2^{k} codewords refused; sample instead")
+    idx = np.arange(2**k, dtype=np.uint32)
+    messages = (idx[:, None] >> np.arange(k)) & 1
+    return _message_stabilities(messages, params, grid_size)
 
 
 def codebook_stability(
@@ -172,15 +209,9 @@ def codebook_stability(
     With samples=None the full 2^K codebook is enumerated (refused for
     K > 16); otherwise a seeded random subset of that many messages is used.
     """
-    k = params.num_zeros
     if samples is None:
-        if k > EXACT_LIMIT:
-            raise ValueError(
-                f"exact enumeration of 2^{k} codewords refused; pass samples="
-            )
-        messages = _all_messages(k)
-    else:
-        messages = np.random.default_rng(seed).integers(0, 2, (samples, k))
+        return float(np.mean(codebook_stabilities(params, grid_size)))
+    messages = np.random.default_rng(seed).integers(0, 2, (samples, params.num_zeros))
     return float(np.mean(_message_stabilities(messages, params, grid_size)))
 
 
@@ -202,15 +233,12 @@ def min_codebook_stability(
     if exact is None:
         exact = k <= EXACT_LIMIT
     if exact:
-        if k > EXACT_LIMIT:
-            raise ValueError(f"exact enumeration of 2^{k} codewords refused")
-        messages = _all_messages(k)
-    else:
-        rng = np.random.default_rng(seed)
-        messages = np.vstack(
-            [np.ones((1, k), dtype=int), np.zeros((1, k), dtype=int),
-             rng.integers(0, 2, (samples, k))]
-        )
+        return float(np.min(codebook_stabilities(params, grid_size)))
+    rng = np.random.default_rng(seed)
+    messages = np.vstack(
+        [np.ones((1, k), dtype=int), np.zeros((1, k), dtype=int),
+         rng.integers(0, 2, (samples, k))]
+    )
     return float(np.min(_message_stabilities(messages, params, grid_size)))
 
 

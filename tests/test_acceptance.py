@@ -64,7 +64,6 @@ def test_criterion_1_stability_golden_values():
                   f"ill-conditioned reference {c_w:.4f}")
 
 
-@pytest.mark.slow
 def test_criterion_2_optimized_radii():
     r128 = optimize_radius(128, 1.0, np.arange(1.005, 1.0305, 0.001))
     r32 = optimize_radius(32, 1.15, np.arange(1.020, 1.0805, 0.001))

@@ -106,12 +106,32 @@ class TestConfig:
             ExperimentConfig(kind="ber_ofdm", num_zeros=32, **{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("channel_taps", 3), ("pdp", "exp"), ("rotation", 0.5),
+        ("channel_taps", 3), ("pdp", "exp"), ("rotation", 0.5), ("coding", "polar"),
+        ("info_bits", 31), ("correct", True), ("idft_size", 128), ("payload_bits", 64),
+        ("ofdm_schemes", ("fm",)), ("step_back", 2), ("loopback_snr_db", 10.0),
     ])
     def test_rotation_mse_unread_fields_rejected(self, field, value):
-        # rotation_mse used to draw one tap and a uniform rotation regardless
+        # rotation_mse used to run uncoded codewords through one tap and a
+        # uniform rotation, with every estimator size, regardless
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(kind="rotation_mse", num_zeros=31, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("idft_size", 3), ("payload_bits", 7), ("estimator_bins", (8,)), ("cp_len", 4),
+        ("sample_rate", 1e6), ("tm_preamble_zeros", 2), ("step_back", 3),
+        ("loopback_snr_db", 10.0), ("loopback_step_back", 2), ("pdp", "exp"),
+    ])
+    def test_sequence_unread_fields_rejected(self, field, value):
+        # ber_sequence used to run its codeword link, with equal-power taps
+        # and a 1024-bin template, whatever these said
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(kind="ber_sequence", num_zeros=32, **{field: value})
+
+    def test_sequence_correct_without_rotation_rejected(self):
+        # used to build a template and never apply it
+        with pytest.raises(ValueError, match="correct"):
+            ExperimentConfig(kind="ber_sequence", num_zeros=32, correct=True)
+        ExperimentConfig(kind="ber_sequence", num_zeros=32, rotation=0.3, correct=True)
 
     def test_rotation_mse_too_few_estimator_bins_rejected(self):
         # the CLI default (64, 1024) is too coarse for K=32; the run used to
@@ -352,7 +372,11 @@ class TestCli:
         configs = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
         for name, kind in (("ofdm_k32", "ber_ofdm"), ("seq_k32_polar_rot", "ber_sequence"),
                            ("seq_k64_fading", "ber_sequence")):
-            load_config(kind, str(configs / f"{name}.yaml"))
+            config = load_config(kind, str(configs / f"{name}.yaml"))
+            # the overrides of the benchmark's warm-up run
+            load_config(kind, str(configs / f"{name}.yaml"),
+                        dict(trials=1, ebn0_db=config.ebn0_db[:1],
+                             ofdm_schemes=config.ofdm_schemes[:1]))
 
     def test_stability_command(self, tmp_path):
         out = tmp_path / "stab.csv"

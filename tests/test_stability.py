@@ -1,5 +1,6 @@
 """Reliability metric and constellation parameter optimization tests."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jbmocz.stability import (
+    BLOCK_VALUES,
+    ON_GRID_DISTANCE,
+    _check_roots,
+    _grid_log_distance,
+    _grid_power,
     asymmetry_sweep,
     codebook_stability,
     default_radius_grid,
@@ -17,7 +23,13 @@ from jbmocz.stability import (
     poly_stability,
     reliability_profile,
 )
-from jbmocz.zeros import ConstellationParams, default_radius, encode_bits, zeros_to_coeffs
+from jbmocz.zeros import (
+    ConstellationParams,
+    default_radius,
+    encode_bits,
+    encode_coeffs,
+    zeros_to_coeffs,
+)
 
 
 def wilkinson_unit_norm():
@@ -40,6 +52,91 @@ def deflated_profile(coeffs, roots, grid=1024):
     quotients = deflate(np.asarray(coeffs)[..., None, :], roots)
     power = np.abs(grid * np.fft.ifft(quotients, n=grid, axis=-1)) ** 2
     return np.mean(np.log2(1.0 + power), axis=-1)
+
+
+def row_block_profile(coeffs, roots, grid_size=1024):
+    """Reference profile: |w_n - alpha|^2 + |X(w_n)|^2 formed anew for
+    every (row, zero) pair, in blocks of whole rows, with the same
+    arithmetic per value as reliability_profile."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    roots = np.asarray(roots, dtype=complex)
+    lead = np.broadcast_shapes(coeffs.shape[:-1], roots.shape[:-1])
+    k = roots.shape[-1]
+    coeffs = np.broadcast_to(coeffs, lead + coeffs.shape[-1:]).reshape(-1, coeffs.shape[-1])
+    roots = np.broadcast_to(roots, lead + (k,)).reshape(-1, k)
+    _check_roots(coeffs, roots)
+
+    grid = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    nearest = np.rint(np.angle(roots) * grid_size / (2 * np.pi)).astype(int) % grid_size
+    on_grid = np.abs(roots - grid[nearest]) < ON_GRID_DISTANCE
+    spectral = np.where(on_grid, 0.0, roots)
+
+    power = _grid_power(coeffs, grid_size)
+    sums = np.empty(roots.shape)
+    step = max(1, BLOCK_VALUES // (k * grid_size))
+    for start in range(0, len(roots), step):
+        block = spectral[start : start + step, :, None]
+        values = (grid.real - block.real) ** 2
+        values += (grid.imag - block.imag) ** 2
+        values += power[start : start + step, None, :]
+        sums[start : start + step] = np.log2(values).sum(axis=-1)
+    scores = (sums - _grid_log_distance(spectral, grid_size)) / grid_size
+
+    rows, cols = np.nonzero(on_grid)
+    if rows.size:
+        quotients = deflate(coeffs[rows], roots[rows, cols])
+        scores[rows, cols] = np.mean(np.log2(1.0 + _grid_power(quotients, grid_size)), axis=-1)
+    return scores.reshape(lead + (k,))
+
+
+def spread_zeros(rng, rows, k, radii, phases):
+    """(rows, k) zeros at radius radii[row] or its inverse (random per
+    zero), at phases 2 pi j/k + phases[row]."""
+    flip = rng.choice([-1.0, 1.0], (rows, k))
+    angles = 2 * np.pi * np.arange(k) / k + phases[:, None]
+    return np.asarray(radii)[:, None] ** flip * np.exp(1j * angles)
+
+
+@st.composite
+def profile_stacks(draw):
+    """(coeffs, roots) stacks of every layout reliability_profile accepts."""
+    layout = draw(st.sampled_from(["codebook", "distinct", "grid", "broadcast", "single",
+                                   "empty"]))
+    k = draw(st.integers(1, 256))
+    rows = draw(st.integers(2, max(2, 2048 // k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "empty":
+        return np.zeros((0, k + 1), dtype=complex), np.zeros((0, k), dtype=complex)
+    if layout == "single":
+        zeros = spread_zeros(rng, 1, k, [draw(st.floats(1.001, 1.1))], np.zeros(1))[0]
+        return zeros_to_coeffs(zeros, energy=1.0), zeros
+    if layout == "codebook":
+        # rows share the 2K constellation points
+        params = ConstellationParams(max(k, 2), draw(st.floats(1.001, 1.1)),
+                                     draw(st.floats(1.0, 1.2)))
+        bits = rng.integers(0, 2, (rows, params.num_zeros))
+        return encode_coeffs(bits, params, energy=1.0), encode_bits(bits, params)
+    if layout == "distinct":
+        # every row has its own radius and phase, so no two roots coincide
+        zeros = spread_zeros(rng, rows, k, 1.001 + 0.1 * rng.random(rows),
+                             rng.uniform(0, 2 * np.pi, rows))
+        return zeros_to_coeffs(zeros, energy=1.0), zeros
+    if layout == "grid":
+        # zeros on, or within or just beyond ON_GRID_DISTANCE of, points of
+        # the 1024-point grid, on a few shared phases
+        k = min(k, 64)
+        offsets = np.array([0.0, 1e-7, 5e-5, 2e-4, 1e-3])[rng.integers(0, 5, rows)]
+        zeros = spread_zeros(rng, rows, k, 1.0 + offsets,
+                             2 * np.pi * rng.integers(0, 4, rows) / 1024)
+        return zeros_to_coeffs(zeros, energy=1.0), zeros
+    # (a, 1, K+1) codewords against (a, b, K) orderings of their zeros
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    params = ConstellationParams(max(k, 2), draw(st.floats(1.001, 1.1)))
+    bits = rng.integers(0, 2, (a, params.num_zeros))
+    zeros = encode_bits(bits, params)
+    orders = np.argsort(rng.random((a, b, params.num_zeros)), axis=-1)
+    roots = np.take_along_axis(zeros[:, None, :], orders, axis=-1)
+    return encode_coeffs(bits, params, energy=1.0)[:, None, :], roots
 
 
 class TestDeflate:
@@ -118,7 +215,6 @@ class TestZeroReliability:
 
 
 class TestSpectralProfile:
-    @pytest.mark.slow
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(2, 256), radius=st.floats(1.001, 1.1), zeta=st.floats(1.0, 1.2),
            seed=st.integers(0, 2**32 - 1), phase=st.floats(0.0, 2 * np.pi))
@@ -138,9 +234,44 @@ class TestSpectralProfile:
                                    deflated_profile(products, zeros[:, None]),
                                    rtol=0, atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(stack=profile_stacks())
+    def test_equals_row_block_reference(self, stack):
+        coeffs, roots = stack
+        profile = reliability_profile(coeffs, roots)
+        expected = row_block_profile(coeffs, roots)
+        assert profile.shape == expected.shape
+        assert np.array_equal(profile, expected)
+
+    @pytest.mark.parametrize("layout", ["codebook", "distinct"])
+    def test_working_set_bounded(self, layout):
+        # The distance table and chunk buffers hold BLOCK_VALUES values, the
+        # per-pair indices and scores a few more; the zero-padded transform
+        # briefly holds three times the (rows, N) power array.  The 300x32
+        # stack's distinct roots would need a 78 MB table if built at once.
+        rng = np.random.default_rng(6)
+        if layout == "codebook":
+            params = ConstellationParams(128, 1.015)
+            bits = rng.integers(0, 2, (66, 128))
+            coeffs, zeros = encode_coeffs(bits, params, energy=1.0), encode_bits(bits, params)
+        else:
+            zeros = spread_zeros(rng, 300, 32, 1.001 + 0.1 * rng.random(300),
+                                 rng.uniform(0, 2 * np.pi, 300))
+            coeffs = zeros_to_coeffs(zeros, energy=1.0)
+        reliability_profile(coeffs, zeros)
+        bound = 2 * BLOCK_VALUES * 8 + 3 * len(coeffs) * 1024 * 8
+        tracemalloc.start()
+        try:
+            reliability_profile(coeffs, zeros)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
     @pytest.mark.parametrize("k, rows", [(8, 40), (200, 3)])
     def test_stack_equals_rows(self, k, rows):
-        # K=8 packs 16 rows into a block, K=200 spreads one row over one block
+        # K=8: 40 rows share 16 roots over several pair chunks; K=200: the
+        # roots span several blocks of distinct roots
         bits = np.random.default_rng(4).integers(0, 2, (rows, k))
         coeffs, zeros = unit_codeword(bits, ConstellationParams(k, 1.02, 1.1))
         stacked = reliability_profile(coeffs, zeros)
@@ -280,7 +411,6 @@ class TestOptimizeRadius:
             best = optimize_radius(8, 1.0, grid)
         assert best == grid[0]
 
-    @pytest.mark.slow
     def test_interior_optimum_does_not_warn(self):
         # criterion 2's R*(128, 1) = 1.015 lies inside its grid
         with warnings.catch_warnings():
