@@ -12,6 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+PDP_PROFILES = ("uniform", "exp")  # the power-delay profiles draw_cir implements
+
+
 def draw_cir(num_taps: int, rng: np.random.Generator, profile: str = "uniform",
              decay: float = 3.0) -> np.ndarray:
     """Draw one channel impulse response of `num_taps` complex Gaussian taps.
@@ -97,10 +100,10 @@ class ImpairmentSpec:
     def __post_init__(self):
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
-        ok = self.rotation is None or self.rotation == "uniform" \
-            or isinstance(self.rotation, (int, float))
+        ok = self.rotation is None or self.rotation == "uniform" or (
+            isinstance(self.rotation, (int, float)) and not isinstance(self.rotation, bool))
         if not ok:
-            raise ValueError(f"bad rotation spec {self.rotation!r}")
+            raise ValueError(f"rotation={self.rotation!r}: not None, 'uniform' or an angle")
 
     def draw_rotations(self, count: int, rng: np.random.Generator) -> np.ndarray:
         if self.rotation is None:

@@ -1,8 +1,10 @@
 """Command-line front end for the experiment harness.
 
-Each subcommand maps to one experiment kind.  Settings come from an optional
-YAML config file (flat keys matching ExperimentConfig fields, documented in
-the README); --seed, --out and --threads override the file.  Results land in
+Each subcommand maps to one experiment kind, and each kind to its frozen
+config class in jbmocz.experiments.EXPERIMENTS.  Settings come from an
+optional YAML config file (flat keys matching that class's fields,
+documented in the README) over the class's defaults; --seed, --out and,
+where the kind has threads, --threads override the file.  Results land in
 the fixed-schema CSV; the loopback additionally writes the packet I/Q file.
 """
 
@@ -14,15 +16,7 @@ import sys
 
 import yaml
 
-from .experiments import (
-    ExperimentConfig,
-    loopback_rows,
-    run_experiment,
-    run_loopback,
-    write_csv,
-)
-
-_LIST_FIELDS = ("ebn0_db", "estimator_bins", "ofdm_schemes", "asymmetry")
+from .experiments import EXPERIMENTS, loopback_rows, run_experiment, run_loopback, write_csv
 
 COMMANDS = {
     "ber-seq": "ber_sequence",
@@ -34,28 +28,23 @@ COMMANDS = {
     "loopback": "loopback",
 }
 
-# reference defaults per experiment kind
-KIND_DEFAULTS = {
-    "ber_sequence": dict(num_zeros=64, channel="fading", channel_taps=5,
-                         ebn0_db=(0.0, 4.0, 8.0, 12.0, 16.0), trials=20000),
-    "ber_ofdm": dict(num_zeros=32, ebn0_db=(8.0, 12.0, 16.0, 20.0), trials=1000),
-    "rotation_mse": dict(num_zeros=31, ebn0_db=(0.0, 4.0, 8.0, 12.0, 16.0),
-                         trials=10000, estimator_bins=(64, 1024)),
-    "design_curves": dict(num_zeros=8),
-    "papr_table": dict(),
-    "stability_report": dict(num_zeros=8, radius=1.176, asymmetry=1.0),
-    "loopback": dict(),
-}
-
 ENERGY_NOTE = (
     "Eb counts total transmitted energy (codeword, or packet incl. CP and "
     "preambles) per payload information bit"
 )
 
 
-def load_config(kind: str, path: str = None, overrides: dict = None) -> ExperimentConfig:
-    """Merge kind defaults, a YAML config file, and CLI overrides."""
-    settings = dict(KIND_DEFAULTS[kind])
+def config_keys(kind: str) -> set:
+    """The keys a kind's config accepts: the fields of its class."""
+    return {field.name for field in dataclasses.fields(EXPERIMENTS[kind][0])}
+
+
+def load_config(kind: str, path: str = None, overrides: dict = None):
+    """Build a kind's config from a YAML config file and CLI overrides over
+    its class defaults, rejecting any key the kind does not have."""
+    if kind not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    settings = {}
     if path:
         with open(path) as fh:
             loaded = yaml.safe_load(fh) or {}
@@ -66,14 +55,12 @@ def load_config(kind: str, path: str = None, overrides: dict = None) -> Experime
     for key, value in (overrides or {}).items():
         if value is not None:
             settings[key] = value
-    field_names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(settings) - field_names
+    unknown = set(settings) - config_keys(kind)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in _LIST_FIELDS:
-        if key in settings and isinstance(settings[key], list):
-            settings[key] = tuple(settings[key])
-    return ExperimentConfig(kind=kind, **settings)
+        raise ValueError(f"unknown config keys for {kind}: {sorted(unknown)}")
+    settings = {key: tuple(value) if isinstance(value, list) else value
+                for key, value in settings.items()}
+    return EXPERIMENTS[kind][0](**settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,19 +69,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zero-constellation modulation experiments (CSV output)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, kind in COMMANDS.items():
         cmd = sub.add_parser(name, help=f"run the {name} experiment")
         cmd.add_argument("--config", help="YAML config file")
         cmd.add_argument("--seed", type=int, help="master seed")
         cmd.add_argument("--out", help="output CSV path")
-        cmd.add_argument("--threads", type=int, help="worker threads")
+        if "threads" in config_keys(kind):
+            cmd.add_argument("--threads", type=int, help="worker threads")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     kind = COMMANDS[args.command]
-    overrides = {"seed": args.seed, "out": args.out, "threads": args.threads}
+    overrides = {"seed": args.seed, "out": args.out,
+                 "threads": getattr(args, "threads", None)}
     config = load_config(kind, args.config, overrides)
 
     if kind == "loopback":

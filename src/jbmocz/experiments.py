@@ -1,6 +1,7 @@
 """Experiment harness: deterministic Monte-Carlo runs emitting CSV rows.
 
-Every experiment consumes an ExperimentConfig and returns MetricRow records.
+Every experiment consumes its kind's config (see EXPERIMENTS) and returns
+MetricRow records.
 Per-trial randomness derives from the master seed via SeedSequence spawn
 keys indexed by (sweep point, chunk), so results are byte-identical for a
 given config regardless of thread count or scheduling.
@@ -67,53 +68,7 @@ JUTTED_DESIGNS = {
 
 CSV_COLUMNS = ("experiment", "param_name", "param_value", "metric", "value", "trials", "seed")
 
-EXPERIMENT_KINDS = (
-    "ber_sequence",
-    "ber_ofdm",
-    "rotation_mse",
-    "design_curves",
-    "papr_table",
-    "stability_report",
-    "loopback",
-)
-
 OFDM_SCHEMES = ("fm", "fm_chest", "tm")  # receivers ber_ofdm can run
-
-# channel models each kind implements; kinds not listed use no channel field
-KIND_CHANNELS = {
-    "ber_sequence": ("fading", "awgn"),
-    "ber_ofdm": ("fading", "flat"),
-    "rotation_mse": ("fading",),
-}
-
-OFDM_FIELDS = ("idft_size", "cp_len", "sample_rate", "payload_bits", "tm_preamble_zeros",
-               "step_back")
-LOOPBACK_FIELDS = ("loopback_snr_db", "loopback_step_back")
-
-# fields a kind does not read, so they must keep their defaults, with what
-# the kind runs instead.  ber_sequence still accepts ofdm_schemes: the
-# benchmark's warm-up narrows it to one scheme on every kind.
-KIND_FIXED_FIELDS = {
-    "ber_sequence": (("pdp", "estimator_bins") + OFDM_FIELDS + LOOPBACK_FIELDS,
-                     "single codewords through equal-power taps, with no OFDM framing "
-                     "and a 1024-bin rotation template"),
-    "ber_ofdm": (("scheme", "radius", "asymmetry", "coding", "rotation", "correct"),
-                 "polar-coded packets of a jutted first symbol and Huffman payload, "
-                 "rotated only by the step-back"),
-    "rotation_mse": (("channel_taps", "pdp", "rotation", "coding", "info_bits", "correct",
-                      "ofdm_schemes") + OFDM_FIELDS + LOOPBACK_FIELDS,
-                     "uncoded codewords through one Rayleigh tap and a uniform rotation "
-                     "per trial, scored by every estimator size"),
-    "loopback": (("num_zeros", "payload_bits", "idft_size"),
-                 "the fixed K=127, 424-bit, 512-point packet"),
-    "papr_table": (("num_zeros", "radius", "asymmetry", "scheme"),
-                   "its fixed table of the K=63 and K=127 Huffman and K=127 jutted "
-                   "constellations"),
-    "design_curves": (("threads", "trials", "ebn0_db"),
-                      "one serial radius search per asymmetry, with no Monte-Carlo "
-                      "trials or Eb/N0 points"),
-    "stability_report": (("channel",), "a noiseless codebook score, through no channel"),
-}
 
 
 def jutted_params(num_zeros: int) -> ConstellationParams:
@@ -128,108 +83,53 @@ def huffman_params(num_zeros: int) -> ConstellationParams:
     return ConstellationParams(num_zeros, default_radius(num_zeros))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Declarative experiment description.  A kind ignores the fields it
-    does not read, except those in KIND_FIXED_FIELDS, which must keep their
-    defaults."""
+# ---------------------------------------------------------------------------
+# one frozen config class per experiment kind (see EXPERIMENTS), holding
+# only the keys its runner reads, with that kind's defaults
 
-    kind: str
+@dataclass(frozen=True)
+class _Config:
+    """The keys of every kind.  `choices`, a class attribute and not a key,
+    maps a key to the values the kind runs."""
+
+    choices = {}
     seed: int = 0
     out: str = None
-    threads: int = 1
-
-    # constellation / scheme selection
-    scheme: str = "jutted"            # jutted | huffman
-    num_zeros: int = 64
-    radius: float = None              # None -> scheme default
-    asymmetry: float = None
-    coding: str = "none"              # none | polar
-    info_bits: int = None             # None -> K uncoded / 16 polar
-
-    # channel / impairments
-    channel: str = "fading"           # see KIND_CHANNELS
-    channel_taps: int = 5
-    pdp: str = "uniform"
-    rotation: object = None           # None | "uniform" | angle (radians)
-    correct: bool = False             # run the template estimator + correction
-
-    # sweep and effort
-    ebn0_db: tuple = (0.0, 4.0, 8.0, 12.0, 16.0)
-    trials: int = 10000
-    estimator_bins: tuple = (1024,)
-
-    # OFDM settings
-    idft_size: int = 256
-    cp_len: int = 8
-    sample_rate: float = 10e6
-    payload_bits: int = 512
-    ofdm_schemes: tuple = ("fm", "fm_chest", "tm")
-    tm_preamble_zeros: int = 4
-    step_back: object = "random"      # "random" (uniform over [6]) | int
-    loopback_snr_db: float = None     # None -> noiseless
-    loopback_step_back: int = 6
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.trials <= 0:
-            raise ValueError("trial count must be positive")
-        if self.kind in ("ber_sequence", "ber_ofdm", "rotation_mse") and not self.ebn0_db:
-            raise ValueError("Eb/N0 sweep must be nonempty")
-        channels = KIND_CHANNELS.get(self.kind)
-        if channels is not None and self.channel not in channels:
-            raise ValueError(f"channel={self.channel!r} is not implemented by {self.kind}; "
-                             f"use one of {channels}")
-        if self.kind == "ber_ofdm" and (self.payload_bits <= 0 or self.payload_bits % 16):
-            raise ValueError(f"payload_bits={self.payload_bits} must be a positive multiple "
-                             "of 16, the information bits of one polar block")
-        if self.kind == "ber_ofdm" and self.num_zeros != 32:
-            raise ValueError(f"num_zeros={self.num_zeros}: ber_ofdm carries (32,16) polar "
-                             "blocks on K=32 codewords")
-        if self.kind == "ber_ofdm" and (
-                not self.ofdm_schemes or not set(self.ofdm_schemes) <= set(OFDM_SCHEMES)):
-            raise ValueError(f"ofdm_schemes={self.ofdm_schemes!r} must be a nonempty list "
-                             f"of {OFDM_SCHEMES}")
-        if self.kind == "ber_sequence":
-            self._check_sequence_coding()
-            if self.correct and self.rotation is None:
-                raise ValueError("correct=True: ber_sequence corrects only a rotation it "
-                                 "applies; set rotation or leave correct unset")
-        fixed_fields, runs = KIND_FIXED_FIELDS.get(self.kind, ((), ""))
-        for name in fixed_fields:
-            if getattr(self, name) != getattr(ExperimentConfig, name):
-                raise ValueError(f"{name}={getattr(self, name)!r}: {self.kind} runs {runs}; "
-                                 "leave it unset")
-        if self.kind == "rotation_mse":
-            if not self.estimator_bins:
-                raise ValueError("estimator_bins=(): rotation_mse needs at least one "
-                                 "estimator size")
-            least = 2 * self.num_zeros + 2
-            if any(bins < least for bins in self.estimator_bins):
-                raise ValueError(f"estimator_bins={self.estimator_bins}: a K={self.num_zeros} "
-                                 f"template needs at least {least} bins")
-        if self.kind == "design_curves":
-            if self.radius is not None:
-                raise ValueError(f"radius={self.radius}: design_curves searches the radius "
-                                 "for each asymmetry; leave it unset")
-            if self.asymmetry is not None and not isinstance(self.asymmetry, (tuple, list)):
-                raise ValueError(f"asymmetry={self.asymmetry!r}: design_curves sweeps a list "
-                                 "of asymmetries")
+        for name, allowed in self.choices.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name}={getattr(self, name)!r} is not one of {allowed}")
 
-    def _check_sequence_coding(self):
-        if self.coding not in ("none", "polar"):
-            raise ValueError(f"coding={self.coding!r} must be 'none' or 'polar'")
-        if self.coding == "polar":
-            if self.num_zeros != 32:
-                raise ValueError(f"num_zeros={self.num_zeros}: polar-coded runs use "
-                                 "K=32 codewords")
-            if self.info_bits not in (None, 16):
-                raise ValueError(f"info_bits={self.info_bits}: the (32,16) polar code "
-                                 "carries 16 information bits")
-        elif self.info_bits not in (None, self.num_zeros):
-            raise ValueError(f"info_bits={self.info_bits}: an uncoded codeword carries "
-                             f"num_zeros={self.num_zeros} bits")
+
+def _check_sweep(config, *counts):
+    """The Monte-Carlo keys: a nonempty Eb/N0 sweep, and positive trials
+    and `counts`."""
+    if not config.ebn0_db:
+        raise ValueError("ebn0_db=(): the Eb/N0 sweep must be nonempty")
+    for name in ("trials",) + counts:
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name}={getattr(config, name)} must be positive")
+
+
+@dataclass(frozen=True)
+class _ConstellationConfig(_Config):
+    """A scheme's reference design, or an explicit radius and asymmetry."""
+
+    scheme: str = "jutted"            # jutted | huffman
+    num_zeros: int = 64
+    radius: float = None              # None -> the scheme's design
+    asymmetry: float = None           # only with a radius; None -> 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.scheme not in ("jutted", "huffman"):
+            raise ValueError(f"scheme={self.scheme!r} must be 'jutted' or 'huffman'")
+        if self.asymmetry is not None and self.radius is None:
+            raise ValueError(f"asymmetry={self.asymmetry}: give it only with a radius")
+        if self.scheme == "huffman" and self.asymmetry not in (None, 1.0):
+            raise ValueError(f"asymmetry={self.asymmetry}: a huffman constellation is symmetric")
+        self.constellation()  # an unpinned jutted K fails here, not mid-run
 
     def constellation(self) -> ConstellationParams:
         if self.radius is not None:
@@ -237,9 +137,120 @@ class ExperimentConfig:
             return ConstellationParams(self.num_zeros, self.radius, zeta)
         if self.scheme == "huffman":
             return huffman_params(self.num_zeros)
-        if self.scheme == "jutted":
-            return jutted_params(self.num_zeros)
-        raise ValueError(f"unknown scheme {self.scheme!r}")
+        return jutted_params(self.num_zeros)
+
+
+@dataclass(frozen=True)
+class BerSequenceConfig(_ConstellationConfig):
+    """Codewords through fading or AWGN, decoded hard or by polar SC.
+    ofdm_schemes is unread: the benchmark's warm-up sets it on every kind."""
+
+    choices = {"coding": ("none", "polar"), "channel": ("fading", "awgn"),
+               "pdp": ("uniform",)}
+    threads: int = 1
+    coding: str = "none"              # polar: the (32,16) code, K=32
+    channel: str = "fading"
+    channel_taps: int = 5
+    pdp: str = "uniform"              # the profile of its equal-power taps
+    rotation: object = None           # None | "uniform" | angle (radians)
+    correct: bool = False             # run the template estimator + correction
+    ebn0_db: tuple = (0.0, 4.0, 8.0, 12.0, 16.0)
+    trials: int = 20000
+    ofdm_schemes: tuple = OFDM_SCHEMES
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_sweep(self, "channel_taps")
+        if self.coding == "polar" and self.num_zeros != 32:
+            raise ValueError(f"num_zeros={self.num_zeros}: polar-coded runs use K=32")
+        chan.ImpairmentSpec(rotation=self.rotation)  # rejects a bad rotation spec
+        if self.correct and self.rotation is None:
+            raise ValueError("correct=True: there is no rotation to correct; set rotation")
+
+
+@dataclass(frozen=True)
+class BerOfdmConfig(_Config):
+    """Polar-coded OFDM packets through each receiver of ofdm_schemes."""
+
+    choices = {"num_zeros": (32,), "channel": ("fading", "flat"), "pdp": chan.PDP_PROFILES}
+    threads: int = 1
+    num_zeros: int = 32
+    channel: str = "fading"
+    channel_taps: int = 5
+    pdp: str = "uniform"
+    ebn0_db: tuple = (8.0, 12.0, 16.0, 20.0)
+    trials: int = 1000
+    idft_size: int = 256
+    cp_len: int = 8
+    payload_bits: int = 512
+    ofdm_schemes: tuple = OFDM_SCHEMES
+    tm_preamble_zeros: int = 4
+    step_back: object = "random"      # "random" (uniform over [6]) | int
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_sweep(self, "channel_taps")
+        if self.payload_bits <= 0 or self.payload_bits % 16:  # 16 bits per polar block
+            raise ValueError(f"payload_bits={self.payload_bits}: not a positive multiple of 16")
+        if not self.ofdm_schemes or not set(self.ofdm_schemes) <= set(OFDM_SCHEMES):
+            raise ValueError(f"ofdm_schemes={self.ofdm_schemes!r}: need a nonempty subset "
+                             f"of {OFDM_SCHEMES}")
+        if self.idft_size < 2 * self.num_zeros + 2:
+            raise ValueError(f"idft_size={self.idft_size}: the template needs 2K+2 bins")
+        if self.step_back != "random" and type(self.step_back) is not int:
+            raise ValueError(f"step_back={self.step_back!r} must be 'random' or an integer")
+
+
+@dataclass(frozen=True)
+class RotationMseConfig(_ConstellationConfig):
+    """Rotation-estimator MSE of every estimator size on shared trials."""
+
+    num_zeros: int = 31
+    threads: int = 1
+    ebn0_db: tuple = (0.0, 4.0, 8.0, 12.0, 16.0)
+    trials: int = 10000
+    estimator_bins: tuple = (64, 1024)
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_sweep(self)
+        if not self.estimator_bins or min(self.estimator_bins) < 2 * self.num_zeros + 2:
+            raise ValueError(f"estimator_bins={self.estimator_bins}: a K={self.num_zeros} "
+                             f"template needs sizes of at least {2 * self.num_zeros + 2}")
+
+
+@dataclass(frozen=True)
+class DesignCurvesConfig(_Config):
+    """The serial radius search R*(K, zeta) for each asymmetry of a list."""
+
+    num_zeros: int = 8
+    asymmetry: tuple = (1.0, 1.03, 1.06, 1.09, 1.12, 1.15)
+
+    def __post_init__(self):
+        if not isinstance(self.asymmetry, (tuple, list)) or not self.asymmetry:
+            raise ValueError(f"asymmetry={self.asymmetry!r}: not a nonempty list")
+
+
+@dataclass(frozen=True)
+class PaprTableConfig(_Config):
+    """The fixed table of K=63 and K=127 Huffman and K=127 jutted PAPRs."""
+
+
+@dataclass(frozen=True)
+class StabilityReportConfig(_ConstellationConfig):
+    """Mean and minimum noiseless codebook stability of one constellation."""
+
+    num_zeros: int = 8
+    radius: float = 1.176
+    asymmetry: float = 1.0
+
+
+@dataclass(frozen=True)
+class LoopbackConfig(_Config):
+    """The fixed K=127, 424-bit, 512-point packet through the I/Q loopback."""
+
+    loopback_snr_db: float = None     # None -> noiseless
+    loopback_step_back: int = 6
 
 
 @dataclass(frozen=True)
@@ -306,7 +317,7 @@ def _run_chunks(worker, n_trials, seed, point, threads, chunk=4096):
 # sequence-level link: encode -> convolutive channel -> (rotate/correct)
 # -> decode
 
-def _sequence_chunk(rng, n, params, config: ExperimentConfig, polar_spec, noise_var,
+def _sequence_chunk(rng, n, params, config: BerSequenceConfig, polar_spec, noise_var,
                     template):
     n_info = 16 if config.coding == "polar" else params.num_zeros
     messages = rng.integers(0, 2, (n, n_info))
@@ -337,7 +348,7 @@ def _sequence_chunk(rng, n, params, config: ExperimentConfig, polar_spec, noise_
     return int(errs.sum()), int(errs.any(axis=1).sum()), n * n_info, n
 
 
-def run_ber_sequence(config: ExperimentConfig) -> list:
+def run_ber_sequence(config: BerSequenceConfig) -> list:
     """Codeword-level BER/BLER sweep for one scheme/coding/rotation setup."""
     params = config.constellation()
     k = params.num_zeros
@@ -379,7 +390,7 @@ def _rotation_mse_chunk(rng, n, params, noise_var, templates):
     return (*sums, n)
 
 
-def run_rotation_mse(config: ExperimentConfig) -> list:
+def run_rotation_mse(config: RotationMseConfig) -> list:
     """Rotation-estimator MSE sweep; all estimator sizes share each trial's
     channel, noise and rotation draw so their curves are directly
     comparable."""
@@ -444,7 +455,7 @@ OFDM_LLR_PACKETS = 12
 
 @dataclass
 class _OfdmSetup:
-    config: ExperimentConfig
+    config: BerOfdmConfig
     payload_params: ConstellationParams
     first_params: ConstellationParams
     tm_params: ConstellationParams
@@ -454,7 +465,7 @@ class _OfdmSetup:
     template: object
 
     @classmethod
-    def build(cls, config: ExperimentConfig):
+    def build(cls, config: BerOfdmConfig):
         k = config.num_zeros
         blocks = config.payload_bits // 16
         return cls(
@@ -632,16 +643,13 @@ def _ofdm_tm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db):
 
 
 def _ofdm_worker(scheme, setup, ebn0):
-    if scheme == "fm":
-        return lambda rng, n: _ofdm_fm_chunk(rng, n, setup, ebn0, False)
-    if scheme == "fm_chest":
-        return lambda rng, n: _ofdm_fm_chunk(rng, n, setup, ebn0, True)
+    """The chunk worker of one receiver; BerOfdmConfig has checked the scheme."""
     if scheme == "tm":
         return lambda rng, n: _ofdm_tm_chunk(rng, n, setup, ebn0)
-    raise ValueError(f"unknown OFDM scheme {scheme!r}")
+    return lambda rng, n: _ofdm_fm_chunk(rng, n, setup, ebn0, scheme == "fm_chest")
 
 
-def run_ber_ofdm(config: ExperimentConfig) -> list:
+def run_ber_ofdm(config: BerOfdmConfig) -> list:
     """Packet-level BER/BLER for the configured OFDM schemes."""
     setup = _OfdmSetup.build(config)
     rows = []
@@ -662,11 +670,9 @@ def run_ber_ofdm(config: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 # analysis-style experiments
 
-def run_design_curves(config: ExperimentConfig) -> list:
-    zetas = config.asymmetry if isinstance(config.asymmetry, (tuple, list)) else (
-        1.0, 1.03, 1.06, 1.09, 1.12, 1.15)
+def run_design_curves(config: DesignCurvesConfig) -> list:
     radius_grid = default_radius_grid(config.num_zeros)
-    points = asymmetry_sweep(config.num_zeros, zetas, radius_grid, seed=config.seed)
+    points = asymmetry_sweep(config.num_zeros, config.asymmetry, radius_grid, seed=config.seed)
     rows = []
     for pt in points:
         for metric, value in (("r_star", pt.best_radius),
@@ -677,7 +683,7 @@ def run_design_curves(config: ExperimentConfig) -> list:
     return rows
 
 
-def run_papr_table(config: ExperimentConfig) -> list:
+def run_papr_table(config: PaprTableConfig) -> list:
     entries = [
         ("huffman", ConstellationParams(63, 1.025)),
         ("huffman", ConstellationParams(127, default_radius(127))),
@@ -694,7 +700,7 @@ def run_papr_table(config: ExperimentConfig) -> list:
 SAMPLED_CODEBOOK_SIZE = 256
 
 
-def run_stability_report(config: ExperimentConfig) -> list:
+def run_stability_report(config: StabilityReportConfig) -> list:
     params = config.constellation()
     k = params.num_zeros
     if k <= EXACT_LIMIT:
@@ -728,7 +734,7 @@ class LoopbackReport:
     cfo_hat: float
 
 
-def run_loopback(config: ExperimentConfig, iq_path: str = None) -> LoopbackReport:
+def run_loopback(config: LoopbackConfig, iq_path: str = None) -> LoopbackReport:
     """Synthesize the hybrid multi-polynomial packet, write it to an I/Q
     file (`iq_path`, or a temporary file that is removed before returning),
     replay it through the sample-level channel, and run the full
@@ -817,7 +823,7 @@ def run_loopback(config: ExperimentConfig, iq_path: str = None) -> LoopbackRepor
     )
 
 
-def loopback_rows(report: LoopbackReport, config: ExperimentConfig) -> list:
+def loopback_rows(report: LoopbackReport, config: LoopbackConfig) -> list:
     return [
         MetricRow("loopback-header", "num_zeros", 127, "ber",
                   report.header_errors / report.header_bits, 1, config.seed),
@@ -830,20 +836,19 @@ def loopback_rows(report: LoopbackReport, config: ExperimentConfig) -> list:
     ]
 
 
-def run_experiment(config: ExperimentConfig) -> list:
-    """Dispatch a config to its runner, returning MetricRows."""
-    if config.kind == "ber_sequence":
-        return run_ber_sequence(config)
-    if config.kind == "ber_ofdm":
-        return run_ber_ofdm(config)
-    if config.kind == "rotation_mse":
-        return run_rotation_mse(config)
-    if config.kind == "design_curves":
-        return run_design_curves(config)
-    if config.kind == "papr_table":
-        return run_papr_table(config)
-    if config.kind == "stability_report":
-        return run_stability_report(config)
-    if config.kind == "loopback":
-        return loopback_rows(run_loopback(config), config)
-    raise ValueError(f"unknown experiment kind {config.kind!r}")
+# kind -> (config class, runner); cli.load_config builds the class
+EXPERIMENTS = {
+    "ber_sequence": (BerSequenceConfig, run_ber_sequence),
+    "ber_ofdm": (BerOfdmConfig, run_ber_ofdm),
+    "rotation_mse": (RotationMseConfig, run_rotation_mse),
+    "design_curves": (DesignCurvesConfig, run_design_curves),
+    "papr_table": (PaprTableConfig, run_papr_table),
+    "stability_report": (StabilityReportConfig, run_stability_report),
+    "loopback": (LoopbackConfig, lambda config: loopback_rows(run_loopback(config), config)),
+}
+
+
+def run_experiment(config) -> list:
+    """Dispatch a config to its kind's runner, returning MetricRows."""
+    runners = dict(EXPERIMENTS.values())  # config class -> runner
+    return runners[type(config)](config)

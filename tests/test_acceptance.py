@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from jbmocz.dizet import dizet_hard
-from jbmocz.experiments import ExperimentConfig, run_ber_ofdm, run_ber_sequence, run_loopback, run_rotation_mse
+from jbmocz.experiments import (
+    BerOfdmConfig,
+    BerSequenceConfig,
+    LoopbackConfig,
+    RotationMseConfig,
+    run_ber_ofdm,
+    run_ber_sequence,
+    run_loopback,
+    run_rotation_mse,
+)
 from jbmocz.phy import papr_fm, papr_fm_huffman, papr_peak_at_dc
 from jbmocz.polar import polar_construct, polar_decode_sc, polar_encode
 from jbmocz.rotation import apply_rotation, correct_rotation, rotation_bins
@@ -167,26 +176,26 @@ def test_criterion_6_uncoded_ber_reproduction():
     sweep = (14.0, 16.0, 18.0, 20.0)
     crossings = {}
     for scheme in ("huffman", "jutted"):
-        cfg = ExperimentConfig(kind="ber_sequence", scheme=scheme, num_zeros=64,
-                               channel="fading", channel_taps=5, ebn0_db=sweep,
-                               trials=DESK_TRIALS, seed=20, threads=2)
+        cfg = BerSequenceConfig(scheme=scheme, num_zeros=64,
+                                channel="fading", channel_taps=5, ebn0_db=sweep,
+                                trials=DESK_TRIALS, seed=20, threads=2)
         bers = [r.value for r in run_ber_sequence(cfg) if r.metric == "ber"]
         crossings[scheme] = interpolate_crossing(sweep, bers, 1e-2)
     gap = abs(crossings["jutted"] - crossings["huffman"])
 
-    floor_cfg = ExperimentConfig(kind="ber_sequence", scheme="huffman", num_zeros=64,
-                                 channel="fading", channel_taps=5, rotation="uniform",
-                                 ebn0_db=(20.0,), trials=DESK_TRIALS, seed=21, threads=2)
+    floor_cfg = BerSequenceConfig(scheme="huffman", num_zeros=64,
+                                  channel="fading", channel_taps=5, rotation="uniform",
+                                  ebn0_db=(20.0,), trials=DESK_TRIALS, seed=21, threads=2)
     floor_ber = [r.value for r in run_ber_sequence(floor_cfg) if r.metric == "ber"][0]
 
     awgn_sweep = (0.0, 4.0, 8.0, 12.0)
-    base = ExperimentConfig(kind="ber_sequence", scheme="jutted", num_zeros=64,
-                            channel="awgn", ebn0_db=awgn_sweep,
-                            trials=DESK_TRIALS, seed=22, threads=2)
+    base = BerSequenceConfig(scheme="jutted", num_zeros=64,
+                             channel="awgn", ebn0_db=awgn_sweep,
+                             trials=DESK_TRIALS, seed=22, threads=2)
     plain = [r.value for r in run_ber_sequence(base) if r.metric == "ber"]
-    rot = ExperimentConfig(kind="ber_sequence", scheme="jutted", num_zeros=64,
-                           channel="awgn", rotation="uniform", correct=True,
-                           ebn0_db=awgn_sweep, trials=DESK_TRIALS, seed=22, threads=2)
+    rot = BerSequenceConfig(scheme="jutted", num_zeros=64,
+                            channel="awgn", rotation="uniform", correct=True,
+                            ebn0_db=awgn_sweep, trials=DESK_TRIALS, seed=22, threads=2)
     rotated = [r.value for r in run_ber_sequence(rot) if r.metric == "ber"]
     gaps = [b - a for a, b in zip(plain, rotated)]
     monotone = all(a >= b for a, b in zip(gaps, gaps[1:]))
@@ -196,11 +205,10 @@ def test_criterion_6_uncoded_ber_reproduction():
                   f"rotation penalty {['%.1e' % g for g in gaps]} monotone={monotone}")
 
 
-@pytest.mark.slow
 def test_criterion_7_rotation_mse():
-    cfg = ExperimentConfig(kind="rotation_mse", scheme="jutted", num_zeros=31,
-                           ebn0_db=(0.0, 5.0, 10.0, 15.0, float("inf")),
-                           trials=10_000, seed=23, estimator_bins=(64, 1024), threads=2)
+    cfg = RotationMseConfig(scheme="jutted", num_zeros=31,
+                            ebn0_db=(0.0, 5.0, 10.0, 15.0, float("inf")),
+                            trials=10_000, seed=23, estimator_bins=(64, 1024), threads=2)
     rows = run_rotation_mse(cfg)
     curves = {}
     for r in rows:
@@ -216,10 +224,9 @@ def test_criterion_7_rotation_mse():
                   f"noiseless floors within 1.01x: {floor_ok}")
 
 
-@pytest.mark.slow
 def test_criterion_8_ofdm_end_to_end():
     # (a) noiseless loopback decodes header and payload error-free
-    rep = run_loopback(ExperimentConfig(kind="loopback", seed=24))
+    rep = run_loopback(LoopbackConfig(seed=24))
     loopback_ok = rep.header_errors == 0 and rep.payload_errors == 0
 
     # (b) coarse sync: 100-sample offset, CFO at 0.3 subcarrier spacings
@@ -242,20 +249,20 @@ def test_criterion_8_ofdm_end_to_end():
     # (c) TM BER invariant to every step-back in [6] at a fixed seed
     tm_bers = []
     for nb in range(6):
-        cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(6.0,),
-                               trials=200, seed=26, ofdm_schemes=("tm",), step_back=nb)
+        cfg = BerOfdmConfig(num_zeros=32, ebn0_db=(6.0,),
+                            trials=200, seed=26, ofdm_schemes=("tm",), step_back=nb)
         tm_bers.append([r.value for r in run_ber_ofdm(cfg) if r.metric == "ber"][0])
     tm_ok = len(set(tm_bers)) == 1
 
     # (d) FM at 30 dB over a flat channel with random step-back
-    flat = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(30.0,),
-                            trials=600, seed=27, ofdm_schemes=("fm",), channel="flat",
-                            threads=2)
+    flat = BerOfdmConfig(num_zeros=32, ebn0_db=(30.0,),
+                         trials=600, seed=27, ofdm_schemes=("fm",), channel="flat",
+                         threads=2)
     fm_flat = [r.value for r in run_ber_ofdm(flat) if r.metric == "ber"][0]
 
     # (e) mid-SNR ordering under the 5-tap selective preset
-    mid = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(14.0,),
-                           trials=800, seed=28, threads=2)
+    mid = BerOfdmConfig(num_zeros=32, ebn0_db=(14.0,),
+                        trials=800, seed=28, threads=2)
     mid_ber = {r.experiment: r.value for r in run_ber_ofdm(mid) if r.metric == "ber"}
     order_ok = (mid_ber["ber-ofdm-tm"] <= mid_ber["ber-ofdm-fm_chest"]
                 <= mid_ber["ber-ofdm-fm"])
@@ -266,7 +273,6 @@ def test_criterion_8_ofdm_end_to_end():
                   f"mid-SNR ordering {order_ok}")
 
 
-@pytest.mark.slow
 def test_criterion_9_coded_pipeline():
     spec = polar_construct(32, 16)
     rng = np.random.default_rng(29)
@@ -274,19 +280,19 @@ def test_criterion_9_coded_pipeline():
     llrs = 30.0 * (2 * polar_encode(msgs, spec) - 1)
     round_trip = np.array_equal(polar_decode_sc(llrs, spec), msgs)
 
-    uncoded = ExperimentConfig(kind="ber_sequence", scheme="jutted", num_zeros=32,
-                               channel="awgn", ebn0_db=(8.0,), trials=30_000,
-                               seed=30, threads=2)
+    uncoded = BerSequenceConfig(scheme="jutted", num_zeros=32,
+                                channel="awgn", ebn0_db=(8.0,), trials=30_000,
+                                seed=30, threads=2)
     ber_u = [r.value for r in run_ber_sequence(uncoded) if r.metric == "ber"][0]
-    coded = ExperimentConfig(kind="ber_sequence", scheme="jutted", num_zeros=32,
-                             coding="polar", channel="awgn", ebn0_db=(8.0,),
-                             trials=30_000, seed=30, threads=2)
+    coded = BerSequenceConfig(scheme="jutted", num_zeros=32,
+                              coding="polar", channel="awgn", ebn0_db=(8.0,),
+                              trials=30_000, seed=30, threads=2)
     ber_c = [r.value for r in run_ber_sequence(coded) if r.metric == "ber"][0]
 
-    rot = ExperimentConfig(kind="ber_sequence", scheme="jutted", num_zeros=32,
-                           coding="polar", channel="awgn", rotation="uniform",
-                           correct=True, ebn0_db=(4.0, 6.0, 8.0, 10.0),
-                           trials=30_000, seed=31, threads=2)
+    rot = BerSequenceConfig(scheme="jutted", num_zeros=32,
+                            coding="polar", channel="awgn", rotation="uniform",
+                            correct=True, ebn0_db=(4.0, 6.0, 8.0, 10.0),
+                            trials=30_000, seed=31, threads=2)
     blers = [r.value for r in run_ber_sequence(rot) if r.metric == "bler"]
     no_floor = all(a > b for a, b in zip(blers, blers[1:])) and blers[-1] < 1e-3
 

@@ -182,3 +182,5 @@ class TestImpairmentSpec:
             ImpairmentSpec(noise_var=-1.0)
         with pytest.raises(ValueError):
             ImpairmentSpec(rotation="sideways")
+        with pytest.raises(ValueError):  # not a 1-rad angle
+            ImpairmentSpec(rotation=True)

@@ -1,5 +1,6 @@
 """Harness tests: determinism, CSV schema, metric sanity, CLI plumbing."""
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -8,9 +9,16 @@ import pytest
 import yaml
 
 from jbmocz import experiments
-from jbmocz.cli import KIND_DEFAULTS, load_config, main
+from jbmocz.cli import load_config, main
 from jbmocz.experiments import (
-    ExperimentConfig,
+    EXPERIMENTS,
+    BerOfdmConfig,
+    BerSequenceConfig,
+    DesignCurvesConfig,
+    LoopbackConfig,
+    PaprTableConfig,
+    RotationMseConfig,
+    StabilityReportConfig,
     MetricRow,
     jutted_params,
     run_ber_ofdm,
@@ -27,41 +35,42 @@ from jbmocz.experiments import (
 
 class TestConfig:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="mystery")
+        with pytest.raises(ValueError, match="mystery"):
+            load_config("mystery")
 
     def test_empty_sweep_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="ber_sequence", ebn0_db=())
+        with pytest.raises(ValueError, match="ebn0_db"):
+            BerSequenceConfig(ebn0_db=())
 
     def test_bad_trials(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="papr_table", trials=0)
+        with pytest.raises(ValueError, match="trials"):
+            BerSequenceConfig(trials=0)
 
     def test_scheme_selection(self):
-        cfg = ExperimentConfig(kind="ber_sequence", scheme="jutted", num_zeros=32)
+        cfg = BerSequenceConfig(scheme="jutted", num_zeros=32)
         assert cfg.constellation() == jutted_params(32)
-        explicit = ExperimentConfig(kind="ber_sequence", num_zeros=8,
-                                    radius=1.3, asymmetry=1.2)
+        explicit = BerSequenceConfig(num_zeros=8, radius=1.3, asymmetry=1.2)
         assert explicit.constellation().radius == 1.3
 
     def test_unpinned_design_rejected(self):
+        # rejected when the config is built, not when the run starts
         with pytest.raises(ValueError):
-            ExperimentConfig(kind="ber_sequence", scheme="jutted", num_zeros=7).constellation()
+            BerSequenceConfig(scheme="jutted", num_zeros=7)
 
     def test_ofdm_payload_not_whole_polar_blocks_rejected(self):
         # 500 bits used to be counted over 512 and divided by 500
         with pytest.raises(ValueError, match="payload_bits"):
-            ExperimentConfig(kind="ber_ofdm", payload_bits=500)
+            BerOfdmConfig(payload_bits=500)
 
     @pytest.mark.parametrize("kind, channel", [
         ("ber_sequence", "flat"), ("ber_sequence", "fadnig"), ("ber_ofdm", "awgn"),
         ("rotation_mse", "awgn"),
     ])
     def test_unimplemented_channel_rejected(self, kind, channel):
-        # ber_sequence used to run any unknown channel name as fading
+        # ber_sequence used to run any unknown channel name as fading;
+        # rotation_mse has no channel key
         with pytest.raises(ValueError, match="channel"):
-            ExperimentConfig(kind=kind, channel=channel)
+            load_config(kind, overrides={"channel": channel})
 
     @pytest.mark.parametrize("field, value", [
         ("num_zeros", 32), ("payload_bits", 64), ("idft_size", 128),
@@ -69,32 +78,32 @@ class TestConfig:
     def test_loopback_fixed_packet_fields_rejected(self, field, value):
         # loopback used to run its fixed K=127 packet whatever these said
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(kind="loopback", **{field: value})
+            load_config("loopback", overrides={field: value})
 
     def test_design_curves_radius_rejected(self):
         # the radius used to be ignored: each asymmetry gets a radius search
         with pytest.raises(ValueError, match="radius"):
-            ExperimentConfig(kind="design_curves", radius=1.3)
+            load_config("design_curves", overrides={"radius": 1.3})
 
     def test_design_curves_scalar_asymmetry_rejected(self):
         # a scalar used to be ignored in favour of the default sweep
         with pytest.raises(ValueError, match="asymmetry"):
-            ExperimentConfig(kind="design_curves", asymmetry=1.1)
+            DesignCurvesConfig(asymmetry=1.1)
 
     @pytest.mark.parametrize("overrides, field", [
-        (dict(num_zeros=32, info_bits=16), "info_bits"),                    # uncoded: K
-        (dict(num_zeros=32, coding="polar", info_bits=32), "info_bits"),    # polar: 16
+        (dict(num_zeros=32, info_bits=16), "info_bits"),    # derived: no key
+        (dict(num_zeros=32, coding="polar", info_bits=32), "info_bits"),
         (dict(num_zeros=64, coding="polar"), "num_zeros"),
         (dict(num_zeros=32, coding="ldpc"), "coding"),
     ])
     def test_sequence_coding_mismatch_rejected(self, overrides, field):
         # these used to fail deep in encode_bits, or ran uncoded
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(kind="ber_sequence", **overrides)
+            load_config("ber_sequence", overrides=overrides)
 
     def test_ofdm_num_zeros_rejected(self):
         with pytest.raises(ValueError, match="num_zeros"):
-            ExperimentConfig(kind="ber_ofdm", num_zeros=64)
+            BerOfdmConfig(num_zeros=64)
 
     @pytest.mark.parametrize("field, value", [
         ("scheme", "huffman"), ("radius", 1.3), ("asymmetry", 1.2), ("coding", "polar"),
@@ -103,7 +112,7 @@ class TestConfig:
     def test_ofdm_unread_fields_rejected(self, field, value):
         # ber_ofdm used to run its fixed packet whatever these said
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(kind="ber_ofdm", num_zeros=32, **{field: value})
+            load_config("ber_ofdm", overrides={"num_zeros": 32, field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("channel_taps", 3), ("pdp", "exp"), ("rotation", 0.5), ("coding", "polar"),
@@ -114,7 +123,7 @@ class TestConfig:
         # rotation_mse used to run uncoded codewords through one tap and a
         # uniform rotation, with every estimator size, regardless
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(kind="rotation_mse", num_zeros=31, **{field: value})
+            load_config("rotation_mse", overrides={"num_zeros": 31, field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("idft_size", 3), ("payload_bits", 7), ("estimator_bins", (8,)), ("cp_len", 4),
@@ -125,32 +134,32 @@ class TestConfig:
         # ber_sequence used to run its codeword link, with equal-power taps
         # and a 1024-bin template, whatever these said
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(kind="ber_sequence", num_zeros=32, **{field: value})
+            load_config("ber_sequence", overrides={"num_zeros": 32, field: value})
 
     def test_sequence_correct_without_rotation_rejected(self):
         # used to build a template and never apply it
         with pytest.raises(ValueError, match="correct"):
-            ExperimentConfig(kind="ber_sequence", num_zeros=32, correct=True)
-        ExperimentConfig(kind="ber_sequence", num_zeros=32, rotation=0.3, correct=True)
+            BerSequenceConfig(num_zeros=32, correct=True)
+        BerSequenceConfig(num_zeros=32, rotation=0.3, correct=True)
 
     def test_rotation_mse_too_few_estimator_bins_rejected(self):
         # the CLI default (64, 1024) is too coarse for K=32; the run used to
         # die inside make_template
         with pytest.raises(ValueError, match="estimator_bins"):
             load_config("rotation_mse", overrides={"num_zeros": 32})
-        ExperimentConfig(kind="rotation_mse", num_zeros=31, estimator_bins=(64,))
+        RotationMseConfig(num_zeros=31, estimator_bins=(64,))
 
     @pytest.mark.parametrize("schemes", [(), ("fm", "fmx")])
     def test_ofdm_schemes_rejected(self, schemes):
         # no schemes used to write a CSV with a header and no rows; an
         # unknown one failed only in the worker, after setup
         with pytest.raises(ValueError, match="ofdm_schemes"):
-            ExperimentConfig(kind="ber_ofdm", num_zeros=32, ofdm_schemes=schemes)
+            BerOfdmConfig(num_zeros=32, ofdm_schemes=schemes)
 
     def test_rotation_mse_no_estimator_bins_rejected(self):
         # used to synthesize and send every trial, then return no rows
         with pytest.raises(ValueError, match="estimator_bins"):
-            ExperimentConfig(kind="rotation_mse", num_zeros=31, estimator_bins=())
+            RotationMseConfig(num_zeros=31, estimator_bins=())
 
     @pytest.mark.parametrize("kind, field, value", [
         ("papr_table", "num_zeros", 5), ("papr_table", "radius", 9.0),
@@ -162,20 +171,54 @@ class TestConfig:
         # papr_table used to run its fixed table, design_curves its serial
         # search and stability_report its noiseless score whatever these said
         with pytest.raises(ValueError, match=field):
-            ExperimentConfig(kind=kind, **{field: value})
+            load_config(kind, overrides={field: value})
 
-    def test_matching_info_bits_accepted(self):
-        ExperimentConfig(kind="ber_sequence", num_zeros=16, info_bits=16)
-        ExperimentConfig(kind="ber_sequence", num_zeros=32, coding="polar", info_bits=16)
+    @pytest.mark.parametrize("config_class, settings", [
+        # used to run zeta=1.0, and the pinned zeta=1.15, with no error
+        (BerSequenceConfig, dict(scheme="huffman", num_zeros=32, asymmetry=1.3)),
+        (BerSequenceConfig, dict(scheme="jutted", num_zeros=32, asymmetry=1.0)),
+        (RotationMseConfig, dict(asymmetry=1.2)),
+        (StabilityReportConfig, dict(radius=None, asymmetry=1.3)),
+    ])
+    def test_asymmetry_without_radius_rejected(self, config_class, settings):
+        with pytest.raises(ValueError, match="asymmetry"):
+            config_class(**settings)
+
+    def test_huffman_asymmetry_rejected(self):
+        # used to run a jutted constellation under the row name ber-seq-huffman
+        with pytest.raises(ValueError, match="asymmetry"):
+            BerSequenceConfig(scheme="huffman", num_zeros=8, radius=1.2, asymmetry=1.3)
+        BerSequenceConfig(scheme="huffman", num_zeros=8, radius=1.2, asymmetry=1.0)
+
+    @pytest.mark.parametrize("rotation", ["bogus", True])
+    def test_bad_rotation_rejected(self, rotation):
+        # "bogus" used to fail in a worker thread mid-run, and True ran as a
+        # 1-rad rotation
+        with pytest.raises(ValueError, match="rotation"):
+            BerSequenceConfig(num_zeros=32, rotation=rotation)
+        for good in (None, "uniform", 0.5, 1):
+            BerSequenceConfig(num_zeros=32, rotation=good)
+
+    @pytest.mark.parametrize("config_class, field, value", [
+        # each used to build and then fail mid-run
+        (BerOfdmConfig, "pdp", "rayleigh"),
+        (BerOfdmConfig, "step_back", "bogus"),
+        (BerOfdmConfig, "channel_taps", 0),
+        (BerSequenceConfig, "channel_taps", 0),
+        (BerOfdmConfig, "idft_size", 16),
+    ])
+    def test_channel_and_ofdm_fields_checked_at_build(self, config_class, field, value):
+        with pytest.raises(ValueError, match=field):
+            config_class(**{field: value})
 
 
 class TestDeterminism:
     def test_byte_identical_csv_across_thread_counts(self, tmp_path):
         outs = []
         for threads, name in ((1, "a.csv"), (3, "b.csv")):
-            cfg = ExperimentConfig(kind="ber_sequence", scheme="huffman", num_zeros=16,
-                                   channel="awgn", ebn0_db=(2.0, 6.0), trials=9000,
-                                   seed=11, threads=threads)
+            cfg = BerSequenceConfig(scheme="huffman", num_zeros=16,
+                                    channel="awgn", ebn0_db=(2.0, 6.0), trials=9000,
+                                    seed=11, threads=threads)
             path = tmp_path / name
             write_csv(run_ber_sequence(cfg), path, header_note="note")
             outs.append(path.read_bytes())
@@ -184,8 +227,8 @@ class TestDeterminism:
     def test_ofdm_csv_identical_across_thread_counts(self, tmp_path):
         outs = []
         for threads in (1, 3):
-            cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(10.0,),
-                                   trials=530, payload_bits=64, seed=12, threads=threads)
+            cfg = BerOfdmConfig(num_zeros=32, ebn0_db=(10.0,),
+                                trials=530, payload_bits=64, seed=12, threads=threads)
             path = tmp_path / f"t{threads}.csv"
             write_csv(run_ber_ofdm(cfg), path, header_note="note")
             outs.append(path.read_bytes())
@@ -197,8 +240,8 @@ class TestDeterminism:
         # size of the batched compute cannot change a number, nor can the
         # slices pseudo_llrs runs on (here half a block); 260 packets make
         # chunks of 256 and 4, so a 300-packet block is cut short by its chunk
-        cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(8.0,), trials=260,
-                               payload_bits=48, seed=4)
+        cfg = BerOfdmConfig(num_zeros=32, ebn0_db=(8.0,), trials=260,
+                            payload_bits=48, seed=4)
         assert (experiments.OFDM_BLOCK_PACKETS, experiments.OFDM_LLR_PACKETS) == (24, 12)
         expected = run_ber_ofdm(cfg)
         monkeypatch.setattr(experiments, "OFDM_BLOCK_PACKETS", block)
@@ -206,9 +249,9 @@ class TestDeterminism:
         assert run_ber_ofdm(cfg) == expected
 
     def test_repeat_run_identical(self):
-        cfg = ExperimentConfig(kind="rotation_mse", scheme="jutted", num_zeros=31,
-                               ebn0_db=(4.0,), trials=500, seed=7,
-                               estimator_bins=(64,))
+        cfg = RotationMseConfig(scheme="jutted", num_zeros=31,
+                                ebn0_db=(4.0,), trials=500, seed=7,
+                                estimator_bins=(64,))
         a = run_rotation_mse(cfg)
         b = run_rotation_mse(cfg)
         assert a == b
@@ -242,8 +285,8 @@ ber-ofdm-tm,ebn0_db,6,bler,0.07895833333,600,2026
 @pytest.mark.parametrize("channel, ebn0", list(GOLDEN_OFDM))
 def test_ofdm_golden_csv(tmp_path, channel, ebn0):
     # 600 packets: chunks of 256, 256 and 88, so the last block is partial
-    cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, channel=channel, ebn0_db=(ebn0,),
-                           trials=600, seed=2026, payload_bits=128)
+    cfg = BerOfdmConfig(num_zeros=32, channel=channel, ebn0_db=(ebn0,),
+                        trials=600, seed=2026, payload_bits=128)
     path = tmp_path / "golden.csv"
     write_csv(run_ber_ofdm(cfg), path)
     assert path.read_text() == GOLDEN_OFDM[(channel, ebn0)]
@@ -251,25 +294,25 @@ def test_ofdm_golden_csv(tmp_path, channel, ebn0):
 
 class TestBerSequenceRows:
     def test_noiseless_is_error_free(self):
-        cfg = ExperimentConfig(kind="ber_sequence", scheme="huffman", num_zeros=16,
-                               channel="awgn", ebn0_db=(200.0,), trials=200, seed=0)
+        cfg = BerSequenceConfig(scheme="huffman", num_zeros=16,
+                                channel="awgn", ebn0_db=(200.0,), trials=200, seed=0)
         rows = run_ber_sequence(cfg)
         assert all(r.value == 0.0 for r in rows)
 
     def test_monotone_in_ebn0(self):
         # >= 1e5 bits per point; allow a single inversion
-        cfg = ExperimentConfig(kind="ber_sequence", scheme="huffman", num_zeros=32,
-                               channel="awgn", ebn0_db=(0.0, 3.0, 6.0, 9.0),
-                               trials=4000, seed=1)
+        cfg = BerSequenceConfig(scheme="huffman", num_zeros=32,
+                                channel="awgn", ebn0_db=(0.0, 3.0, 6.0, 9.0),
+                                trials=4000, seed=1)
         bers = [r.value for r in run_ber_sequence(cfg) if r.metric == "ber"]
         inversions = sum(a < b for a, b in zip(bers, bers[1:]))
         assert inversions <= 1
 
     def test_values_in_range(self):
-        cfg = ExperimentConfig(kind="ber_sequence", scheme="jutted", num_zeros=32,
-                               coding="polar", channel="fading", channel_taps=3,
-                               rotation="uniform", correct=True,
-                               ebn0_db=(5.0,), trials=300, seed=2)
+        cfg = BerSequenceConfig(scheme="jutted", num_zeros=32,
+                                coding="polar", channel="fading", channel_taps=3,
+                                rotation="uniform", correct=True,
+                                ebn0_db=(5.0,), trials=300, seed=2)
         for row in run_ber_sequence(cfg):
             assert np.isfinite(row.value) and 0.0 <= row.value <= 1.0
 
@@ -277,8 +320,8 @@ class TestBerSequenceRows:
 class TestOtherRunners:
     @pytest.mark.slow
     def test_design_curves_rows(self):
-        cfg = ExperimentConfig(kind="design_curves", num_zeros=8,
-                               asymmetry=(1.0, 1.15), seed=0)
+        cfg = DesignCurvesConfig(num_zeros=8,
+                                 asymmetry=(1.0, 1.15), seed=0)
         rows = run_design_curves(cfg)
         by = {(r.param_value, r.metric): r.value for r in rows}
         # asymmetry 1.0 anchors the relative stability scale
@@ -288,29 +331,29 @@ class TestOtherRunners:
         assert by[(1.0, "r_star")] > 1.0
 
     def test_papr_table(self):
-        rows = run_papr_table(ExperimentConfig(kind="papr_table"))
+        rows = run_papr_table(PaprTableConfig())
         values = {r.experiment: r.value for r in rows}
         assert values["papr-jutted-numeric"] == pytest.approx(7.27, abs=0.1)
         assert all(np.isfinite(v) for v in values.values())
 
     def test_stability_report(self):
-        cfg = ExperimentConfig(kind="stability_report", num_zeros=8,
-                               radius=1.176, asymmetry=1.0)
+        cfg = StabilityReportConfig(num_zeros=8,
+                                    radius=1.176, asymmetry=1.0)
         rows = run_stability_report(cfg)
         by = {r.metric: r.value for r in rows}
         assert by["c_bar"] == pytest.approx(1.149, abs=0.005)
         assert by["c_min"] == pytest.approx(1.048, abs=0.005)
 
     def test_ofdm_runner_emits_all_schemes(self):
-        cfg = ExperimentConfig(kind="ber_ofdm", num_zeros=32, ebn0_db=(12.0,),
-                               trials=40, seed=3)
+        cfg = BerOfdmConfig(num_zeros=32, ebn0_db=(12.0,),
+                            trials=40, seed=3)
         rows = run_ber_ofdm(cfg)
         names = {r.experiment for r in rows}
         assert names == {"ber-ofdm-fm", "ber-ofdm-fm_chest", "ber-ofdm-tm"}
         assert all(0.0 <= r.value <= 1.0 for r in rows)
 
     def test_loopback_noiseless(self, tmp_path):
-        cfg = ExperimentConfig(kind="loopback", seed=5)
+        cfg = LoopbackConfig(seed=5)
         report = run_loopback(cfg, iq_path=str(tmp_path / "pkt.iq"))
         assert report.header_errors == 0
         assert report.payload_errors == 0
@@ -318,12 +361,12 @@ class TestOtherRunners:
 
     def test_loopback_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        report = run_loopback(ExperimentConfig(kind="loopback", seed=5))
+        report = run_loopback(LoopbackConfig(seed=5))
         assert report.payload_errors == 0
         assert list(tmp_path.iterdir()) == []
 
     def test_dispatch(self):
-        rows = run_experiment(ExperimentConfig(kind="papr_table"))
+        rows = run_experiment(PaprTableConfig())
         assert all(isinstance(r, MetricRow) for r in rows)
 
 
@@ -336,6 +379,33 @@ class TestCsv:
         assert lines[0] == "# energy convention"
         assert lines[1] == "experiment,param_name,param_value,metric,value,trials,seed"
         assert lines[2] == "exp,ebn0_db,4,ber,0.125,100,7"
+
+
+# The config `jbmocz <cmd>` runs with no config file: the per-kind CLI
+# defaults merged over the one shared config class they replace, restricted
+# to the keys each kind still has.  design_curves' asymmetry was None there,
+# which its runner read as this six-point sweep.
+RESOLVED_DEFAULTS = {
+    "ber_sequence": dict(seed=0, out=None, scheme="jutted", num_zeros=64, radius=None,
+                         asymmetry=None, threads=1, coding="none", channel="fading",
+                         channel_taps=5, pdp="uniform", rotation=None, correct=False,
+                         ebn0_db=(0.0, 4.0, 8.0, 12.0, 16.0), trials=20000,
+                         ofdm_schemes=("fm", "fm_chest", "tm")),
+    "ber_ofdm": dict(seed=0, out=None, threads=1, num_zeros=32, channel="fading",
+                     channel_taps=5, pdp="uniform", ebn0_db=(8.0, 12.0, 16.0, 20.0),
+                     trials=1000, idft_size=256, cp_len=8, payload_bits=512,
+                     ofdm_schemes=("fm", "fm_chest", "tm"), tm_preamble_zeros=4,
+                     step_back="random"),
+    "rotation_mse": dict(seed=0, out=None, scheme="jutted", num_zeros=31, radius=None,
+                         asymmetry=None, threads=1, ebn0_db=(0.0, 4.0, 8.0, 12.0, 16.0),
+                         trials=10000, estimator_bins=(64, 1024)),
+    "design_curves": dict(seed=0, out=None, num_zeros=8,
+                          asymmetry=(1.0, 1.03, 1.06, 1.09, 1.12, 1.15)),
+    "papr_table": dict(seed=0, out=None),
+    "stability_report": dict(seed=0, out=None, scheme="jutted", num_zeros=8, radius=1.176,
+                             asymmetry=1.0),
+    "loopback": dict(seed=0, out=None, loopback_snr_db=None, loopback_step_back=6),
+}
 
 
 class TestCli:
@@ -365,10 +435,12 @@ class TestCli:
             load_config("papr_table", str(config))
 
     def test_kind_defaults_and_benchmark_configs_load(self):
-        # the rejections of unread fields must leave every default and the
+        # each kind's class reproduces the defaults the CLI ran before the
+        # per-kind classes, and the rejections of unread fields leave the
         # benchmark's inputs loadable
-        for kind in KIND_DEFAULTS:
-            load_config(kind)
+        assert set(EXPERIMENTS) == set(RESOLVED_DEFAULTS)
+        for kind in EXPERIMENTS:
+            assert dataclasses.asdict(load_config(kind)) == RESOLVED_DEFAULTS[kind], kind
         configs = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
         for name, kind in (("ofdm_k32", "ber_ofdm"), ("seq_k32_polar_rot", "ber_sequence"),
                            ("seq_k64_fading", "ber_sequence")):
