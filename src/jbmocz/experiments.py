@@ -119,7 +119,7 @@ class _ConstellationConfig(_Config):
     scheme: str = "jutted"            # jutted | huffman
     num_zeros: int = 64
     radius: float = None              # None -> the scheme's design
-    asymmetry: float = None           # only with a radius; None -> 1
+    asymmetry: float = None           # only with a radius: > 1 if jutted, None -> 1
 
     def __post_init__(self):
         super().__post_init__()
@@ -129,6 +129,9 @@ class _ConstellationConfig(_Config):
             raise ValueError(f"asymmetry={self.asymmetry}: give it only with a radius")
         if self.scheme == "huffman" and self.asymmetry not in (None, 1.0):
             raise ValueError(f"asymmetry={self.asymmetry}: a huffman constellation is symmetric")
+        if self.scheme == "jutted" and self.radius is not None and not (self.asymmetry or 0) > 1:
+            raise ValueError(f"asymmetry={self.asymmetry}: a jutted constellation with a radius "
+                             "needs asymmetry > 1")
         self.constellation()  # an unpinned jutted K fails here, not mid-run
 
     def constellation(self) -> ConstellationParams:
@@ -163,6 +166,8 @@ class BerSequenceConfig(_ConstellationConfig):
         _check_sweep(self, "channel_taps")
         if self.coding == "polar" and self.num_zeros != 32:
             raise ValueError(f"num_zeros={self.num_zeros}: polar-coded runs use K=32")
+        if self.channel == "awgn" and self.channel_taps != BerSequenceConfig.channel_taps:
+            raise ValueError(f"channel_taps={self.channel_taps}: an awgn channel has no taps")
         chan.ImpairmentSpec(rotation=self.rotation)  # rejects a bad rotation spec
         if self.correct and self.rotation is None:
             raise ValueError("correct=True: there is no rotation to correct; set rotation")
@@ -197,6 +202,8 @@ class BerOfdmConfig(_Config):
                              f"of {OFDM_SCHEMES}")
         if self.idft_size < 2 * self.num_zeros + 2:
             raise ValueError(f"idft_size={self.idft_size}: the template needs 2K+2 bins")
+        if self.cp_len < 0:
+            raise ValueError(f"cp_len={self.cp_len} must not be negative")
         if self.step_back != "random" and type(self.step_back) is not int:
             raise ValueError(f"step_back={self.step_back!r} must be 'random' or an integer")
 
@@ -240,6 +247,7 @@ class PaprTableConfig(_Config):
 class StabilityReportConfig(_ConstellationConfig):
     """Mean and minimum noiseless codebook stability of one constellation."""
 
+    scheme: str = "huffman"
     num_zeros: int = 8
     radius: float = 1.176
     asymmetry: float = 1.0
@@ -250,7 +258,13 @@ class LoopbackConfig(_Config):
     """The fixed K=127, 424-bit, 512-point packet through the I/Q loopback."""
 
     loopback_snr_db: float = None     # None -> noiseless
-    loopback_step_back: int = 6
+    loopback_step_back: int = 6       # samples into the 8-sample cyclic prefix
+
+    def __post_init__(self):
+        super().__post_init__()
+        if type(self.loopback_step_back) is not int or not 0 <= self.loopback_step_back <= 8:
+            raise ValueError(f"loopback_step_back={self.loopback_step_back!r}: not an "
+                             "integer in 0..8, the packet's cyclic prefix")
 
 
 @dataclass(frozen=True)
@@ -438,19 +452,18 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # a receiver that decodes one packet at a time, bit for bit.
 #
 # Throughput grows with the block but so does memory.  Bits are carried as
-# uint8, each stack is freed once used, and pseudo_llrs, whose temporaries
-# are the largest of a block, runs on OFDM_LLR_PACKETS packets at a time.
-# At K=32 with 512 payload bits a 24-packet block then peaks at 50-60 KB
-# per packet in each worker thread (81-89 KB untrimmed).  On the 2-thread
+# uint8 and each stack is freed once used.  At K=32 with 512 payload bits a
+# 24-packet block peaks at 71-74 KB per packet in each worker thread under
+# tracemalloc, most of it pseudo_llrs' temporaries.  On the 2-thread
 # ofdm_k32 benchmark (2-vCPU Xeon VM), 24-packet blocks ran 3310 packets/s
 # (each packet through all three schemes) at 45.4 MB peak RSS, against
-# 1763 packets/s and 44.0 MB for untrimmed 12-packet blocks (medians of 10
-# runs each); single runs at 32 and 48 packets reached 46.4-48.4 and
-# 48.8-50.9 MB.  24 is the largest block that stays clearly inside a 5%
-# memory budget.
+# 1763 packets/s and 44.0 MB for 12-packet blocks (medians of 10 runs
+# each); single runs at 32 and 48 packets reached 46.4-48.4 and 48.8-50.9
+# MB.  24 is the largest block that stays clearly inside a 5% memory
+# budget.  Those runs took pseudo_llrs on 12-packet slices; on the whole
+# block the peak RSS read 46.1-46.5 MB against 45.3-46.6 MB (6 pairs).
 
 OFDM_BLOCK_PACKETS = 24
-OFDM_LLR_PACKETS = 12
 
 
 @dataclass
@@ -458,7 +471,6 @@ class _OfdmSetup:
     config: BerOfdmConfig
     payload_params: ConstellationParams
     first_params: ConstellationParams
-    tm_params: ConstellationParams
     preamble_params: ConstellationParams
     polar_spec: PolarSpec
     blocks: int
@@ -472,7 +484,6 @@ class _OfdmSetup:
             config=config,
             payload_params=huffman_params(k),
             first_params=jutted_params(k),
-            tm_params=huffman_params(k),
             preamble_params=huffman_params(config.tm_preamble_zeros),
             polar_spec=polar_construct(32, 16),
             blocks=blocks,
@@ -549,14 +560,6 @@ def _packet_errors(rng, n_packets, setup: _OfdmSetup, decode, noise_shape, noise
     return bit_errors, block_errors, n_packets * cfg.payload_bits, n_packets * setup.blocks
 
 
-def _packet_llrs(received, params):
-    """pseudo_llrs of a (P, M, L) packet stack, OFDM_LLR_PACKETS packets at
-    a time, since its temporaries are the largest of a block.  Each packet
-    is its own matrix product, so no number depends on the split."""
-    return np.concatenate([pseudo_llrs(received[start : start + OFDM_LLR_PACKETS], params)
-                           for start in range(0, len(received), OFDM_LLR_PACKETS)])
-
-
 def _fm_coeffs(messages, setup: _OfdmSetup):
     """(P, M, K+1) codewords of each packet's FM symbols: a jutted first
     codeword, then Huffman payload codewords."""
@@ -609,8 +612,8 @@ def _ofdm_fm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db, with_chest):
                                         (2.0 * np.pi * bins / setup.template.size)[:, None])
 
         # received[:, :1] keeps the jutted symbol a one-row product per packet
-        llrs = np.concatenate([_packet_llrs(received[:, :1], setup.first_params),
-                               _packet_llrs(received[:, 1:], setup.payload_params)], axis=1)
+        llrs = np.concatenate([pseudo_llrs(received[:, :1], setup.first_params),
+                               pseudo_llrs(received[:, 1:], setup.payload_params)], axis=1)
         del received
         return polar_decode_sc(llrs, setup.polar_spec)
 
@@ -630,12 +633,12 @@ def _ofdm_tm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db):
     def decode(draws):
         # (P, S, K+1): subcarrier s of packet p carries codeword s
         code_bits = polar_encode(draws["messages"], setup.polar_spec)
-        received = encode_coeffs(code_bits, setup.tm_params)
+        received = encode_coeffs(code_bits, setup.payload_params)
         received *= _subcarrier_gains(draws, blocks, cfg.idft_size)[..., None]
         received += draws.pop("noise")
         # constant per-subcarrier phase: rotates nothing in time mapping
         received *= _step_back_ramp(draws["step_backs"], blocks, cfg.idft_size)[..., None]
-        llrs = _packet_llrs(received, setup.tm_params)
+        llrs = pseudo_llrs(received, setup.payload_params)
         del received
         return polar_decode_sc(llrs, setup.polar_spec)
 

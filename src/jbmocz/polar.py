@@ -14,7 +14,9 @@ SC decides them:
 - Rate-1 (no bit frozen): the codeword is the hard decision of the node
   LLRs, and the source bits its polar transform.  This is SC's decision
   only while no node LLR is 0 (or NaN); rows that hold one are decoded by
-  the recursion.  SC decodes (0, 1) to x = (1, 1), not to (0, 1).
+  splitting the node into two Rate-1 halves, which makes SC's check-node
+  and bit-node combines, down to length 1, where the hard decision is SC's
+  leaf decision.  SC decodes (0, 1) to x = (1, 1), not to (0, 1).
 - Repetition (only the last bit free): the node LLRs are folded, right half
   plus left half, down to one sum, the additions SC makes in its order.
 
@@ -106,33 +108,6 @@ def polar_encode(info_bits, spec: PolarSpec) -> np.ndarray:
     return _transform(u)
 
 
-def _sc_recurse(llrs: np.ndarray, frozen_mask: np.ndarray):
-    """Min-sum successive cancellation on (..., m) LLR blocks.
-
-    Returns (u_bits, x_bits): the decided source bits and their re-encoded
-    codeword bits for this subtree.
-    """
-    m = llrs.shape[-1]
-    if m == 1:
-        if frozen_mask[0]:
-            u = np.zeros(llrs.shape[:-1] + (1,), dtype=int)
-        else:
-            u = (llrs > 0).astype(int)
-        return u, u.copy()
-    half = m // 2
-    a, b = llrs[..., :half], llrs[..., half:]
-    # check node: sign-min combine, negated for the positive-means-one
-    # convention (the xor of two likely-one bits is likely zero)
-    left_llrs = -np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    u_left, x_left = _sc_recurse(left_llrs, frozen_mask[:half])
-    # bit node: combine under the known left codeword
-    right_llrs = b + (1 - 2 * x_left) * a
-    u_right, x_right = _sc_recurse(right_llrs, frozen_mask[half:])
-    u = np.concatenate([u_left, u_right], axis=-1)
-    x = np.concatenate([x_left ^ x_right, x_right], axis=-1)
-    return u, x
-
-
 _RATE0, _RATE1, _REPETITION = "rate-0", "rate-1", "repetition"
 
 
@@ -172,18 +147,19 @@ def _decode_node(llrs: np.ndarray, plan, u: np.ndarray, x: np.ndarray) -> None:
     if plan is _RATE1:
         np.greater(llrs, 0, out=x)
         u[...] = _transform(x.T).T
-        decided = np.abs(llrs) > 0
-        if not decided.all():
-            ties = ~decided.all(axis=0)
-            u_sc, x_sc = _sc_recurse(llrs[:, ties].T, np.zeros(len(llrs), dtype=bool))
-            u[:, ties] = u_sc.T
-            x[:, ties] = x_sc.T
+        if len(llrs) > 1:
+            ties = ~(np.abs(llrs) > 0).all(axis=0)
+            if ties.any():
+                tied = llrs[:, ties]
+                u_t, x_t = np.zeros((2,) + tied.shape, dtype=bool)
+                _decode_node(tied, (_RATE1, _RATE1), u_t, x_t)
+                u[:, ties], x[:, ties] = u_t, x_t
         return
     left, right = plan
     half = len(llrs) // 2
     a, b = llrs[:half], llrs[half:]
     if left is not _RATE0:
-        # the check-node combine of _sc_recurse, -sign(a) sign(b) min(|a|, |b|);
+        # the check-node combine, -sign(a) sign(b) min(|a|, |b|);
         # the sign of a zero may differ, which no decision reads
         left_llrs = np.abs(a)
         np.minimum(left_llrs, np.abs(b), out=left_llrs)
@@ -196,7 +172,7 @@ def _decode_node(llrs: np.ndarray, plan, u: np.ndarray, x: np.ndarray) -> None:
 
 def _sc_decode(llrs: np.ndarray, spec: PolarSpec):
     """(u_bits, x_bits) of (rows, n) LLRs as (rows, n) bool arrays: the
-    decisions of `_sc_recurse`, made node by node."""
+    decisions of leaf-by-leaf min-sum SC, made node by node."""
     columns = np.ascontiguousarray(llrs.T)
     u = np.zeros(columns.shape, dtype=bool)
     x = np.zeros_like(u)

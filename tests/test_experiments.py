@@ -184,11 +184,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="asymmetry"):
             config_class(**settings)
 
+    @pytest.mark.parametrize("config_class, asymmetry", [
+        # used to run zeta=1 under the jutted row name
+        (BerSequenceConfig, None), (BerSequenceConfig, 1.0), (RotationMseConfig, None),
+        (StabilityReportConfig, 1.0),
+    ])
+    def test_symmetric_jutted_rejected(self, config_class, asymmetry):
+        with pytest.raises(ValueError, match="asymmetry"):
+            config_class(scheme="jutted", num_zeros=8, radius=1.2, asymmetry=asymmetry)
+        config_class(scheme="jutted", num_zeros=8, radius=1.2, asymmetry=1.1)
+
     def test_huffman_asymmetry_rejected(self):
         # used to run a jutted constellation under the row name ber-seq-huffman
         with pytest.raises(ValueError, match="asymmetry"):
             BerSequenceConfig(scheme="huffman", num_zeros=8, radius=1.2, asymmetry=1.3)
         BerSequenceConfig(scheme="huffman", num_zeros=8, radius=1.2, asymmetry=1.0)
+
+    def test_awgn_channel_taps_rejected(self):
+        # an awgn run never reads channel_taps
+        with pytest.raises(ValueError, match="channel_taps"):
+            BerSequenceConfig(channel="awgn", channel_taps=3)
+        BerSequenceConfig(channel="awgn", channel_taps=5)
 
     @pytest.mark.parametrize("rotation", ["bogus", True])
     def test_bad_rotation_rejected(self, rotation):
@@ -206,6 +222,10 @@ class TestConfig:
         (BerOfdmConfig, "channel_taps", 0),
         (BerSequenceConfig, "channel_taps", 0),
         (BerOfdmConfig, "idft_size", 16),
+        (BerOfdmConfig, "cp_len", -1),      # ran on a negative noise variance
+        (LoopbackConfig, "loopback_step_back", -1),
+        (LoopbackConfig, "loopback_step_back", 9),
+        (LoopbackConfig, "loopback_step_back", 2.5),
     ])
     def test_channel_and_ofdm_fields_checked_at_build(self, config_class, field, value):
         with pytest.raises(ValueError, match=field):
@@ -237,15 +257,14 @@ class TestDeterminism:
     @pytest.mark.parametrize("block", [1, 7, 12, 300])
     def test_ofdm_rows_independent_of_packet_block(self, monkeypatch, block):
         # the draw loop keeps the random stream packet-ordered, so the block
-        # size of the batched compute cannot change a number, nor can the
-        # slices pseudo_llrs runs on (here half a block); 260 packets make
-        # chunks of 256 and 4, so a 300-packet block is cut short by its chunk
+        # size of the batched compute cannot change a number; 260 packets
+        # make chunks of 256 and 4, so a 300-packet block is cut short by its
+        # chunk
         cfg = BerOfdmConfig(num_zeros=32, ebn0_db=(8.0,), trials=260,
                             payload_bits=48, seed=4)
-        assert (experiments.OFDM_BLOCK_PACKETS, experiments.OFDM_LLR_PACKETS) == (24, 12)
+        assert experiments.OFDM_BLOCK_PACKETS == 24
         expected = run_ber_ofdm(cfg)
         monkeypatch.setattr(experiments, "OFDM_BLOCK_PACKETS", block)
-        monkeypatch.setattr(experiments, "OFDM_LLR_PACKETS", max(1, block // 2))
         assert run_ber_ofdm(cfg) == expected
 
     def test_repeat_run_identical(self):
@@ -384,7 +403,8 @@ class TestCsv:
 # The config `jbmocz <cmd>` runs with no config file: the per-kind CLI
 # defaults merged over the one shared config class they replace, restricted
 # to the keys each kind still has.  design_curves' asymmetry was None there,
-# which its runner read as this six-point sweep.
+# which its runner read as this six-point sweep.  stability_report's scheme
+# was jutted, a name its symmetric radius and asymmetry never ran.
 RESOLVED_DEFAULTS = {
     "ber_sequence": dict(seed=0, out=None, scheme="jutted", num_zeros=64, radius=None,
                          asymmetry=None, threads=1, coding="none", channel="fading",
@@ -402,7 +422,7 @@ RESOLVED_DEFAULTS = {
     "design_curves": dict(seed=0, out=None, num_zeros=8,
                           asymmetry=(1.0, 1.03, 1.06, 1.09, 1.12, 1.15)),
     "papr_table": dict(seed=0, out=None),
-    "stability_report": dict(seed=0, out=None, scheme="jutted", num_zeros=8, radius=1.176,
+    "stability_report": dict(seed=0, out=None, scheme="huffman", num_zeros=8, radius=1.176,
                              asymmetry=1.0),
     "loopback": dict(seed=0, out=None, loopback_snr_db=None, loopback_step_back=6),
 }

@@ -10,7 +10,6 @@ from jbmocz.polar import (
     PolarSpec,
     _node_plan,
     _sc_decode,
-    _sc_recurse,
     polar_construct,
     polar_decode_sc,
     polar_encode,
@@ -23,6 +22,34 @@ def generator_matrix(n):
     while len(g) < n:
         g = np.kron(np.array([[1, 0], [1, 1]]), g)
     return g
+
+
+def _sc_recurse(llrs: np.ndarray, frozen_mask: np.ndarray):
+    """Min-sum successive cancellation on (..., m) LLR blocks, leaf by leaf:
+    the reference the node decoder must match.
+
+    Returns (u_bits, x_bits): the decided source bits and their re-encoded
+    codeword bits for this subtree.
+    """
+    m = llrs.shape[-1]
+    if m == 1:
+        if frozen_mask[0]:
+            u = np.zeros(llrs.shape[:-1] + (1,), dtype=int)
+        else:
+            u = (llrs > 0).astype(int)
+        return u, u.copy()
+    half = m // 2
+    a, b = llrs[..., :half], llrs[..., half:]
+    # check node: sign-min combine, negated for the positive-means-one
+    # convention (the xor of two likely-one bits is likely zero)
+    left_llrs = -np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    u_left, x_left = _sc_recurse(left_llrs, frozen_mask[:half])
+    # bit node: combine under the known left codeword
+    right_llrs = b + (1 - 2 * x_left) * a
+    u_right, x_right = _sc_recurse(right_llrs, frozen_mask[half:])
+    u = np.concatenate([u_left, u_right], axis=-1)
+    x = np.concatenate([x_left ^ x_right, x_right], axis=-1)
+    return u, x
 
 
 @st.composite
@@ -151,6 +178,17 @@ class TestNodeShortcuts:
         u, x = _sc_decode(llrs, rate1)
         np.testing.assert_array_equal(x, [[1, 1], [0, 1], [1, 1]])
         np.testing.assert_array_equal(u, [[0, 1], [1, 1], [0, 1]])
+        # a longer Rate-1 node, split down to its leaves only on tie rows
+        rate1 = PolarSpec(8, 8, ())
+        llrs = np.random.default_rng(6).normal(size=(6, 8))
+        llrs[0, 0] = llrs[1, 7] = llrs[2, 3] = 0.0
+        llrs[3, [1, 4]] = -0.0
+        llrs[4] = 0.0
+        u, x = _sc_decode(llrs, rate1)
+        u_ref, x_ref = _sc_recurse(llrs, rate1.frozen_mask)
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(x, x_ref)
+        assert not np.array_equal(x[:4], llrs[:4] > 0)  # the hard decision differs
 
     def test_node_plan_of_the_32_16_code(self):
         # FFFFFFF.FFF.F...FFF.F...F....... is walked in 19 nodes, not 63
