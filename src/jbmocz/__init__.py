@@ -34,10 +34,6 @@ from .rotation import (
     rotation_mse,
 )
 from .stability import (
-    DesignCurvePoint,
-    StabilityReport,
-    stability_report,
-    asymmetry_sweep,
     codebook_stability,
     deflate,
     min_codebook_stability,

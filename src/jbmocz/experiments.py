@@ -48,11 +48,12 @@ from .rotation import (
 )
 from .stability import (
     EXACT_LIMIT,
-    asymmetry_sweep,
+    MIN_SAMPLE_COUNT,
     codebook_stabilities,
     codebook_stability,
     default_radius_grid,
     min_codebook_stability,
+    optimize_radius,
 )
 from .zeros import ConstellationParams, default_radius, encode_coeffs, make_template
 
@@ -69,6 +70,7 @@ JUTTED_DESIGNS = {
 CSV_COLUMNS = ("experiment", "param_name", "param_value", "metric", "value", "trials", "seed")
 
 OFDM_SCHEMES = ("fm", "fm_chest", "tm")  # receivers ber_ofdm can run
+OFDM_RANDOM_STEP_BACK = 5  # step_back "random" draws uniformly from 0..5 samples
 
 
 def jutted_params(num_zeros: int) -> ConstellationParams:
@@ -103,10 +105,12 @@ class _Config:
 
 
 def _check_sweep(config, *counts):
-    """The Monte-Carlo keys: a nonempty Eb/N0 sweep, and positive trials
-    and `counts`."""
+    """The Monte-Carlo keys: a nonempty Eb/N0 sweep of numbers or +inf
+    (noiseless), and positive trials and `counts`."""
     if not config.ebn0_db:
         raise ValueError("ebn0_db=(): the Eb/N0 sweep must be nonempty")
+    if any(np.isnan(e) or e == -np.inf for e in config.ebn0_db):
+        raise ValueError(f"ebn0_db={config.ebn0_db}: NaN and -inf are not Eb/N0 values")
     for name in ("trials",) + counts:
         if getattr(config, name) < 1:
             raise ValueError(f"{name}={getattr(config, name)} must be positive")
@@ -190,7 +194,7 @@ class BerOfdmConfig(_Config):
     payload_bits: int = 512
     ofdm_schemes: tuple = OFDM_SCHEMES
     tm_preamble_zeros: int = 4
-    step_back: object = "random"      # "random" (uniform over [6]) | int
+    step_back: object = "random"      # "random" (uniform over 0..5) | int
 
     def __post_init__(self):
         super().__post_init__()
@@ -206,6 +210,18 @@ class BerOfdmConfig(_Config):
             raise ValueError(f"cp_len={self.cp_len} must not be negative")
         if self.step_back != "random" and type(self.step_back) is not int:
             raise ValueError(f"step_back={self.step_back!r} must be 'random' or an integer")
+        # the grid-level link needs the prefix to cover step-back and span
+        if self.step_back == "random" and self.cp_len < OFDM_RANDOM_STEP_BACK:
+            raise ValueError(f"step_back='random' draws up to {OFDM_RANDOM_STEP_BACK} samples, "
+                             f"beyond cp_len={self.cp_len}")
+        if self.step_back != "random" and not 0 <= self.step_back <= self.cp_len:
+            raise ValueError(f"step_back={self.step_back}: not in 0..cp_len={self.cp_len}")
+        if self.channel == "fading" and self.channel_taps - 1 > self.cp_len:
+            raise ValueError(f"channel_taps={self.channel_taps}: a span of "
+                             f"{self.channel_taps - 1} samples exceeds cp_len={self.cp_len}")
+        if self.tm_preamble_zeros < 2:
+            raise ValueError(f"tm_preamble_zeros={self.tm_preamble_zeros}: the preamble "
+                             "codeword needs at least 2 zeros")
 
 
 @dataclass(frozen=True)
@@ -412,11 +428,7 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
     templates = [make_template(params, nb) for nb in config.estimator_bins]
     rows = []
     for point, ebn0 in enumerate(config.ebn0_db):
-        noise_var = (
-            0.0
-            if np.isinf(ebn0)
-            else chan.ebn0_to_noise_var(ebn0, params.num_zeros, params.num_zeros + 1)
-        )
+        noise_var = chan.ebn0_to_noise_var(ebn0, params.num_zeros, params.num_zeros + 1)
         *sums, total = _run_chunks(
             lambda rng, n: _rotation_mse_chunk(rng, n, params, noise_var, templates),
             config.trials, config.seed, point, config.threads,
@@ -514,8 +526,8 @@ def _draw_packets(rng, count, setup: _OfdmSetup, noise_shape, noise_var, with_ch
             draws["pre_bits"][p] = rng.integers(0, 2, (n_sub, ktm))
             for name in ("pre_noise", "guard_noise"):
                 draws[name][p] = chan.complex_noise(shapes[name][0], noise_var, rng)
-        draws["step_backs"][p] = (rng.integers(0, 6) if cfg.step_back == "random"
-                                  else int(cfg.step_back))
+        draws["step_backs"][p] = (rng.integers(0, OFDM_RANDOM_STEP_BACK + 1)
+                                  if cfg.step_back == "random" else int(cfg.step_back))
     return draws
 
 
@@ -674,15 +686,18 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
 # analysis-style experiments
 
 def run_design_curves(config: DesignCurvesConfig) -> list:
+    """R*(K, zeta) over the default radius grid for each asymmetry, with the
+    minimum codebook stability there and the template PAPR."""
     radius_grid = default_radius_grid(config.num_zeros)
-    points = asymmetry_sweep(config.num_zeros, config.asymmetry, radius_grid, seed=config.seed)
     rows = []
-    for pt in points:
-        for metric, value in (("r_star", pt.best_radius),
-                              ("c_min", pt.min_stability),
-                              ("papr_db", pt.template_papr_db)):
-            rows.append(MetricRow("design-curves", "asymmetry", pt.asymmetry,
-                                  metric, value, 1, config.seed))
+    for zeta in map(float, config.asymmetry):
+        r_star = optimize_radius(config.num_zeros, zeta, radius_grid, seed=config.seed)
+        params = ConstellationParams(config.num_zeros, r_star, zeta)
+        c_min = min_codebook_stability(params, seed=config.seed)
+        papr_db, _ = papr_fm(params)
+        for metric, value in (("r_star", r_star), ("c_min", c_min), ("papr_db", papr_db)):
+            rows.append(MetricRow("design-curves", "asymmetry", zeta, metric, value, 1,
+                                  config.seed))
     return rows
 
 
@@ -710,14 +725,15 @@ def run_stability_report(config: StabilityReportConfig) -> list:
         # one scoring of the whole codebook gives both the mean and the minimum
         scores = codebook_stabilities(params)
         cbar, cmin = float(np.mean(scores)), float(np.min(scores))
-        n_eval = 2**k
+        n_eval = n_min = 2**k
     else:
         cbar = codebook_stability(params, samples=SAMPLED_CODEBOOK_SIZE, seed=config.seed)
         cmin = min_codebook_stability(params, seed=config.seed)
-        n_eval = SAMPLED_CODEBOOK_SIZE
+        # the two extreme codewords and the random sample
+        n_eval, n_min = SAMPLED_CODEBOOK_SIZE, MIN_SAMPLE_COUNT + 2
     return [
         MetricRow("stability", "num_zeros", k, "c_bar", cbar, n_eval, config.seed),
-        MetricRow("stability", "num_zeros", k, "c_min", cmin, n_eval, config.seed),
+        MetricRow("stability", "num_zeros", k, "c_min", cmin, n_min, config.seed),
     ]
 
 

@@ -30,21 +30,19 @@ by one log2 and one sum, the same arithmetic, bit for bit, as forming them
 pair by pair.  The distances are built for BLOCK_VALUES // (3N) roots at a
 time and the pairs, sorted by root, are scored as many at a time, so the
 distance table and the two gather buffers hold at most BLOCK_VALUES grid
-values (or 3N where N alone exceeds a third of it), whatever the size of
-the stack; beyond that the profile holds the (rows, N) power array and a
-few values per pair.
+values, whatever the size of the stack; beyond that the profile holds the
+(rows, N) power array and a few values per pair.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .zeros import ConstellationParams, coeffs_to_zeros, encode_bits, encode_coeffs
 
-DEFAULT_GRID = 1024
+GRID_SIZE = 1024  # N, the unit-circle grid of the capacity
 EXACT_LIMIT = 16  # full codebook enumeration refused above this many zeros
 MIN_SAMPLE_COUNT = 64
 ROOT_TOL = 1e-6  # |X(alpha)| relative to sum_i |c_i||alpha|^i
@@ -52,7 +50,7 @@ ON_GRID_DISTANCE = 1e-4  # closer roots are scored by deflation
 BLOCK_VALUES = 2**17  # grid values formed at once by reliability_profile
 
 
-def _check_roots(coeffs, roots, tol: float = ROOT_TOL) -> None:
+def _check_roots(coeffs, roots) -> None:
     """Raise ArithmeticError unless every roots[..., j] is a root of the
     polynomial coeffs[...]: one Horner pass evaluates X(alpha) and the scale
     sum_i |c_i||alpha|^i for the whole stack."""
@@ -66,24 +64,24 @@ def _check_roots(coeffs, roots, tol: float = ROOT_TOL) -> None:
         value += coeffs[..., i : i + 1]
         scale *= size
         scale += magnitude[..., i : i + 1]
-    if np.any(np.abs(value) > tol * scale):
+    if np.any(np.abs(value) > ROOT_TOL * scale):
         raise ArithmeticError("given point is not a root of the polynomial")
 
 
-def deflate(coeffs, root, tol: float = ROOT_TOL) -> np.ndarray:
+def deflate(coeffs, root) -> np.ndarray:
     """Divide polynomials by (z - root) via synthetic division.
 
     coeffs: (..., K+1), root: scalar or (...,).  Returns the (..., K)
     quotient coefficients.  Raises if a Horner evaluation shows `root` is
-    not a root of the polynomial within `tol` (relative to the evaluation
-    scale).  The division runs from the leading coefficient down for
-    |root| <= 1 and from the constant term up for |root| > 1, the direction
+    not a root of the polynomial within ROOT_TOL (relative to the
+    evaluation scale).  The division runs from the leading coefficient down
+    for |root| <= 1 and from the constant term up for |root| > 1, the direction
     in which rounding errors shrink by 1/|root| per step instead of growing
     by |root|.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     root = np.asarray(root, dtype=complex)
-    _check_roots(coeffs, root[..., None], tol)
+    _check_roots(coeffs, root[..., None])
     deg = coeffs.shape[-1] - 1
     shape = np.broadcast_shapes(coeffs.shape[:-1], root.shape) + (deg,)
     down = np.empty(shape, dtype=complex)
@@ -113,7 +111,7 @@ def _grid_log_distance(roots, grid_size: int) -> np.ndarray:
     return 2 * grid_size * growth + np.log2(np.abs(1.0 - inner**grid_size) ** 2)
 
 
-def reliability_profile(coeffs, roots, grid_size: int = DEFAULT_GRID) -> np.ndarray:
+def reliability_profile(coeffs, roots) -> np.ndarray:
     """Per-zero reliability of a unit-norm polynomial.
 
     coeffs: (..., K+1), roots: (..., K).  Returns (..., K) scores
@@ -129,8 +127,8 @@ def reliability_profile(coeffs, roots, grid_size: int = DEFAULT_GRID) -> np.ndar
     roots = np.broadcast_to(roots, lead + (k,)).reshape(-1, k)
     _check_roots(coeffs, roots)
 
-    grid = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    nearest = np.rint(np.angle(roots) * grid_size / (2 * np.pi)).astype(int) % grid_size
+    grid = np.exp(2j * np.pi * np.arange(GRID_SIZE) / GRID_SIZE)
+    nearest = np.rint(np.angle(roots) * GRID_SIZE / (2 * np.pi)).astype(int) % GRID_SIZE
     on_grid = np.abs(roots - grid[nearest]) < ON_GRID_DISTANCE
     spectral = np.where(on_grid, 0.0, roots)  # placeholder keeps the 0/0 out
 
@@ -140,9 +138,9 @@ def reliability_profile(coeffs, roots, grid_size: int = DEFAULT_GRID) -> np.ndar
     inverse = inverse.reshape(-1)
     order = np.argsort(inverse, kind="stable")
     sorted_inverse = inverse[order]
-    power = _grid_power(coeffs, grid_size)
-    step = max(1, BLOCK_VALUES // (3 * grid_size))
-    tables, values, powers = np.empty((3, step, grid_size))
+    power = _grid_power(coeffs, GRID_SIZE)
+    step = BLOCK_VALUES // (3 * GRID_SIZE)
+    tables, values, powers = np.empty((3, step, GRID_SIZE))
     sums = np.empty(inverse.size)
     for start in range(0, distinct.size, step):
         block = distinct[start : start + step, None]
@@ -157,17 +155,17 @@ def reliability_profile(coeffs, roots, grid_size: int = DEFAULT_GRID) -> np.ndar
                        mode="clip")
             chunk += power.take(pairs // k, axis=0, out=powers[: pairs.size], mode="clip")
             sums[pairs] = np.log2(chunk, out=chunk).sum(axis=-1)
-    log_distance = _grid_log_distance(distinct, grid_size)[inverse]
-    scores = ((sums - log_distance) / grid_size).reshape(roots.shape)
+    log_distance = _grid_log_distance(distinct, GRID_SIZE)[inverse]
+    scores = ((sums - log_distance) / GRID_SIZE).reshape(roots.shape)
 
     rows, cols = np.nonzero(on_grid)
     if rows.size:
         quotients = deflate(coeffs[rows], roots[rows, cols])
-        scores[rows, cols] = np.mean(np.log2(1.0 + _grid_power(quotients, grid_size)), axis=-1)
+        scores[rows, cols] = np.mean(np.log2(1.0 + _grid_power(quotients, GRID_SIZE)), axis=-1)
     return scores.reshape(lead + (k,))
 
 
-def poly_stability(coeffs, roots=None, grid_size: int = DEFAULT_GRID) -> float:
+def poly_stability(coeffs, roots=None) -> float:
     """Mean per-zero reliability of one unit-norm polynomial.
 
     If `roots` is omitted they are computed numerically; pass exact roots
@@ -176,17 +174,16 @@ def poly_stability(coeffs, roots=None, grid_size: int = DEFAULT_GRID) -> float:
     coeffs = np.asarray(coeffs, dtype=complex)
     if roots is None:
         roots = coeffs_to_zeros(coeffs)
-    return float(np.mean(reliability_profile(coeffs, roots, grid_size)))
+    return float(np.mean(reliability_profile(coeffs, roots)))
 
 
-def _message_stabilities(messages, params: ConstellationParams, grid_size: int) -> np.ndarray:
+def _message_stabilities(messages, params: ConstellationParams) -> np.ndarray:
     zeros = encode_bits(messages, params)
     coeffs = encode_coeffs(messages, params, energy=1.0)
-    return np.mean(reliability_profile(coeffs, zeros, grid_size), axis=-1)
+    return np.mean(reliability_profile(coeffs, zeros), axis=-1)
 
 
-def codebook_stabilities(params: ConstellationParams,
-                         grid_size: int = DEFAULT_GRID) -> np.ndarray:
+def codebook_stabilities(params: ConstellationParams) -> np.ndarray:
     """Polynomial stability of every codeword of the full 2^K codebook, in
     message order (message m carries bit i of m on zero i); refused for
     K > 16."""
@@ -195,12 +192,11 @@ def codebook_stabilities(params: ConstellationParams,
         raise ValueError(f"exact enumeration of 2^{k} codewords refused; sample instead")
     idx = np.arange(2**k, dtype=np.uint32)
     messages = (idx[:, None] >> np.arange(k)) & 1
-    return _message_stabilities(messages, params, grid_size)
+    return _message_stabilities(messages, params)
 
 
 def codebook_stability(
     params: ConstellationParams,
-    grid_size: int = DEFAULT_GRID,
     samples: int = None,
     seed: int = 0,
 ) -> float:
@@ -210,14 +206,13 @@ def codebook_stability(
     K > 16); otherwise a seeded random subset of that many messages is used.
     """
     if samples is None:
-        return float(np.mean(codebook_stabilities(params, grid_size)))
+        return float(np.mean(codebook_stabilities(params)))
     messages = np.random.default_rng(seed).integers(0, 2, (samples, params.num_zeros))
-    return float(np.mean(_message_stabilities(messages, params, grid_size)))
+    return float(np.mean(_message_stabilities(messages, params)))
 
 
 def min_codebook_stability(
     params: ConstellationParams,
-    grid_size: int = DEFAULT_GRID,
     samples: int = MIN_SAMPLE_COUNT,
     seed: int = 0,
     exact: bool = None,
@@ -233,20 +228,19 @@ def min_codebook_stability(
     if exact is None:
         exact = k <= EXACT_LIMIT
     if exact:
-        return float(np.min(codebook_stabilities(params, grid_size)))
+        return float(np.min(codebook_stabilities(params)))
     rng = np.random.default_rng(seed)
     messages = np.vstack(
         [np.ones((1, k), dtype=int), np.zeros((1, k), dtype=int),
          rng.integers(0, 2, (samples, k))]
     )
-    return float(np.min(_message_stabilities(messages, params, grid_size)))
+    return float(np.min(_message_stabilities(messages, params)))
 
 
 def optimize_radius(
     num_zeros: int,
     asymmetry: float,
     radius_grid,
-    grid_size: int = DEFAULT_GRID,
     samples: int = MIN_SAMPLE_COUNT,
     seed: int = 0,
 ) -> float:
@@ -262,10 +256,8 @@ def optimize_radius(
     if radius_grid.size == 0:
         raise ValueError("radius grid is empty")
     scores = [
-        min_codebook_stability(
-            ConstellationParams(num_zeros, float(r), asymmetry),
-            grid_size=grid_size, samples=samples, seed=seed,
-        )
+        min_codebook_stability(ConstellationParams(num_zeros, float(r), asymmetry),
+                               samples=samples, seed=seed)
         for r in radius_grid
     ]
     best = int(np.argmax(scores))
@@ -291,61 +283,3 @@ def default_radius_grid(num_zeros: int) -> np.ndarray:
         return np.arange(1.001, 1.5, 0.001)
     return np.arange(1.005, 2.0, 0.005)
 
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Per-zero reliabilities of one codeword with their mean."""
-
-    per_zero: np.ndarray
-    poly: float
-    params: ConstellationParams
-
-
-def stability_report(bits, params: ConstellationParams,
-                     grid_size: int = DEFAULT_GRID) -> StabilityReport:
-    """Reliability profile of the codeword encoding `bits`."""
-    zeros = encode_bits(np.asarray(bits), params)
-    coeffs = encode_coeffs(bits, params, energy=1.0)
-    per_zero = reliability_profile(coeffs, zeros, grid_size)
-    return StabilityReport(per_zero=per_zero, poly=float(np.mean(per_zero)),
-                           params=params)
-
-
-@dataclass(frozen=True)
-class DesignCurvePoint:
-    """One row of the asymmetry/stability/peakiness trade-off curve."""
-
-    asymmetry: float
-    best_radius: float
-    min_stability: float
-    template_papr_db: float
-
-
-def asymmetry_sweep(
-    num_zeros: int,
-    asymmetry_grid,
-    radius_grid,
-    grid_size: int = DEFAULT_GRID,
-    samples: int = MIN_SAMPLE_COUNT,
-    seed: int = 0,
-) -> list[DesignCurvePoint]:
-    """Sweep the asymmetry factor, optimizing the radius at each point and
-    recording the achieved minimum stability and template peakiness."""
-    from .phy import papr_fm  # local import: phy depends on zeros only
-
-    asymmetry_grid = np.asarray(asymmetry_grid, dtype=float)
-    if asymmetry_grid.size == 0:
-        raise ValueError("asymmetry grid is empty")
-    points = []
-    for zeta in asymmetry_grid:
-        r_star = optimize_radius(
-            num_zeros, float(zeta), radius_grid,
-            grid_size=grid_size, samples=samples, seed=seed,
-        )
-        params = ConstellationParams(num_zeros, r_star, float(zeta))
-        stab = min_codebook_stability(
-            params, grid_size=grid_size, samples=samples, seed=seed
-        )
-        papr_db, _ = papr_fm(params)
-        points.append(DesignCurvePoint(float(zeta), r_star, stab, papr_db))
-    return points

@@ -31,6 +31,8 @@ from jbmocz.experiments import (
     run_stability_report,
     write_csv,
 )
+from jbmocz.stability import default_radius_grid, min_codebook_stability, optimize_radius
+from jbmocz.zeros import ConstellationParams
 
 
 class TestConfig:
@@ -89,6 +91,8 @@ class TestConfig:
         # a scalar used to be ignored in favour of the default sweep
         with pytest.raises(ValueError, match="asymmetry"):
             DesignCurvesConfig(asymmetry=1.1)
+        with pytest.raises(ValueError, match="asymmetry"):
+            DesignCurvesConfig(asymmetry=())
 
     @pytest.mark.parametrize("overrides, field", [
         (dict(num_zeros=32, info_bits=16), "info_bits"),    # derived: no key
@@ -231,6 +235,39 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             config_class(**{field: value})
 
+    @pytest.mark.parametrize("settings, field", [
+        # 0 failed mid-run with ZeroDivisionError and 1 in ConstellationParams,
+        # even on a tm-only run
+        (dict(tm_preamble_zeros=0, ofdm_schemes=("tm",)), "tm_preamble_zeros"),
+        (dict(tm_preamble_zeros=1), "tm_preamble_zeros"),
+        # the grid-level link is exact only inside the cyclic prefix; these ran
+        (dict(step_back=-1), "step_back"),
+        (dict(step_back=9), "step_back"),
+        (dict(step_back=5, cp_len=4), "step_back"),
+        (dict(cp_len=4), "step_back"),                  # random draws up to 5
+        (dict(channel_taps=10), "channel_taps"),
+        (dict(channel_taps=6, cp_len=4, step_back=0), "channel_taps"),
+    ])
+    def test_ofdm_link_outside_prefix_rejected(self, settings, field):
+        with pytest.raises(ValueError, match=field):
+            BerOfdmConfig(**settings)
+
+    def test_ofdm_link_inside_prefix_accepted(self):
+        BerOfdmConfig(tm_preamble_zeros=2, step_back=8)
+        BerOfdmConfig(cp_len=5, channel_taps=6)
+        BerOfdmConfig(cp_len=0, step_back=0, channel_taps=1)
+        BerOfdmConfig(channel="flat", channel_taps=10)  # a flat channel has no span
+
+    @pytest.mark.parametrize("config_class", [BerSequenceConfig, BerOfdmConfig,
+                                              RotationMseConfig])
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_nan_and_minus_inf_ebn0_rejected(self, config_class, bad):
+        # NaN ran on NaN noise; -inf divided by zero in ber_sequence and ran
+        # noiseless in rotation_mse
+        with pytest.raises(ValueError, match="ebn0_db"):
+            config_class(ebn0_db=(10.0, bad))
+        config_class(ebn0_db=(10.0, float("inf")))
+
 
 class TestDeterminism:
     def test_byte_identical_csv_across_thread_counts(self, tmp_path):
@@ -343,8 +380,12 @@ class TestOtherRunners:
                                  asymmetry=(1.0, 1.15), seed=0)
         rows = run_design_curves(cfg)
         by = {(r.param_value, r.metric): r.value for r in rows}
-        # asymmetry 1.0 anchors the relative stability scale
-        assert by[(1.0, "c_min")] / by[(1.0, "c_min")] == 1.0
+        grid = default_radius_grid(8)
+        for zeta in cfg.asymmetry:
+            r_star = optimize_radius(8, zeta, grid)
+            assert by[(zeta, "r_star")] == r_star
+            assert by[(zeta, "c_min")] == min_codebook_stability(
+                ConstellationParams(8, r_star, zeta))
         assert by[(1.15, "c_min")] <= by[(1.0, "c_min")]
         assert by[(1.15, "papr_db")] >= by[(1.0, "papr_db")]
         assert by[(1.0, "r_star")] > 1.0
@@ -362,6 +403,12 @@ class TestOtherRunners:
         by = {r.metric: r.value for r in rows}
         assert by["c_bar"] == pytest.approx(1.149, abs=0.005)
         assert by["c_min"] == pytest.approx(1.048, abs=0.005)
+
+    def test_sampled_stability_report_counts(self):
+        # above K=16 c_bar scores 256 sampled codewords and c_min the two
+        # extremes and 64 more; the c_min row used to say 256
+        rows = run_stability_report(StabilityReportConfig(num_zeros=24, radius=1.1))
+        assert {r.metric: r.trials for r in rows} == {"c_bar": 256, "c_min": 66}
 
     def test_ofdm_runner_emits_all_schemes(self):
         cfg = BerOfdmConfig(num_zeros=32, ebn0_db=(12.0,),

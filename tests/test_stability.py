@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jbmocz.experiments import DesignCurvesConfig, run_design_curves
+from jbmocz.phy import papr_fm
 from jbmocz.stability import (
     BLOCK_VALUES,
     ON_GRID_DISTANCE,
     _check_roots,
     _grid_log_distance,
     _grid_power,
-    asymmetry_sweep,
     codebook_stability,
     default_radius_grid,
     deflate,
@@ -195,7 +196,7 @@ class TestZeroReliability:
             for n in range(grid)
         ])
         expected = np.mean(np.log2(1.0 + direct))
-        assert reliability_profile(coeffs, zeros, grid)[..., 3] == pytest.approx(expected, abs=1e-9)
+        assert reliability_profile(coeffs, zeros)[..., 3] == pytest.approx(expected, abs=1e-9)
 
     def test_jutted_zero_least_stable(self):
         params = ConstellationParams(8, 1.176, 1.15)
@@ -419,20 +420,29 @@ class TestOptimizeRadius:
         assert abs(best - 1.015) <= 0.003
 
 
+
 class TestAsymmetrySweep:
+    """The design-curve sweep over zeta: R* by optimize_radius, then the
+    minimum codebook stability at R* and the template PAPR."""
+
     def test_monotone_trade_off(self):
         grid = np.arange(1.1, 1.5, 0.02)
-        points = asymmetry_sweep(8, (1.0, 1.1, 1.2), grid)
-        stab = [p.min_stability for p in points]
-        papr = [p.template_papr_db for p in points]
+        stab, papr = [], []
+        for zeta in (1.0, 1.1, 1.2):
+            params = ConstellationParams(8, optimize_radius(8, zeta, grid), zeta)
+            stab.append(min_codebook_stability(params))
+            papr.append(papr_fm(params)[0])
         assert all(a >= b for a, b in zip(stab, stab[1:]))
         assert all(a <= b for a, b in zip(papr, papr[1:]))
 
     def test_single_point_matches_optimize(self):
-        grid = np.arange(1.1, 1.5, 0.05)
-        (point,) = asymmetry_sweep(8, (1.1,), grid)
-        assert point.best_radius == optimize_radius(8, 1.1, grid)
+        rows = run_design_curves(DesignCurvesConfig(num_zeros=8, asymmetry=(1.1,), seed=0))
+        by = {r.metric: r.value for r in rows}
+        assert len(rows) == 3 and {r.param_value for r in rows} == {1.1}
+        assert by["r_star"] == optimize_radius(8, 1.1, default_radius_grid(8))
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
-            asymmetry_sweep(8, (), [1.2])
+            DesignCurvesConfig(asymmetry=())
+        with pytest.raises(ValueError):
+            optimize_radius(8, 1.1, [])
