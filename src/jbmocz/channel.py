@@ -1,6 +1,11 @@
 """Impairment simulation: sequence-level convolutive channels and the
 sample-level OFDM channel with timing/frequency offsets and clock drift.
 
+`draw_cir` and `complex_noise` take a shape, so one call draws a whole
+stack of channel responses or noise.  `ImpairmentSpec` holds only the
+sample-level impairments of `apply_ofdm_channel`; the zero rotation of the
+sequence-level links is a key of their experiment configs.
+
 All randomness flows through explicit numpy Generators so trials are
 reproducible and can be parallelized from independently derived seeds.
 """
@@ -15,16 +20,28 @@ import numpy as np
 PDP_PROFILES = ("uniform", "exp")  # the power-delay profiles draw_cir implements
 
 
-def draw_cir(num_taps: int, rng: np.random.Generator, profile: str = "uniform",
-             decay: float = 3.0) -> np.ndarray:
-    """Draw one channel impulse response of `num_taps` complex Gaussian taps.
+def _as_shape(shape) -> tuple:
+    try:
+        return tuple(shape)
+    except TypeError:  # an int
+        return (shape,)
 
+
+def draw_cir(shape, rng: np.random.Generator, profile: str = "uniform",
+             decay: float = 3.0) -> np.ndarray:
+    """Draw channel impulse responses of complex Gaussian taps.
+
+    shape: the number of taps, or a shape whose last axis is the taps (a
+    stack of responses).  One normal draw of `shape` gives the real parts,
+    a second the imaginary parts.
     profile "uniform": every tap has variance 1/num_taps.
     profile "exp": tap variances decay as exp(-l/decay), normalized to unit
     total power (the stand-in for standardized indoor multipath models).
     """
+    shape = _as_shape(shape)
+    num_taps = shape[-1] if shape else 0
     if num_taps < 1:
-        raise ValueError(f"need at least one tap, got {num_taps}")
+        raise ValueError(f"need at least one tap, got shape {shape}")
     if profile == "uniform":
         power = np.full(num_taps, 1.0 / num_taps)
     elif profile == "exp":
@@ -32,7 +49,7 @@ def draw_cir(num_taps: int, rng: np.random.Generator, profile: str = "uniform",
         power /= power.sum()
     else:
         raise ValueError(f"unknown power-delay profile {profile!r}")
-    taps = rng.normal(size=num_taps) + 1j * rng.normal(size=num_taps)
+    taps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return taps * np.sqrt(power / 2.0)
 
 
@@ -42,10 +59,7 @@ def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarra
     One normal draw of (2,) + shape gives the real parts, then the imaginary
     parts: the stream of two draws of `shape`, real parts first.
     """
-    try:
-        shape = tuple(shape)
-    except TypeError:  # an int
-        shape = (shape,)
+    shape = _as_shape(shape)
     scale = np.sqrt(variance / 2.0)
     draws = rng.normal(size=(2,) + shape)
     noise = np.empty(shape, dtype=complex)
@@ -84,33 +98,16 @@ def ebn0_to_noise_var(ebn0_db: float, info_bits: int, energy: float) -> float:
 
 @dataclass(frozen=True)
 class ImpairmentSpec:
-    """Sample-level impairments applied between transmitter and receiver.
-
-    rotation describes the per-codeword zero-rotation impairment used by the
-    sequence-level experiments: None, a fixed angle in radians, or the
-    string "uniform" for an independent U[0, 2pi) draw per codeword.
-    """
+    """Sample-level impairments applied between transmitter and receiver."""
 
     timing_offset: int = 0
     cfo_hz: float = 0.0
     drift_ppm: float = 0.0
     noise_var: float = 0.0
-    rotation: object = None
 
     def __post_init__(self):
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
-        ok = self.rotation is None or self.rotation == "uniform" or (
-            isinstance(self.rotation, (int, float)) and not isinstance(self.rotation, bool))
-        if not ok:
-            raise ValueError(f"rotation={self.rotation!r}: not None, 'uniform' or an angle")
-
-    def draw_rotations(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if self.rotation is None:
-            return np.zeros(count)
-        if self.rotation == "uniform":
-            return rng.uniform(0.0, 2.0 * np.pi, count)
-        return np.full(count, float(self.rotation))
 
 
 def apply_ofdm_channel(samples, taps, spec: ImpairmentSpec, sample_rate: float,

@@ -2,9 +2,14 @@
 
 Every experiment consumes its kind's config (see EXPERIMENTS) and returns
 MetricRow records.
-Per-trial randomness derives from the master seed via SeedSequence spawn
-keys indexed by (sweep point, chunk), so results are byte-identical for a
-given config regardless of thread count or scheduling.
+The Monte-Carlo runners (ber_sequence, rotation_mse, ber_ofdm) go through
+one sweep driver, `_sweep`, which runs every (Eb/N0 point, chunk) job of a
+run on one thread pool.  Per-trial randomness derives from the master seed
+via SeedSequence spawn keys indexed by (sweep point, chunk), and each
+point's counts are summed in chunk order, so results are byte-identical for
+a given config regardless of thread count or scheduling.
+ber_sequence and rotation_mse share one sequence-level link: synthesis,
+fading taps from `channel.draw_cir`, noise, then the zero rotation.
 
 Energy accounting: Eb multiplies the total transmitted energy per
 information bit.  Sequence-level runs spend codeword energy K+1 on B info
@@ -15,6 +20,7 @@ payload bits (the convention is echoed in the CSV header).
 from __future__ import annotations
 
 import concurrent.futures
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -104,16 +110,24 @@ class _Config:
                 raise ValueError(f"{name}={getattr(self, name)!r} is not one of {allowed}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_sweep(config, *counts):
-    """The Monte-Carlo keys: a nonempty Eb/N0 sweep of numbers or +inf
-    (noiseless), and positive trials and `counts`."""
-    if not config.ebn0_db:
-        raise ValueError("ebn0_db=(): the Eb/N0 sweep must be nonempty")
-    if any(np.isnan(e) or e == -np.inf for e in config.ebn0_db):
-        raise ValueError(f"ebn0_db={config.ebn0_db}: NaN and -inf are not Eb/N0 values")
-    for name in ("trials",) + counts:
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name}={getattr(config, name)} must be positive")
+    """The Monte-Carlo keys: a nonempty list of Eb/N0 values, each a number
+    or +inf (noiseless), and positive integer trials, threads and `counts`
+    (never a bool)."""
+    sweep = config.ebn0_db
+    if not isinstance(sweep, (tuple, list)) or not sweep:
+        raise ValueError(f"ebn0_db={sweep!r}: the Eb/N0 sweep must be a nonempty list")
+    if not all(_is_number(e) and not np.isnan(e) and e != -np.inf for e in sweep):
+        raise ValueError(f"ebn0_db={sweep!r}: each Eb/N0 must be a number or +inf, "
+                         "not NaN or -inf")
+    for name in ("trials", "threads") + counts:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name}={value!r} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -172,7 +186,9 @@ class BerSequenceConfig(_ConstellationConfig):
             raise ValueError(f"num_zeros={self.num_zeros}: polar-coded runs use K=32")
         if self.channel == "awgn" and self.channel_taps != BerSequenceConfig.channel_taps:
             raise ValueError(f"channel_taps={self.channel_taps}: an awgn channel has no taps")
-        chan.ImpairmentSpec(rotation=self.rotation)  # rejects a bad rotation spec
+        if not (self.rotation in (None, "uniform")
+                or _is_number(self.rotation) and np.isfinite(self.rotation)):
+            raise ValueError(f"rotation={self.rotation!r}: not None, 'uniform' or a finite angle")
         if self.correct and self.rotation is None:
             raise ValueError("correct=True: there is no rotation to correct; set rotation")
 
@@ -310,72 +326,62 @@ def write_csv(rows, path, header_note: str = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _chunk_sizes(total: int, chunk: int):
-    sizes = [chunk] * (total // chunk)
-    if total % chunk:
-        sizes.append(total % chunk)
-    return sizes
-
-
-def _point_rng(seed: int, point: int, chunk: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point, chunk)))
-
-
-def _run_chunks(worker, n_trials, seed, point, threads, chunk=4096):
-    """Accumulate worker(chunk_rng, chunk_size) tuples across a worker pool."""
-    jobs = [(i, size) for i, size in enumerate(_chunk_sizes(n_trials, chunk))]
-    totals = None
-
-    def run(job):
-        idx, size = job
-        return worker(_point_rng(seed, point, idx), size)
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+def _sweep(config, worker, chunk=4096) -> list:
+    """Each Eb/N0 point's counts: worker(ebn0, seeds, size) returns a tuple
+    of counts for one chunk of `size` trials, whose generator it builds from
+    `seeds`, keyed by (point, chunk).  Every (point, chunk) job of the run
+    goes on one pool of config.threads threads, and each point's counts are
+    summed in chunk order, so the sums do not depend on the pool."""
+    full, rest = divmod(config.trials, chunk)
+    sizes = [chunk] * full + [rest] * (rest > 0)
+    jobs = [(ebn0, np.random.SeedSequence(config.seed, spawn_key=(point, i)), size)
+            for point, ebn0 in enumerate(config.ebn0_db) for i, size in enumerate(sizes)]
+    if config.threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
+            results = list(pool.map(lambda job: worker(*job), jobs))
     else:
-        results = [run(j) for j in jobs]
-    for res in results:
-        if totals is None:
-            totals = list(res)
-        else:
-            totals = [t + r for t, r in zip(totals, res)]
-    return tuple(totals)
+        results = [worker(*job) for job in jobs]
+    return [[sum(column) for column in zip(*results[first:first + len(sizes)])]
+            for first in range(0, len(jobs), len(sizes))]
+
+
+def _rate_rows(config, names, counts) -> list:
+    """BER and BLER rows of each curve of `names` over the Eb/N0 points;
+    counts[point] holds (bit errors, block errors, bits, blocks) per curve,
+    in the order of `names`."""
+    rows = []
+    for i, name in enumerate(names):
+        for ebn0, point in zip(config.ebn0_db, counts):
+            bit_err, blk_err, bits, blocks = point[4 * i : 4 * i + 4]
+            rows.append(MetricRow(name, "ebn0_db", ebn0, "ber", bit_err / bits,
+                                  config.trials, config.seed))
+            rows.append(MetricRow(name, "ebn0_db", ebn0, "bler", blk_err / blocks,
+                                  config.trials, config.seed))
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# sequence-level link: encode -> convolutive channel -> (rotate/correct)
+# sequence-level link: encode -> convolutive channel -> rotate -> (correct)
 # -> decode
 
-def _sequence_chunk(rng, n, params, config: BerSequenceConfig, polar_spec, noise_var,
-                    template):
-    n_info = 16 if config.coding == "polar" else params.num_zeros
-    messages = rng.integers(0, 2, (n, n_info))
-    if config.coding == "polar":
-        bits = polar_encode(messages, polar_spec)
-    else:
-        bits = messages
-    coeffs = encode_coeffs(bits, params)
-    if config.channel == "awgn":
+def _sequence_link(rng, coeffs, channel_taps, noise_var, rotation):
+    """Codewords through `channel_taps` equal-power fading taps each (None:
+    AWGN alone), noise, then the zero rotation of BerSequenceConfig.rotation.
+    Returns the received coefficients and each codeword's angle."""
+    n = len(coeffs)
+    if channel_taps is None:
+        # draws its noise even at noise_var 0, where convolve_channel draws none
         received = coeffs + chan.complex_noise(coeffs.shape, noise_var, rng)
     else:
-        taps = rng.normal(size=(n, config.channel_taps)) + 1j * rng.normal(
-            size=(n, config.channel_taps)
-        )
-        taps *= np.sqrt(1.0 / (2 * config.channel_taps))
+        taps = chan.draw_cir((n, channel_taps), rng)
         received = chan.convolve_channel(coeffs, taps, noise_var, rng)
-    if config.rotation is not None:
-        spec = chan.ImpairmentSpec(rotation=config.rotation)
-        received = apply_rotation(received, spec.draw_rotations(n, rng))
-        if config.correct:
-            bins = rotation_bins(received, template)
-            received = correct_rotation(received, 2.0 * np.pi * bins / template.size)
-    if config.coding == "polar":
-        decoded = polar_decode_sc(pseudo_llrs(received, params), polar_spec)
+    if rotation is None:
+        return received, np.zeros(n)
+    if rotation == "uniform":
+        angles = rng.uniform(0.0, 2.0 * np.pi, n)
     else:
-        decoded = dizet_hard(received, params)
-    errs = decoded != messages
-    return int(errs.sum()), int(errs.any(axis=1).sum()), n * n_info, n
+        angles = np.full(n, float(rotation))
+    return apply_rotation(received, angles), angles
 
 
 def run_ber_sequence(config: BerSequenceConfig) -> list:
@@ -384,60 +390,55 @@ def run_ber_sequence(config: BerSequenceConfig) -> list:
     k = params.num_zeros
     polar_spec = polar_construct(32, 16) if config.coding == "polar" else None
     n_info = 16 if config.coding == "polar" else k
+    channel_taps = config.channel_taps if config.channel == "fading" else None
     template = make_template(params, 1024) if config.correct else None
     name = f"ber-seq-{config.scheme}"
     if config.coding == "polar":
         name += "-polar"
     if config.rotation is not None:
         name += "-rot" + ("corr" if config.correct else "")
-    rows = []
-    for point, ebn0 in enumerate(config.ebn0_db):
+
+    def worker(ebn0, seeds, n):
+        rng = np.random.default_rng(seeds)
+        messages = rng.integers(0, 2, (n, n_info))
+        bits = polar_encode(messages, polar_spec) if config.coding == "polar" else messages
         noise_var = chan.ebn0_to_noise_var(ebn0, n_info, k + 1)
-        bit_err, blk_err, bits, blocks = _run_chunks(
-            lambda rng, n: _sequence_chunk(rng, n, params, config, polar_spec,
-                                           noise_var, template),
-            config.trials, config.seed, point, config.threads,
-        )
-        rows.append(MetricRow(name, "ebn0_db", ebn0, "ber", bit_err / bits,
-                              config.trials, config.seed))
-        rows.append(MetricRow(name, "ebn0_db", ebn0, "bler", blk_err / blocks,
-                              config.trials, config.seed))
-    return rows
+        received, _ = _sequence_link(rng, encode_coeffs(bits, params), channel_taps,
+                                     noise_var, config.rotation)
+        if config.correct:
+            bins = rotation_bins(received, template)
+            received = correct_rotation(received, 2.0 * np.pi * bins / template.size)
+        if config.coding == "polar":
+            decoded = polar_decode_sc(pseudo_llrs(received, params), polar_spec)
+        else:
+            decoded = dizet_hard(received, params)
+        errs = decoded != messages
+        return int(errs.sum()), int(errs.any(axis=1).sum()), n * n_info, n
 
-
-def _rotation_mse_chunk(rng, n, params, noise_var, templates):
-    k = params.num_zeros
-    bits = rng.integers(0, 2, (n, k))
-    coeffs = encode_coeffs(bits, params)
-    taps = (rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))) / np.sqrt(2.0)
-    received = chan.convolve_channel(coeffs, taps, noise_var, rng)
-    phis = rng.uniform(0.0, 2.0 * np.pi, n)
-    received = apply_rotation(received, phis)
-    sums = []
-    for template in templates:
-        est = 2.0 * np.pi * rotation_bins(received, template) / template.size
-        sums.append(rotation_mse(phis, est) * n)
-    return (*sums, n)
+    return _rate_rows(config, [name], _sweep(config, worker))
 
 
 def run_rotation_mse(config: RotationMseConfig) -> list:
-    """Rotation-estimator MSE sweep; all estimator sizes share each trial's
-    channel, noise and rotation draw so their curves are directly
-    comparable."""
+    """Rotation-estimator MSE sweep over one-tap fading and uniform
+    rotation; all estimator sizes share each trial's channel, noise and
+    rotation draw so their curves are directly comparable."""
     params = config.constellation()
+    k = params.num_zeros
     templates = [make_template(params, nb) for nb in config.estimator_bins]
+
+    def worker(ebn0, seeds, n):
+        rng = np.random.default_rng(seeds)
+        coeffs = encode_coeffs(rng.integers(0, 2, (n, k)), params)
+        noise_var = chan.ebn0_to_noise_var(ebn0, k, k + 1)
+        received, angles = _sequence_link(rng, coeffs, 1, noise_var, "uniform")
+        return tuple(rotation_mse(angles, 2.0 * np.pi * rotation_bins(received, t) / t.size) * n
+                     for t in templates)
+
     rows = []
-    for point, ebn0 in enumerate(config.ebn0_db):
-        noise_var = chan.ebn0_to_noise_var(ebn0, params.num_zeros, params.num_zeros + 1)
-        *sums, total = _run_chunks(
-            lambda rng, n: _rotation_mse_chunk(rng, n, params, noise_var, templates),
-            config.trials, config.seed, point, config.threads,
-        )
+    for ebn0, sums in zip(config.ebn0_db, _sweep(config, worker)):
         for template, sq_sum in zip(templates, sums):
-            rows.append(
-                MetricRow(f"rotation-mse-n{template.size}", "ebn0_db", ebn0,
-                          "mse", sq_sum / total, config.trials, config.seed)
-            )
+            rows.append(MetricRow(f"rotation-mse-n{template.size}", "ebn0_db", ebn0,
+                                  "mse", sq_sum / config.trials, config.trials, config.seed))
     return rows
 
 
@@ -544,19 +545,6 @@ def _step_back_ramp(step_backs, n_sub, idft_size):
     return np.exp(-2j * np.pi * np.arange(n_sub) * step_backs[:, None] / idft_size)
 
 
-def _cell_noise_var(ebn0_db, cell_energy, info_bits, idft_size, cp_len):
-    """Per-cell noise variance hitting a target Eb/N0.
-
-    cell_energy: total squared grid magnitude of the packet.  Time-domain
-    energy is (N + Ncp)/N * N * cell_energy and the demodulator scales
-    noise variance by 1/N.
-    """
-    time_energy = (idft_size + cp_len) * cell_energy
-    eb = time_energy / info_bits
-    n0_time = eb / 10.0 ** (ebn0_db / 10.0)
-    return n0_time / idft_size
-
-
 def _packet_errors(rng, n_packets, setup: _OfdmSetup, decode, noise_shape, noise_var,
                    with_chest=False):
     """Error counts of a chunk, run block by block: the draw loop, then
@@ -588,11 +576,13 @@ def _ofdm_fm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db, with_chest):
     n_idft = cfg.idft_size
     ktm = cfg.tm_preamble_zeros
 
+    # cell_energy, the packet's total squared grid magnitude, takes (N + Ncp)
+    # * cell_energy in time, and the demodulator scales noise variance by 1/N
     cell_energy = setup.blocks * (k + 1)
     if with_chest:
         cell_energy += n_sub * (ktm + 1)
-    noise_var = _cell_noise_var(ebn0_db, cell_energy, cfg.payload_bits,
-                                n_idft, cfg.cp_len)
+    noise_var = chan.ebn0_to_noise_var(ebn0_db, cfg.payload_bits,
+                                       (n_idft + cfg.cp_len) * cell_energy) / n_idft
 
     def decode(draws):
         gains = _subcarrier_gains(draws, n_sub, n_idft)
@@ -638,9 +628,9 @@ def _ofdm_tm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db):
     k = cfg.num_zeros
     blocks = setup.blocks  # subcarriers
 
-    cell_energy = blocks * (k + 1)
-    noise_var = _cell_noise_var(ebn0_db, cell_energy, cfg.payload_bits,
-                                cfg.idft_size, cfg.cp_len)
+    cell_energy = blocks * (k + 1)  # and its noise as in _ofdm_fm_chunk
+    noise_var = chan.ebn0_to_noise_var(
+        ebn0_db, cfg.payload_bits, (cfg.idft_size + cfg.cp_len) * cell_energy) / cfg.idft_size
 
     def decode(draws):
         # (P, S, K+1): subcarrier s of packet p carries codeword s
@@ -657,29 +647,24 @@ def _ofdm_tm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db):
     return _packet_errors(rng, n_packets, setup, decode, (blocks, k + 1), noise_var)
 
 
-def _ofdm_worker(scheme, setup, ebn0):
-    """The chunk worker of one receiver; BerOfdmConfig has checked the scheme."""
-    if scheme == "tm":
-        return lambda rng, n: _ofdm_tm_chunk(rng, n, setup, ebn0)
-    return lambda rng, n: _ofdm_fm_chunk(rng, n, setup, ebn0, scheme == "fm_chest")
-
-
 def run_ber_ofdm(config: BerOfdmConfig) -> list:
-    """Packet-level BER/BLER for the configured OFDM schemes."""
+    """Packet-level BER/BLER for the configured OFDM schemes.  Each scheme
+    runs a chunk on a generator of its own from the chunk's seeds, so every
+    scheme sees the random stream it would in a sweep of its own."""
     setup = _OfdmSetup.build(config)
-    rows = []
-    for scheme in config.ofdm_schemes:
-        for point, ebn0 in enumerate(config.ebn0_db):
-            bit_err, blk_err, bits, blocks = _run_chunks(
-                _ofdm_worker(scheme, setup, ebn0),
-                config.trials, config.seed, point, config.threads, chunk=256,
-            )
-            name = f"ber-ofdm-{scheme}"
-            rows.append(MetricRow(name, "ebn0_db", ebn0, "ber", bit_err / bits,
-                                  config.trials, config.seed))
-            rows.append(MetricRow(name, "ebn0_db", ebn0, "bler", blk_err / blocks,
-                                  config.trials, config.seed))
-    return rows
+
+    def worker(ebn0, seeds, n):
+        counts = ()
+        for scheme in config.ofdm_schemes:  # BerOfdmConfig has checked each
+            rng = np.random.default_rng(seeds)
+            if scheme == "tm":
+                counts += _ofdm_tm_chunk(rng, n, setup, ebn0)
+            else:
+                counts += _ofdm_fm_chunk(rng, n, setup, ebn0, scheme == "fm_chest")
+        return counts
+
+    names = [f"ber-ofdm-{scheme}" for scheme in config.ofdm_schemes]
+    return _rate_rows(config, names, _sweep(config, worker, chunk=256))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,34 @@ class TestDrawCir:
         with pytest.raises(ValueError):
             draw_cir(0, rng)
         with pytest.raises(ValueError):
+            draw_cir((4, 0), rng)
+        with pytest.raises(ValueError):
             draw_cir(3, rng, profile="bogus")
+
+    @pytest.mark.parametrize("num_taps", range(1, 9))
+    def test_stacked_equals_inline_draw(self, num_taps):
+        # a (codewords, taps) stack is the equal-power draw the sequence
+        # runner used to make inline, bit for bit
+        rng = np.random.default_rng(num_taps)
+        inline = rng.normal(size=(300, num_taps)) + 1j * rng.normal(size=(300, num_taps))
+        inline *= np.sqrt(1.0 / (2 * num_taps))
+        stacked = draw_cir((300, num_taps), np.random.default_rng(num_taps))
+        assert stacked.shape == (300, num_taps)
+        assert np.array_equal(stacked, inline)
+
+    @pytest.mark.parametrize("profile", ["uniform", "exp"])
+    def test_int_form_keeps_packet_stream(self, profile):
+        # the OFDM runner draws one response per packet, between other
+        # draws; the int form keeps the stream of the one-response draw
+        num_taps = 5
+        power = np.exp(-np.arange(num_taps) / 3.0) if profile == "exp" else np.ones(num_taps)
+        power /= power.sum()
+        rng, old = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(4):
+            expected = old.normal(size=num_taps) + 1j * old.normal(size=num_taps)
+            expected *= np.sqrt(power / 2.0)
+            assert np.array_equal(draw_cir(num_taps, rng, profile=profile), expected)
+            assert np.array_equal(rng.normal(size=3), old.normal(size=3))
 
 
 class TestComplexNoise:
@@ -168,19 +195,6 @@ class TestApplyOfdmChannel:
 
 
 class TestImpairmentSpec:
-    def test_rotation_draws(self):
-        rng = np.random.default_rng(12)
-        assert np.all(ImpairmentSpec().draw_rotations(5, rng) == 0)
-        np.testing.assert_allclose(
-            ImpairmentSpec(rotation=0.7).draw_rotations(3, rng), 0.7)
-        draws = ImpairmentSpec(rotation="uniform").draw_rotations(1000, rng)
-        assert 0 <= draws.min() and draws.max() < 2 * np.pi
-        assert np.mean(draws) == pytest.approx(np.pi, abs=0.2)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ImpairmentSpec(noise_var=-1.0)
-        with pytest.raises(ValueError):
-            ImpairmentSpec(rotation="sideways")
-        with pytest.raises(ValueError):  # not a 1-rad angle
-            ImpairmentSpec(rotation=True)

@@ -31,8 +31,9 @@ from jbmocz.experiments import (
     run_stability_report,
     write_csv,
 )
+from jbmocz.rotation import apply_rotation
 from jbmocz.stability import default_radius_grid, min_codebook_stability, optimize_radius
-from jbmocz.zeros import ConstellationParams
+from jbmocz.zeros import ConstellationParams, encode_coeffs
 
 
 class TestConfig:
@@ -210,10 +211,11 @@ class TestConfig:
             BerSequenceConfig(channel="awgn", channel_taps=3)
         BerSequenceConfig(channel="awgn", channel_taps=5)
 
-    @pytest.mark.parametrize("rotation", ["bogus", True])
+    @pytest.mark.parametrize("rotation", ["bogus", "sideways", True, float("nan"),
+                                          float("inf")])
     def test_bad_rotation_rejected(self, rotation):
-        # "bogus" used to fail in a worker thread mid-run, and True ran as a
-        # 1-rad rotation
+        # "bogus" used to fail in a worker thread mid-run, True ran as a
+        # 1-rad rotation, and NaN ran at a BER of 0.51 at 30 dB on AWGN
         with pytest.raises(ValueError, match="rotation"):
             BerSequenceConfig(num_zeros=32, rotation=rotation)
         for good in (None, "uniform", 0.5, 1):
@@ -268,6 +270,36 @@ class TestConfig:
             config_class(ebn0_db=(10.0, bad))
         config_class(ebn0_db=(10.0, float("inf")))
 
+    @pytest.mark.parametrize("kind", ["ber_sequence", "ber_ofdm", "rotation_mse"])
+    @pytest.mark.parametrize("field, value", [
+        ("ebn0_db", 10),          # a YAML scalar: TypeError 'int' object is not iterable
+        ("ebn0_db", ["a"]),       # TypeError from np.isnan
+        ("ebn0_db", [8.0, True]),
+        ("trials", 2.5),          # built, then failed mid-run
+        ("trials", True),
+        ("threads", 0),           # built, then ran serially without a word
+        ("threads", -1),
+        ("threads", 2.0),
+        ("threads", True),
+    ])
+    def test_sweep_key_types_checked_at_build(self, kind, field, value):
+        with pytest.raises(ValueError, match=field):
+            load_config(kind, overrides={field: value})
+
+    @pytest.mark.parametrize("kind", ["ber_sequence", "ber_ofdm"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_channel_taps_type_checked_at_build(self, kind, value):
+        # 2.5 built, then failed mid-run
+        with pytest.raises(ValueError, match="channel_taps"):
+            load_config(kind, overrides={"channel_taps": value})
+
+    @pytest.mark.parametrize("kind", ["ber_sequence", "ber_ofdm", "rotation_mse"])
+    def test_sweep_key_types_accepted(self, kind):
+        # the benchmark's warm-up passes a one-point tuple of floats; YAML
+        # lists of ints and .inf load too
+        load_config(kind, overrides=dict(ebn0_db=(14.0,), trials=1, threads=2))
+        load_config(kind, overrides=dict(ebn0_db=[4, 8, float("inf")], trials=np.int64(3)))
+
 
 class TestDeterminism:
     def test_byte_identical_csv_across_thread_counts(self, tmp_path):
@@ -303,6 +335,18 @@ class TestDeterminism:
         expected = run_ber_ofdm(cfg)
         monkeypatch.setattr(experiments, "OFDM_BLOCK_PACKETS", block)
         assert run_ber_ofdm(cfg) == expected
+
+    def test_rotation_mse_csv_identical_across_thread_counts(self, tmp_path):
+        # its values are float sums over chunks; 9000 trials make chunks of
+        # 4096, 4096 and 808 per point, summed in chunk order whatever the pool
+        outs = []
+        for threads in (1, 3):
+            cfg = RotationMseConfig(num_zeros=31, ebn0_db=(4.0, 12.0), trials=9000,
+                                    seed=13, threads=threads)
+            path = tmp_path / f"t{threads}.csv"
+            write_csv(run_rotation_mse(cfg), path, header_note="note")
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_repeat_run_identical(self):
         cfg = RotationMseConfig(scheme="jutted", num_zeros=31,
@@ -348,6 +392,43 @@ def test_ofdm_golden_csv(tmp_path, channel, ebn0):
     assert path.read_text() == GOLDEN_OFDM[(channel, ebn0)]
 
 
+# rows of the two sequence-level runners recorded with the per-point sweep
+# loops that `_sweep` replaced (seed 2026, threads 2)
+GOLDEN_SEQUENCE = {
+    # 9000 codewords: chunks of 4096, 4096 and 808
+    "ber_sequence": (
+        BerSequenceConfig(scheme="jutted", num_zeros=32, coding="polar", channel="fading",
+                          channel_taps=3, rotation="uniform", correct=True,
+                          ebn0_db=(6.0, 10.0), trials=9000, seed=2026, threads=2),
+        """\
+experiment,param_name,param_value,metric,value,trials,seed
+ber-seq-jutted-polar-rotcorr,ebn0_db,6,ber,0.3091666667,9000,2026
+ber-seq-jutted-polar-rotcorr,ebn0_db,6,bler,0.7485555556,9000,2026
+ber-seq-jutted-polar-rotcorr,ebn0_db,10,ber,0.1811319444,9000,2026
+ber-seq-jutted-polar-rotcorr,ebn0_db,10,bler,0.4762222222,9000,2026
+"""),
+    # 5000 trials: chunks of 4096 and 904
+    "rotation_mse": (
+        RotationMseConfig(num_zeros=31, ebn0_db=(4.0, float("inf")), trials=5000, seed=2026,
+                          threads=2),
+        """\
+experiment,param_name,param_value,metric,value,trials,seed
+rotation-mse-n64,ebn0_db,4,mse,0.4428432916,5000,2026
+rotation-mse-n1024,ebn0_db,4,mse,0.4267196786,5000,2026
+rotation-mse-n64,ebn0_db,inf,mse,0.0008151567948,5000,2026
+rotation-mse-n1024,ebn0_db,inf,mse,3.155546898e-06,5000,2026
+"""),
+}
+
+
+@pytest.mark.parametrize("kind", list(GOLDEN_SEQUENCE))
+def test_sequence_golden_csv(tmp_path, kind):
+    cfg, expected = GOLDEN_SEQUENCE[kind]
+    path = tmp_path / "golden.csv"
+    write_csv(run_experiment(cfg), path)
+    assert path.read_text() == expected
+
+
 class TestBerSequenceRows:
     def test_noiseless_is_error_free(self):
         cfg = BerSequenceConfig(scheme="huffman", num_zeros=16,
@@ -371,6 +452,25 @@ class TestBerSequenceRows:
                                 ebn0_db=(5.0,), trials=300, seed=2)
         for row in run_ber_sequence(cfg):
             assert np.isfinite(row.value) and 0.0 <= row.value <= 1.0
+
+
+class TestSequenceLink:
+    def test_rotation_angles(self):
+        # a fixed angle is applied exactly and draws nothing; uniform angles
+        # lie in [0, 2 pi)
+        coeffs = encode_coeffs(np.random.default_rng(0).integers(0, 2, (500, 32)),
+                               jutted_params(32))
+        rng_none, rng_fixed = np.random.default_rng(12), np.random.default_rng(12)
+        unrotated, angles = experiments._sequence_link(rng_none, coeffs, 3, 0.1, None)
+        assert np.all(angles == 0)
+        fixed, angles = experiments._sequence_link(rng_fixed, coeffs, 3, 0.1, 0.7)
+        assert np.all(angles == 0.7)
+        assert np.array_equal(fixed, apply_rotation(unrotated, np.full(500, 0.7)))
+        assert rng_fixed.bit_generator.state == rng_none.bit_generator.state
+        _, angles = experiments._sequence_link(np.random.default_rng(12), coeffs, None, 0.1,
+                                               "uniform")
+        assert 0 <= angles.min() and angles.max() < 2 * np.pi
+        assert np.mean(angles) == pytest.approx(np.pi, abs=0.2)
 
 
 class TestOtherRunners:
