@@ -9,7 +9,8 @@ via SeedSequence spawn keys indexed by (sweep point, chunk), and each
 point's counts are summed in chunk order, so results are byte-identical for
 a given config regardless of thread count or scheduling.
 ber_sequence and rotation_mse share one sequence-level link: synthesis,
-fading taps from `channel.draw_cir`, noise, then the zero rotation.
+fading taps from `channel.draw_cir`, noise, then the zero rotation; every
+ber_ofdm receiver shares one resource-grid link, `_grid_link`.
 
 Energy accounting: Eb multiplies the total transmitted energy per
 information bit.  Sequence-level runs spend codeword energy K+1 on B info
@@ -44,7 +45,7 @@ from .phy import (
     sync_search,
     write_iq,
 )
-from .polar import PolarSpec, polar_construct, polar_decode_sc, polar_encode
+from .polar import polar_construct, polar_decode_sc, polar_encode
 from .rotation import (
     apply_rotation,
     correct_rotation,
@@ -95,6 +96,26 @@ def huffman_params(num_zeros: int) -> ConstellationParams:
 # one frozen config class per experiment kind (see EXPERIMENTS), holding
 # only the keys its runner reads, with that kind's defaults
 
+# the integer keys of every kind that has them, each with its least value
+_INT_KEYS = {"seed": 0, "num_zeros": 2, "trials": 1, "threads": 1, "channel_taps": 1,
+             "idft_size": 1, "cp_len": 0, "payload_bits": 1,
+             "tm_preamble_zeros": 2,  # the preamble codeword needs at least 2 zeros
+             "loopback_step_back": 0}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_level(value) -> bool:
+    """A number of dB, or +inf for no noise: never NaN or -inf."""
+    return _is_number(value) and not np.isnan(value) and value != -np.inf
+
+
 @dataclass(frozen=True)
 class _Config:
     """The keys of every kind.  `choices`, a class attribute and not a key,
@@ -105,29 +126,23 @@ class _Config:
     out: str = None
 
     def __post_init__(self):
+        for name, least in _INT_KEYS.items():
+            value = getattr(self, name, least)
+            if not _is_int(value) or value < least:
+                raise ValueError(f"{name}={value!r} must be an integer of at least {least}")
         for name, allowed in self.choices.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name}={getattr(self, name)!r} is not one of {allowed}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_sweep(config, *counts):
-    """The Monte-Carlo keys: a nonempty list of Eb/N0 values, each a number
-    or +inf (noiseless), and positive integer trials, threads and `counts`
-    (never a bool)."""
+def _check_sweep(config):
+    """The Eb/N0 sweep: a nonempty list of numbers or +inf (noiseless)."""
     sweep = config.ebn0_db
     if not isinstance(sweep, (tuple, list)) or not sweep:
         raise ValueError(f"ebn0_db={sweep!r}: the Eb/N0 sweep must be a nonempty list")
-    if not all(_is_number(e) and not np.isnan(e) and e != -np.inf for e in sweep):
+    if not all(_is_level(e) for e in sweep):
         raise ValueError(f"ebn0_db={sweep!r}: each Eb/N0 must be a number or +inf, "
                          "not NaN or -inf")
-    for name in ("trials", "threads") + counts:
-        value = getattr(config, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name}={value!r} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -181,7 +196,7 @@ class BerSequenceConfig(_ConstellationConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_sweep(self, "channel_taps")
+        _check_sweep(self)
         if self.coding == "polar" and self.num_zeros != 32:
             raise ValueError(f"num_zeros={self.num_zeros}: polar-coded runs use K=32")
         if self.channel == "awgn" and self.channel_taps != BerSequenceConfig.channel_taps:
@@ -214,17 +229,15 @@ class BerOfdmConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_sweep(self, "channel_taps")
-        if self.payload_bits <= 0 or self.payload_bits % 16:  # 16 bits per polar block
+        _check_sweep(self)
+        if self.payload_bits % 16:  # 16 bits per polar block
             raise ValueError(f"payload_bits={self.payload_bits}: not a positive multiple of 16")
         if not self.ofdm_schemes or not set(self.ofdm_schemes) <= set(OFDM_SCHEMES):
             raise ValueError(f"ofdm_schemes={self.ofdm_schemes!r}: need a nonempty subset "
                              f"of {OFDM_SCHEMES}")
         if self.idft_size < 2 * self.num_zeros + 2:
             raise ValueError(f"idft_size={self.idft_size}: the template needs 2K+2 bins")
-        if self.cp_len < 0:
-            raise ValueError(f"cp_len={self.cp_len} must not be negative")
-        if self.step_back != "random" and type(self.step_back) is not int:
+        if self.step_back != "random" and not _is_int(self.step_back):
             raise ValueError(f"step_back={self.step_back!r} must be 'random' or an integer")
         # the grid-level link needs the prefix to cover step-back and span
         if self.step_back == "random" and self.cp_len < OFDM_RANDOM_STEP_BACK:
@@ -235,9 +248,6 @@ class BerOfdmConfig(_Config):
         if self.channel == "fading" and self.channel_taps - 1 > self.cp_len:
             raise ValueError(f"channel_taps={self.channel_taps}: a span of "
                              f"{self.channel_taps - 1} samples exceeds cp_len={self.cp_len}")
-        if self.tm_preamble_zeros < 2:
-            raise ValueError(f"tm_preamble_zeros={self.tm_preamble_zeros}: the preamble "
-                             "codeword needs at least 2 zeros")
 
 
 @dataclass(frozen=True)
@@ -253,9 +263,11 @@ class RotationMseConfig(_ConstellationConfig):
     def __post_init__(self):
         super().__post_init__()
         _check_sweep(self)
-        if not self.estimator_bins or min(self.estimator_bins) < 2 * self.num_zeros + 2:
-            raise ValueError(f"estimator_bins={self.estimator_bins}: a K={self.num_zeros} "
-                             f"template needs sizes of at least {2 * self.num_zeros + 2}")
+        sizes, least = self.estimator_bins, 2 * self.num_zeros + 2
+        if not (isinstance(sizes, (tuple, list)) and sizes
+                and all(_is_int(n) and n >= least for n in sizes)):
+            raise ValueError(f"estimator_bins={sizes!r}: a K={self.num_zeros} template needs "
+                             f"a nonempty list of integer sizes of at least {least}")
 
 
 @dataclass(frozen=True)
@@ -266,6 +278,7 @@ class DesignCurvesConfig(_Config):
     asymmetry: tuple = (1.0, 1.03, 1.06, 1.09, 1.12, 1.15)
 
     def __post_init__(self):
+        super().__post_init__()
         if not isinstance(self.asymmetry, (tuple, list)) or not self.asymmetry:
             raise ValueError(f"asymmetry={self.asymmetry!r}: not a nonempty list")
 
@@ -294,9 +307,12 @@ class LoopbackConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        if type(self.loopback_step_back) is not int or not 0 <= self.loopback_step_back <= 8:
-            raise ValueError(f"loopback_step_back={self.loopback_step_back!r}: not an "
-                             "integer in 0..8, the packet's cyclic prefix")
+        if self.loopback_step_back > 8:
+            raise ValueError(f"loopback_step_back={self.loopback_step_back}: not in 0..8, "
+                             "the packet's cyclic prefix")
+        if not (self.loopback_snr_db is None or _is_level(self.loopback_snr_db)):
+            raise ValueError(f"loopback_snr_db={self.loopback_snr_db!r}: not null (noiseless), "
+                             "a number or +inf")
 
 
 @dataclass(frozen=True)
@@ -445,222 +461,146 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # ---------------------------------------------------------------------------
 # OFDM link on the demodulated resource grid
 #
-# With a cyclic prefix longer than the channel span, the sample-level link
-# reduces exactly to per-subcarrier gains H_l, a residual-timing phase ramp
-# e^{-j 2 pi l delta / N}, and white per-cell noise (the equivalences are
-# asserted against the sample-level path in the test suite).  The phase ramp
-# multiplies the noisy received cells, which keeps a common random stream
-# exactly comparable across step-back values.
+# Every receiver's cells go through one grid link, `_grid_link`: the
+# packet's per-subcarrier gains H_l (the N-point transform of its taps),
+# white per-cell noise, then the residual-timing phase ramp
+# e^{-j 2 pi l delta / N} of a window stepped back delta samples into the
+# cyclic prefix.  The ramp multiplies the noisy cells, which keeps a common
+# random stream exactly comparable across step-back values.  Without noise
+# the link equals the sample-level chain (ofdm_modulate, apply_ofdm_channel,
+# the stepped-back window, ofdm_demodulate) cell for cell whenever
+# step_back + channel_taps - 1 <= cp_len, which
+# tests/test_experiments.py::TestGridLink::test_matches_sample_level_chain
+# asserts.  The defaults (5 taps, a random step-back up to 5, cp_len 8)
+# reach one sample past that condition: at step-back 5 the window reads a
+# sample of the previous symbol, which the link leaves out.
 #
-# A chunk runs in blocks of OFDM_BLOCK_PACKETS packets, each in two phases.
-# The draw loop makes the random draws packet by packet, in a fixed order:
-# messages, channel taps, cell noise, then (fm_chest) preamble bits,
-# preamble noise and guard noise, then the step-back.  The batched compute
-# does everything else once per block, on (packets, codewords, K+1) stacks:
-# polar encoding, synthesis, gains, the step-back ramp, the rotation or
-# channel estimate, pseudo-LLRs, SC decoding and error counts.  So the
-# random stream, and with it the CSV, does not depend on the block size.
-# Each packet also keeps its own matrix shapes in the zero-testing products
-# (the packet axis is a stack axis), so every packet's numbers are those of
-# a receiver that decodes one packet at a time, bit for bit.
+# Each scheme runs a chunk on a generator of its own, in blocks of
+# OFDM_BLOCK_PACKETS packets, each in two phases.  The draw loop makes the
+# random draws packet by packet, in a fixed order: messages, channel taps,
+# cell noise, then (fm_chest) preamble bits, preamble noise and guard
+# noise, then the step-back.  One decode per scheme does everything else
+# once per block, on stacks with a leading packet axis: polar encoding,
+# synthesis, the link, the rotation or channel estimate, pseudo-LLRs, SC
+# decoding.  So the random stream, and with it the CSV, does not depend on
+# the block size.  Each packet also keeps its own matrix shapes in the
+# zero-testing products (the packet axis is a stack axis), so every
+# packet's numbers are those of a receiver that decodes one packet at a
+# time, bit for bit.
 #
-# Throughput grows with the block but so does memory.  Bits are carried as
-# uint8 and each stack is freed once used.  At K=32 with 512 payload bits a
-# 24-packet block peaks at 71-74 KB per packet in each worker thread under
-# tracemalloc, most of it pseudo_llrs' temporaries.  On the 2-thread
-# ofdm_k32 benchmark (2-vCPU Xeon VM), 24-packet blocks ran 3310 packets/s
-# (each packet through all three schemes) at 45.4 MB peak RSS, against
-# 1763 packets/s and 44.0 MB for 12-packet blocks (medians of 10 runs
-# each); single runs at 32 and 48 packets reached 46.4-48.4 and 48.8-50.9
-# MB.  24 is the largest block that stays clearly inside a 5% memory
-# budget.  Those runs took pseudo_llrs on 12-packet slices; on the whole
-# block the peak RSS read 46.1-46.5 MB against 45.3-46.6 MB (6 pairs).
+# Throughput grows with the block, but so does memory: each packet holds
+# about 72 KB per worker thread at K=32 with 512 payload bits, most of it
+# pseudo_llrs' temporaries, though bits are carried as uint8 and each stack
+# is freed once used.  24 packets is the largest block that keeps the peak
+# RSS of the 2-thread ofdm_k32 benchmark clearly inside 5% of that of
+# 12-packet blocks, while nearly doubling its packets/s.
 
 OFDM_BLOCK_PACKETS = 24
 
 
-@dataclass
-class _OfdmSetup:
-    config: BerOfdmConfig
-    payload_params: ConstellationParams
-    first_params: ConstellationParams
-    preamble_params: ConstellationParams
-    polar_spec: PolarSpec
-    blocks: int
-    template: object
-
-    @classmethod
-    def build(cls, config: BerOfdmConfig):
-        k = config.num_zeros
-        blocks = config.payload_bits // 16
-        return cls(
-            config=config,
-            payload_params=huffman_params(k),
-            first_params=jutted_params(k),
-            preamble_params=huffman_params(config.tm_preamble_zeros),
-            polar_spec=polar_construct(32, 16),
-            blocks=blocks,
-            template=make_template(jutted_params(k), config.idft_size),
-        )
-
-
-def _draw_packets(rng, count, setup: _OfdmSetup, noise_shape, noise_var, with_chest):
+def _draw_packets(rng, count, config: BerOfdmConfig, noise_shape, noise_var, with_chest):
     """The random draws of `count` packets, made one packet at a time into
     arrays with a leading packet axis.  "cirs" is absent on a flat channel,
     and the preamble draws are present only with_chest."""
-    cfg = setup.config
-    n_sub, ktm = cfg.num_zeros + 1, cfg.tm_preamble_zeros
-    shapes = {"messages": ((setup.blocks, 16), np.uint8), "noise": (noise_shape, complex),
-              "step_backs": ((), int)}
-    if cfg.channel != "flat":
-        shapes["cirs"] = ((cfg.channel_taps,), complex)
+    n_sub, ktm = config.num_zeros + 1, config.tm_preamble_zeros
+    shapes = {"messages": ((config.payload_bits // 16, 16), np.uint8),
+              "noise": (noise_shape, complex), "step_backs": ((), int)}
+    if config.channel != "flat":
+        shapes["cirs"] = ((config.channel_taps,), complex)
     if with_chest:
         shapes.update(pre_bits=((n_sub, ktm), np.uint8), pre_noise=((n_sub, ktm + 1), complex),
-                      guard_noise=((cfg.idft_size - n_sub, ktm + 1), complex))
+                      guard_noise=((config.idft_size - n_sub, ktm + 1), complex))
     draws = {name: np.empty((count,) + shape, dtype) for name, (shape, dtype) in shapes.items()}
     for p in range(count):
-        draws["messages"][p] = rng.integers(0, 2, (setup.blocks, 16))
+        draws["messages"][p] = rng.integers(0, 2, shapes["messages"][0])
         if "cirs" in draws:
-            draws["cirs"][p] = chan.draw_cir(cfg.channel_taps, rng, profile=cfg.pdp)
+            draws["cirs"][p] = chan.draw_cir(config.channel_taps, rng, profile=config.pdp)
         draws["noise"][p] = chan.complex_noise(noise_shape, noise_var, rng)
         if with_chest:
             draws["pre_bits"][p] = rng.integers(0, 2, (n_sub, ktm))
             for name in ("pre_noise", "guard_noise"):
                 draws[name][p] = chan.complex_noise(shapes[name][0], noise_var, rng)
         draws["step_backs"][p] = (rng.integers(0, OFDM_RANDOM_STEP_BACK + 1)
-                                  if cfg.step_back == "random" else int(cfg.step_back))
+                                  if config.step_back == "random" else int(config.step_back))
     return draws
 
 
-def _subcarrier_gains(draws, n_sub, idft_size):
-    """(P, n_sub) gains: the transform of each packet's taps, or ones on a
-    flat channel."""
-    if "cirs" not in draws:
-        return np.ones((len(draws["messages"]), n_sub), dtype=complex)
-    return np.fft.fft(draws["cirs"], idft_size, axis=-1)[:, :n_sub]
-
-
-def _step_back_ramp(step_backs, n_sub, idft_size):
-    """(P, n_sub) residual-timing phase e^{-j 2 pi l delta / N} per packet."""
-    return np.exp(-2j * np.pi * np.arange(n_sub) * step_backs[:, None] / idft_size)
-
-
-def _packet_errors(rng, n_packets, setup: _OfdmSetup, decode, noise_shape, noise_var,
-                   with_chest=False):
-    """Error counts of a chunk, run block by block: the draw loop, then
-    decode(draws) -> (P, blocks, 16) decoded messages."""
-    bit_errors = block_errors = 0
-    for start in range(0, n_packets, OFDM_BLOCK_PACKETS):
-        count = min(OFDM_BLOCK_PACKETS, n_packets - start)
-        draws = _draw_packets(rng, count, setup, noise_shape, noise_var, with_chest)
-        errs = decode(draws) != draws["messages"]
-        bit_errors += int(errs.sum())
-        block_errors += int(errs.any(axis=-1).sum())
-    cfg = setup.config
-    return bit_errors, block_errors, n_packets * cfg.payload_bits, n_packets * setup.blocks
-
-
-def _fm_coeffs(messages, setup: _OfdmSetup):
-    """(P, M, K+1) codewords of each packet's FM symbols: a jutted first
-    codeword, then Huffman payload codewords."""
-    code_bits = polar_encode(messages, setup.polar_spec)
-    coeffs = encode_coeffs(code_bits, setup.payload_params)
-    coeffs[:, 0] = encode_coeffs(code_bits[:, 0], setup.first_params)
-    return coeffs
-
-
-def _ofdm_fm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db, with_chest):
-    cfg = setup.config
-    k = cfg.num_zeros
-    n_sub = k + 1
-    n_idft = cfg.idft_size
-    ktm = cfg.tm_preamble_zeros
-
-    # cell_energy, the packet's total squared grid magnitude, takes (N + Ncp)
-    # * cell_energy in time, and the demodulator scales noise variance by 1/N
-    cell_energy = setup.blocks * (k + 1)
-    if with_chest:
-        cell_energy += n_sub * (ktm + 1)
-    noise_var = chan.ebn0_to_noise_var(ebn0_db, cfg.payload_bits,
-                                       (n_idft + cfg.cp_len) * cell_energy) / n_idft
-
-    def decode(draws):
-        gains = _subcarrier_gains(draws, n_sub, n_idft)
-        ramp = _step_back_ramp(draws["step_backs"], n_sub, n_idft)
-        if with_chest:
-            # estimated first, so the preamble and guard cells are freed
-            # before the payload stack exists
-            pre_rx = encode_coeffs(draws.pop("pre_bits"), setup.preamble_params)
-            pre_rx *= gains[..., None]
-            pre_rx += draws.pop("pre_noise")
-            pre_rx *= ramp[..., None]
-            equalizer = estimate_channel_blind(
-                pre_rx, setup.preamble_params,
-                estimate_noise_var(draws.pop("guard_noise"))).equalizer
-            del pre_rx
-
-        # (P, M, S): FM symbol m of packet p carries codeword m on its S
-        # subcarriers; the received stack is built in place
-        received = _fm_coeffs(draws["messages"], setup)
-        received *= gains[:, None]
-        received += draws.pop("noise").transpose(0, 2, 1)
-        received *= ramp[:, None]
-
-        if with_chest:
-            received *= equalizer[:, None]
-        else:
-            bins = rotation_bins(received[:, 0], setup.template)
-            received = correct_rotation(received,
-                                        (2.0 * np.pi * bins / setup.template.size)[:, None])
-
-        # received[:, :1] keeps the jutted symbol a one-row product per packet
-        llrs = np.concatenate([pseudo_llrs(received[:, :1], setup.first_params),
-                               pseudo_llrs(received[:, 1:], setup.payload_params)], axis=1)
-        del received
-        return polar_decode_sc(llrs, setup.polar_spec)
-
-    return _packet_errors(rng, n_packets, setup, decode, (n_sub, setup.blocks), noise_var,
-                          with_chest)
-
-
-def _ofdm_tm_chunk(rng, n_packets, setup: _OfdmSetup, ebn0_db):
-    cfg = setup.config
-    k = cfg.num_zeros
-    blocks = setup.blocks  # subcarriers
-
-    cell_energy = blocks * (k + 1)  # and its noise as in _ofdm_fm_chunk
-    noise_var = chan.ebn0_to_noise_var(
-        ebn0_db, cfg.payload_bits, (cfg.idft_size + cfg.cp_len) * cell_energy) / cfg.idft_size
-
-    def decode(draws):
-        # (P, S, K+1): subcarrier s of packet p carries codeword s
-        code_bits = polar_encode(draws["messages"], setup.polar_spec)
-        received = encode_coeffs(code_bits, setup.payload_params)
-        received *= _subcarrier_gains(draws, blocks, cfg.idft_size)[..., None]
-        received += draws.pop("noise")
-        # constant per-subcarrier phase: rotates nothing in time mapping
-        received *= _step_back_ramp(draws["step_backs"], blocks, cfg.idft_size)[..., None]
-        llrs = pseudo_llrs(received, setup.payload_params)
-        del received
-        return polar_decode_sc(llrs, setup.polar_spec)
-
-    return _packet_errors(rng, n_packets, setup, decode, (blocks, k + 1), noise_var)
+def _grid_link(cells, noise, draws, idft_size):
+    """(P, S, T) cells, P packets of S subcarriers by T symbols, through
+    each packet's gains (none on a flat channel), `noise`, then its
+    step-back ramp, in place."""
+    n_sub = cells.shape[1]
+    if "cirs" in draws:
+        cells *= np.fft.fft(draws["cirs"], idft_size, axis=-1)[:, :n_sub, None]
+    cells += noise
+    cells *= np.exp(-2j * np.pi * np.arange(n_sub) * draws["step_backs"][:, None]
+                    / idft_size)[..., None]
+    return cells
 
 
 def run_ber_ofdm(config: BerOfdmConfig) -> list:
     """Packet-level BER/BLER for the configured OFDM schemes.  Each scheme
     runs a chunk on a generator of its own from the chunk's seeds, so every
     scheme sees the random stream it would in a sweep of its own."""
-    setup = _OfdmSetup.build(config)
+    k, n_idft, ktm = config.num_zeros, config.idft_size, config.tm_preamble_zeros
+    blocks = config.payload_bits // 16
+    payload, first = huffman_params(k), jutted_params(k)
+    preamble = huffman_params(ktm)
+    polar_spec = polar_construct(32, 16)
+    template = make_template(first, n_idft)
+
+    def decode(draws, scheme):
+        """(P, blocks, 16) decoded messages of a block of packets."""
+        if scheme == "fm_chest":
+            # estimated first, so the preamble and guard cells are freed
+            # before the payload stack exists
+            pre_rx = _grid_link(encode_coeffs(draws.pop("pre_bits"), preamble),
+                                draws.pop("pre_noise"), draws, n_idft)
+            equalizer = estimate_channel_blind(
+                pre_rx, preamble, estimate_noise_var(draws.pop("guard_noise"))).equalizer
+            del pre_rx
+        code_bits = polar_encode(draws["messages"], polar_spec)
+        received = encode_coeffs(code_bits, payload)
+        if scheme == "tm":
+            # (P, S, K+1): subcarrier s carries codeword s, and the ramp is a
+            # constant phase per codeword, which rotates no zero
+            llrs = pseudo_llrs(_grid_link(received, draws.pop("noise"), draws, n_idft), payload)
+        else:
+            # (P, M, S): FM symbol m carries codeword m on its S subcarriers,
+            # a jutted first codeword, then Huffman payload codewords
+            received[:, 0] = encode_coeffs(code_bits[:, 0], first)
+            _grid_link(received.transpose(0, 2, 1), draws.pop("noise"), draws, n_idft)
+            if scheme == "fm_chest":
+                received *= equalizer[:, None]
+            else:
+                bins = rotation_bins(received[:, 0], template)
+                received = correct_rotation(received,
+                                            (2.0 * np.pi * bins / template.size)[:, None])
+            # received[:, :1] keeps the jutted symbol a one-row product per packet
+            llrs = np.concatenate([pseudo_llrs(received[:, :1], first),
+                                   pseudo_llrs(received[:, 1:], payload)], axis=1)
+        del received
+        return polar_decode_sc(llrs, polar_spec)
 
     def worker(ebn0, seeds, n):
         counts = ()
         for scheme in config.ofdm_schemes:  # BerOfdmConfig has checked each
+            with_chest = scheme == "fm_chest"
+            # cells, the packet's total squared grid magnitude, takes (N + Ncp)
+            # * cells in time, and the demodulator scales noise variance by 1/N
+            cells = blocks * (k + 1) + with_chest * (k + 1) * (ktm + 1)
+            noise_var = chan.ebn0_to_noise_var(ebn0, config.payload_bits,
+                                               (n_idft + config.cp_len) * cells) / n_idft
+            noise_shape = (blocks, k + 1) if scheme == "tm" else (k + 1, blocks)  # (S, T)
             rng = np.random.default_rng(seeds)
-            if scheme == "tm":
-                counts += _ofdm_tm_chunk(rng, n, setup, ebn0)
-            else:
-                counts += _ofdm_fm_chunk(rng, n, setup, ebn0, scheme == "fm_chest")
+            bit_errors = block_errors = 0
+            for start in range(0, n, OFDM_BLOCK_PACKETS):
+                draws = _draw_packets(rng, min(OFDM_BLOCK_PACKETS, n - start), config,
+                                      noise_shape, noise_var, with_chest)
+                errs = decode(draws, scheme) != draws["messages"]
+                bit_errors += int(errs.sum())
+                block_errors += int(errs.any(axis=-1).sum())
+            counts += (bit_errors, block_errors, n * config.payload_bits, n * blocks)
         return counts
 
     names = [f"ber-ofdm-{scheme}" for scheme in config.ofdm_schemes]

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dizet import dizet_hard
-from .zeros import ConstellationParams, encode_coeffs, power_spectrum
+from .zeros import (ConstellationParams, _edge_scale_huffman, aacf_edge_scale, encode_coeffs,
+                    power_spectrum)
 
 
 @dataclass(frozen=True)
@@ -168,16 +169,12 @@ def papr_fm_huffman(params: ConstellationParams) -> float:
     in dB; always below 10 log10(2)."""
     if not params.is_huffman:
         raise ValueError("closed form requires a Huffman constellation")
-    from .zeros import aacf_edge_scale
-
     return 10.0 * np.log10(1.0 + 2.0 * aacf_edge_scale(params))
 
 
 def papr_peak_at_dc(params: ConstellationParams) -> bool:
     """Sufficient condition for the jutted FM power spectrum to peak at
     omega = 0, which makes the closed-form PAPR expression exact."""
-    from .zeros import _edge_scale_huffman
-
     k, r, zeta = params.num_zeros, params.radius, params.asymmetry
     if not (zeta > 1.0 and r > 1.0 and k >= 2):
         raise ValueError("condition is posed for asymmetry > 1, radius > 1, K >= 2")
@@ -201,8 +198,6 @@ def papr_fm(params: ConstellationParams, grid_size: int = 8192) -> tuple[float, 
     if grid_size < 4096:
         raise ValueError(f"grid too coarse ({grid_size}), need >= 4096")
     if papr_peak_at_dc(params):
-        from .zeros import _edge_scale_huffman, aacf_edge_scale
-
         k, r, zeta = params.num_zeros, params.radius, params.asymmetry
         eta_h = _edge_scale_huffman(k, r)
         a = zeta * r + 1.0 / (zeta * r)

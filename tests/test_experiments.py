@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from jbmocz import experiments
+from jbmocz.channel import ImpairmentSpec, apply_ofdm_channel, draw_cir
 from jbmocz.cli import load_config, main
 from jbmocz.experiments import (
     EXPERIMENTS,
@@ -31,6 +32,7 @@ from jbmocz.experiments import (
     run_stability_report,
     write_csv,
 )
+from jbmocz.phy import OfdmConfig, ofdm_demodulate, ofdm_modulate
 from jbmocz.rotation import apply_rotation
 from jbmocz.stability import default_radius_grid, min_codebook_stability, optimize_radius
 from jbmocz.zeros import ConstellationParams, encode_coeffs
@@ -293,6 +295,37 @@ class TestConfig:
         with pytest.raises(ValueError, match="channel_taps"):
             load_config(kind, overrides={"channel_taps": value})
 
+    @pytest.mark.parametrize("kind", list(EXPERIMENTS))
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_seed_type_checked_at_build(self, kind, seed):
+        # 1.5 and -1 built, then failed mid-run in SeedSequence; True ran
+        with pytest.raises(ValueError, match="seed"):
+            load_config(kind, overrides={"seed": seed})
+
+    @pytest.mark.parametrize("kind, field, value", [
+        # each built, then failed mid-run, unless noted
+        ("ber_sequence", "num_zeros", 64.0),
+        ("design_curves", "num_zeros", 8.5),
+        ("stability_report", "num_zeros", 8.5),
+        ("ber_ofdm", "cp_len", 8.5),                    # ran without a word
+        ("ber_ofdm", "idft_size", 256.0),
+        ("ber_ofdm", "payload_bits", 64.0),
+        ("ber_ofdm", "tm_preamble_zeros", 4.5),
+        ("rotation_mse", "estimator_bins", 64),         # a bare TypeError
+        ("rotation_mse", "estimator_bins", (100.5,)),   # ran as rotation-mse-n101
+        ("loopback", "loopback_snr_db", "a"),
+    ])
+    def test_key_types_checked_at_build(self, kind, field, value):
+        with pytest.raises(ValueError, match=field):
+            load_config(kind, overrides={field: value})
+
+    def test_numpy_int_keys_accepted(self):
+        # step_back and loopback_step_back used to reject numpy ints
+        BerOfdmConfig(seed=np.int64(3), cp_len=np.int64(8), step_back=np.int64(3))
+        LoopbackConfig(loopback_step_back=np.int64(6), loopback_snr_db=np.float64(10.0))
+        LoopbackConfig(loopback_snr_db=float("inf"))
+        RotationMseConfig(estimator_bins=(np.int64(64), 1024))
+
     @pytest.mark.parametrize("kind", ["ber_sequence", "ber_ofdm", "rotation_mse"])
     def test_sweep_key_types_accepted(self, kind):
         # the benchmark's warm-up passes a one-point tuple of floats; YAML
@@ -357,11 +390,13 @@ class TestDeterminism:
         assert a == b
 
 
-# ber_ofdm rows recorded with the packet-at-a-time receiver the batched
-# one replaced (per channel: seed 2026, 600 packets, 128 payload bits, all
-# three schemes, random step-back)
+# ber_ofdm rows, seed 2026, all three schemes.  The first two were
+# recorded with the packet-at-a-time receiver the batched one replaced (600
+# packets, 128 payload bits, random step-back: chunks of 256, 256 and 88, so
+# the last block is partial); the third with the three per-scheme grid links
+# that `_grid_link` replaced, on every knob the link reads
 GOLDEN_OFDM = {
-    ("fading", 12.0): """\
+    "fading-12.0": (dict(channel="fading", ebn0_db=(12.0,)), """\
 experiment,param_name,param_value,metric,value,trials,seed
 ber-ofdm-fm,ebn0_db,12,ber,0.1363932292,600,2026
 ber-ofdm-fm,ebn0_db,12,bler,0.293125,600,2026
@@ -369,8 +404,8 @@ ber-ofdm-fm_chest,ebn0_db,12,ber,0.15125,600,2026
 ber-ofdm-fm_chest,ebn0_db,12,bler,0.3270833333,600,2026
 ber-ofdm-tm,ebn0_db,12,ber,0.0605859375,600,2026
 ber-ofdm-tm,ebn0_db,12,bler,0.1352083333,600,2026
-""",
-    ("flat", 6.0): """\
+"""),
+    "flat-6.0": (dict(channel="flat", ebn0_db=(6.0,)), """\
 experiment,param_name,param_value,metric,value,trials,seed
 ber-ofdm-fm,ebn0_db,6,ber,0.06731770833,600,2026
 ber-ofdm-fm,ebn0_db,6,bler,0.1677083333,600,2026
@@ -378,18 +413,34 @@ ber-ofdm-fm_chest,ebn0_db,6,ber,0.2865364583,600,2026
 ber-ofdm-fm_chest,ebn0_db,6,bler,0.6783333333,600,2026
 ber-ofdm-tm,ebn0_db,6,ber,0.03180989583,600,2026
 ber-ofdm-tm,ebn0_db,6,bler,0.07895833333,600,2026
-""",
+"""),
+    "knobs": (dict(pdp="exp", step_back=3, cp_len=9, idft_size=128, tm_preamble_zeros=6,
+                   channel_taps=3, payload_bits=96, ebn0_db=(10.0, float("inf")),
+                   trials=300, threads=2), """\
+experiment,param_name,param_value,metric,value,trials,seed
+ber-ofdm-fm,ebn0_db,10,ber,0.2048611111,300,2026
+ber-ofdm-fm,ebn0_db,10,bler,0.4455555556,300,2026
+ber-ofdm-fm,ebn0_db,inf,ber,0.09003472222,300,2026
+ber-ofdm-fm,ebn0_db,inf,bler,0.1883333333,300,2026
+ber-ofdm-fm_chest,ebn0_db,10,ber,0.2494791667,300,2026
+ber-ofdm-fm_chest,ebn0_db,10,bler,0.5461111111,300,2026
+ber-ofdm-fm_chest,ebn0_db,inf,ber,0,300,2026
+ber-ofdm-fm_chest,ebn0_db,inf,bler,0,300,2026
+ber-ofdm-tm,ebn0_db,10,ber,0.1155208333,300,2026
+ber-ofdm-tm,ebn0_db,10,bler,0.2522222222,300,2026
+ber-ofdm-tm,ebn0_db,inf,ber,0,300,2026
+ber-ofdm-tm,ebn0_db,inf,bler,0,300,2026
+"""),
 }
 
 
-@pytest.mark.parametrize("channel, ebn0", list(GOLDEN_OFDM))
-def test_ofdm_golden_csv(tmp_path, channel, ebn0):
-    # 600 packets: chunks of 256, 256 and 88, so the last block is partial
-    cfg = BerOfdmConfig(num_zeros=32, channel=channel, ebn0_db=(ebn0,),
-                        trials=600, seed=2026, payload_bits=128)
+@pytest.mark.parametrize("case", list(GOLDEN_OFDM))
+def test_ofdm_golden_csv(tmp_path, case):
+    settings, expected = GOLDEN_OFDM[case]
+    cfg = BerOfdmConfig(**dict(num_zeros=32, trials=600, seed=2026, payload_bits=128) | settings)
     path = tmp_path / "golden.csv"
     write_csv(run_ber_ofdm(cfg), path)
-    assert path.read_text() == GOLDEN_OFDM[(channel, ebn0)]
+    assert path.read_text() == expected
 
 
 # rows of the two sequence-level runners recorded with the per-point sweep
@@ -471,6 +522,46 @@ class TestSequenceLink:
                                                "uniform")
         assert 0 <= angles.min() and angles.max() < 2 * np.pi
         assert np.mean(angles) == pytest.approx(np.pi, abs=0.2)
+
+
+class TestGridLink:
+    # 33 subcarriers by 3 symbols of a 64-point transform, sent after one
+    # leading symbol whose tail a window stepped back past the prefix reads
+    N, S, T = 64, 33, 3
+
+    @pytest.mark.parametrize("cp_len", [0, 3, 8, 9])
+    def test_matches_sample_level_chain(self, cp_len):
+        # without noise the grid link is the sample-level chain, cell for
+        # cell, whenever step_back + channel_taps - 1 <= cp_len, and is off
+        # once the window reads one sample of the previous symbol
+        rng = np.random.default_rng(cp_len)
+        for channel_taps in range(1, cp_len + 2):
+            for step_back in range(cp_len - channel_taps + 3):
+                real, imag = rng.normal(size=(2, self.S, self.T + 1))
+                grid = real + 1j * imag
+                taps = draw_cir(channel_taps, rng)
+                sent = OfdmConfig(self.N, cp_len, 1.0, self.S, self.T + 1)
+                rx = apply_ofdm_channel(ofdm_modulate(grid, sent), taps, ImpairmentSpec(), 1.0)
+                window = OfdmConfig(self.N, cp_len, 1.0, self.S, self.T)
+                start = sent.symbol_len - step_back
+                expected = ofdm_demodulate(rx[start : start + window.stream_len], window)
+                draws = {"cirs": taps[None], "step_backs": np.array([step_back])}
+                linked = experiments._grid_link(grid[None, :, 1:].copy(), 0.0, draws, self.N)
+                error = np.max(np.abs(linked[0] - expected))
+                if step_back + channel_taps - 1 <= cp_len:
+                    assert error < 1e-12, (channel_taps, step_back)
+                else:
+                    assert error > 1e-3, (channel_taps, step_back)
+
+    def test_flat_channel_is_one_unit_tap(self):
+        rng = np.random.default_rng(5)
+        cells = rng.normal(size=(4, self.S, self.T)) + 1j * rng.normal(size=(4, self.S, self.T))
+        noise = rng.normal(size=cells.shape) * 1j
+        step_backs = np.array([0, 1, 5, 8])
+        flat = experiments._grid_link(cells.copy(), noise, {"step_backs": step_backs}, self.N)
+        unit = experiments._grid_link(cells.copy(), noise, {"cirs": np.ones((4, 1)),
+                                                            "step_backs": step_backs}, self.N)
+        assert np.array_equal(flat, unit)
 
 
 class TestOtherRunners:
