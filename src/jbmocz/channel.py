@@ -1,5 +1,5 @@
 """Impairment simulation: sequence-level convolutive channels and the
-sample-level OFDM channel with timing/frequency offsets and clock drift.
+sample-level OFDM channel with timing and frequency offsets.
 
 `draw_cir` and `complex_noise` take a shape, so one call draws a whole
 stack of channel responses or noise.  `ImpairmentSpec` holds only the
@@ -102,7 +102,6 @@ class ImpairmentSpec:
 
     timing_offset: int = 0
     cfo_hz: float = 0.0
-    drift_ppm: float = 0.0
     noise_var: float = 0.0
 
     def __post_init__(self):
@@ -114,22 +113,15 @@ def apply_ofdm_channel(samples, taps, spec: ImpairmentSpec, sample_rate: float,
                        rng: np.random.Generator = None) -> np.ndarray:
     """Push a sample stream through delay + multipath + CFO + AWGN.
 
-    The timing offset delays the stream by an integer sample count; clock
-    drift accumulates as an additional slowly growing delay of
-    drift_ppm * 1e-6 * n samples at output sample n, applied at integer
-    granularity.  The CFO multiplies output sample n by
-    e^{j 2 pi cfo_hz n / sample_rate}.
+    The timing offset delays the stream by that many leading zero samples.
+    The CFO multiplies output sample n by e^{j 2 pi cfo_hz n / sample_rate}.
     """
     samples = np.asarray(samples, dtype=complex)
     taps = np.asarray(taps, dtype=complex)
-    faded = np.convolve(samples, taps)
-    out_len = len(faded) + spec.timing_offset
-    n = np.arange(out_len)
-    delay = spec.timing_offset + (spec.drift_ppm * 1e-6 * n).astype(int)
-    src = n - delay
-    out = np.where((src >= 0) & (src < len(faded)), faded[np.clip(src, 0, len(faded) - 1)], 0.0)
+    out = np.concatenate([np.zeros(spec.timing_offset, dtype=complex),
+                          np.convolve(samples, taps)])
     if spec.cfo_hz != 0.0:
-        out = out * np.exp(2j * np.pi * spec.cfo_hz * n / sample_rate)
+        out = out * np.exp(2j * np.pi * spec.cfo_hz * np.arange(out.size) / sample_rate)
     if spec.noise_var > 0:
         if rng is None:
             raise ValueError("noise requested but no rng supplied")

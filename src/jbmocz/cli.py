@@ -50,7 +50,6 @@ def load_config(kind: str, path: str = None, overrides: dict = None):
             loaded = yaml.safe_load(fh) or {}
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a key-value mapping")
-        loaded.pop("kind", None)
         settings.update(loaded)
     for key, value in (overrides or {}).items():
         if value is not None:

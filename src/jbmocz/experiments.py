@@ -56,9 +56,9 @@ from .rotation import (
 from .stability import (
     EXACT_LIMIT,
     MIN_SAMPLE_COUNT,
+    RADIUS_GRID,
     codebook_stabilities,
     codebook_stability,
-    default_radius_grid,
     min_codebook_stability,
     optimize_radius,
 )
@@ -78,6 +78,7 @@ CSV_COLUMNS = ("experiment", "param_name", "param_value", "metric", "value", "tr
 
 OFDM_SCHEMES = ("fm", "fm_chest", "tm")  # receivers ber_ofdm can run
 OFDM_RANDOM_STEP_BACK = 5  # step_back "random" draws uniformly from 0..5 samples
+LOOPBACK_CP_LEN = 8  # the cyclic prefix of the loopback packet
 
 
 def jutted_params(num_zeros: int) -> ConstellationParams:
@@ -156,6 +157,10 @@ class _ConstellationConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("radius", "asymmetry"):
+            value = getattr(self, name)
+            if not (value is None or _is_number(value) and np.isfinite(value)):
+                raise ValueError(f"{name}={value!r} must be null or a finite number")
         if self.scheme not in ("jutted", "huffman"):
             raise ValueError(f"scheme={self.scheme!r} must be 'jutted' or 'huffman'")
         if self.asymmetry is not None and self.radius is None:
@@ -221,7 +226,7 @@ class BerOfdmConfig(_Config):
     ebn0_db: tuple = (8.0, 12.0, 16.0, 20.0)
     trials: int = 1000
     idft_size: int = 256
-    cp_len: int = 8
+    cp_len: int = 9
     payload_bits: int = 512
     ofdm_schemes: tuple = OFDM_SCHEMES
     tm_preamble_zeros: int = 4
@@ -232,22 +237,24 @@ class BerOfdmConfig(_Config):
         _check_sweep(self)
         if self.payload_bits % 16:  # 16 bits per polar block
             raise ValueError(f"payload_bits={self.payload_bits}: not a positive multiple of 16")
-        if not self.ofdm_schemes or not set(self.ofdm_schemes) <= set(OFDM_SCHEMES):
-            raise ValueError(f"ofdm_schemes={self.ofdm_schemes!r}: need a nonempty subset "
-                             f"of {OFDM_SCHEMES}")
+        schemes = self.ofdm_schemes
+        if (not schemes or not set(schemes) <= set(OFDM_SCHEMES)
+                or len(set(schemes)) < len(schemes)):
+            raise ValueError(f"ofdm_schemes={schemes!r}: need a nonempty subset of "
+                             f"{OFDM_SCHEMES}, each at most once")
         if self.idft_size < 2 * self.num_zeros + 2:
             raise ValueError(f"idft_size={self.idft_size}: the template needs 2K+2 bins")
-        if self.step_back != "random" and not _is_int(self.step_back):
-            raise ValueError(f"step_back={self.step_back!r} must be 'random' or an integer")
-        # the grid-level link needs the prefix to cover step-back and span
-        if self.step_back == "random" and self.cp_len < OFDM_RANDOM_STEP_BACK:
-            raise ValueError(f"step_back='random' draws up to {OFDM_RANDOM_STEP_BACK} samples, "
-                             f"beyond cp_len={self.cp_len}")
-        if self.step_back != "random" and not 0 <= self.step_back <= self.cp_len:
-            raise ValueError(f"step_back={self.step_back}: not in 0..cp_len={self.cp_len}")
-        if self.channel == "fading" and self.channel_taps - 1 > self.cp_len:
-            raise ValueError(f"channel_taps={self.channel_taps}: a span of "
-                             f"{self.channel_taps - 1} samples exceeds cp_len={self.cp_len}")
+        if self.step_back != "random" and not (_is_int(self.step_back) and self.step_back >= 0):
+            raise ValueError(f"step_back={self.step_back!r} must be 'random' or an integer "
+                             "of at least 0")
+        # the prefix rule: the grid link is exact only if the deepest
+        # step-back plus the channel span stays inside the cyclic prefix
+        deepest = OFDM_RANDOM_STEP_BACK if self.step_back == "random" else self.step_back
+        span = self.channel_taps - 1 if self.channel == "fading" else 0
+        if deepest + span > self.cp_len:
+            raise ValueError(f"step_back={self.step_back!r} (up to {deepest} samples) plus the "
+                             f"span of channel_taps={self.channel_taps} on a {self.channel} "
+                             f"channel ({span}) exceeds cp_len={self.cp_len}")
 
 
 @dataclass(frozen=True)
@@ -274,13 +281,19 @@ class RotationMseConfig(_ConstellationConfig):
 class DesignCurvesConfig(_Config):
     """The serial radius search R*(K, zeta) for each asymmetry of a list."""
 
-    num_zeros: int = 8
+    num_zeros: int = 32
     asymmetry: tuple = (1.0, 1.03, 1.06, 1.09, 1.12, 1.15)
 
     def __post_init__(self):
         super().__post_init__()
-        if not isinstance(self.asymmetry, (tuple, list)) or not self.asymmetry:
-            raise ValueError(f"asymmetry={self.asymmetry!r}: not a nonempty list")
+        # below K=32 the minimum stability can fall monotonically in R, so
+        # the search would report the grid's first radius
+        if self.num_zeros < 32:
+            raise ValueError(f"num_zeros={self.num_zeros}: design curves need K of at least 32")
+        if not (isinstance(self.asymmetry, (tuple, list)) and self.asymmetry
+                and all(_is_number(z) and np.isfinite(z) and z >= 1 for z in self.asymmetry)):
+            raise ValueError(f"asymmetry={self.asymmetry!r}: not a nonempty list of finite "
+                             "numbers of at least 1")
 
 
 @dataclass(frozen=True)
@@ -303,13 +316,14 @@ class LoopbackConfig(_Config):
     """The fixed K=127, 424-bit, 512-point packet through the I/Q loopback."""
 
     loopback_snr_db: float = None     # None -> noiseless
-    loopback_step_back: int = 6       # samples into the 8-sample cyclic prefix
+    loopback_step_back: int = 6       # samples into the packet's cyclic prefix
 
     def __post_init__(self):
         super().__post_init__()
-        if self.loopback_step_back > 8:
-            raise ValueError(f"loopback_step_back={self.loopback_step_back}: not in 0..8, "
-                             "the packet's cyclic prefix")
+        # the prefix rule on the loopback's one-tap channel, whose span is 0
+        if self.loopback_step_back > LOOPBACK_CP_LEN:
+            raise ValueError(f"loopback_step_back={self.loopback_step_back}: not in "
+                             f"0..{LOOPBACK_CP_LEN}, the packet's cyclic prefix")
         if not (self.loopback_snr_db is None or _is_level(self.loopback_snr_db)):
             raise ValueError(f"loopback_snr_db={self.loopback_snr_db!r}: not null (noiseless), "
                              "a number or +inf")
@@ -469,11 +483,10 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # random stream exactly comparable across step-back values.  Without noise
 # the link equals the sample-level chain (ofdm_modulate, apply_ofdm_channel,
 # the stepped-back window, ofdm_demodulate) cell for cell whenever
-# step_back + channel_taps - 1 <= cp_len, which
+# step_back + channel_taps - 1 <= cp_len, and is off once the window reads
+# a sample of the previous symbol, as
 # tests/test_experiments.py::TestGridLink::test_matches_sample_level_chain
-# asserts.  The defaults (5 taps, a random step-back up to 5, cp_len 8)
-# reach one sample past that condition: at step-back 5 the window reads a
-# sample of the previous symbol, which the link leaves out.
+# asserts.  BerOfdmConfig rejects every config outside that prefix rule.
 #
 # Each scheme runs a chunk on a generator of its own, in blocks of
 # OFDM_BLOCK_PACKETS packets, each in two phases.  The draw loop makes the
@@ -611,12 +624,16 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
 # analysis-style experiments
 
 def run_design_curves(config: DesignCurvesConfig) -> list:
-    """R*(K, zeta) over the default radius grid for each asymmetry, with the
-    minimum codebook stability there and the template PAPR."""
-    radius_grid = default_radius_grid(config.num_zeros)
+    """R*(K, zeta) over RADIUS_GRID for each asymmetry, with the minimum
+    codebook stability there and the template PAPR.  Raises if R* is an
+    edge of the grid, which then did not bracket the optimum."""
     rows = []
     for zeta in map(float, config.asymmetry):
-        r_star = optimize_radius(config.num_zeros, zeta, radius_grid, seed=config.seed)
+        r_star = optimize_radius(config.num_zeros, zeta, RADIUS_GRID, seed=config.seed)
+        if r_star in (RADIUS_GRID[0], RADIUS_GRID[-1]):
+            raise ValueError(f"num_zeros={config.num_zeros}, asymmetry={zeta}: R*={r_star:.6g} "
+                             f"is an edge of the radius grid [{RADIUS_GRID[0]:.6g}, "
+                             f"{RADIUS_GRID[-1]:.6g}]")
         params = ConstellationParams(config.num_zeros, r_star, zeta)
         c_min = min_codebook_stability(params, seed=config.seed)
         papr_db, _ = papr_fm(params)
@@ -686,27 +703,27 @@ def run_loopback(config: LoopbackConfig, iq_path: str = None) -> LoopbackReport:
     estimation from the jutted symbol, and hard-decision decoding.
 
     Defaults follow the radio demo profile: K=127 zeros, 63 header bits,
-    424 payload bits in 4 uncoded blocks of 106 bits.
+    424 payload bits, uncoded, in 4 codewords of 127 bits each (the last
+    holds 43 payload bits and 84 filler zeros).
     """
     rng = np.random.default_rng(config.seed)
     k = 127
-    block_bits = 106
     payload_bits = 424
-    blocks = -(-payload_bits // block_bits)
+    blocks = -(-payload_bits // k)
     header_len = k // 2
 
     sync_params = ConstellationParams(header_len, 1.025)
     first_params = jutted_params(k)
     payload_params = ConstellationParams(k, default_radius(k))
 
-    n_idft, cp_len, fs = 512, 8, 20e6
+    n_idft, fs = 512, 20e6
     n_sub = k + 1
-    cfg = OfdmConfig(n_idft, cp_len, fs, n_sub, blocks + 1)
+    cfg = OfdmConfig(n_idft, LOOPBACK_CP_LEN, fs, n_sub, blocks + 1)
 
     header = rng.integers(0, 2, header_len)
     payload = rng.integers(0, 2, payload_bits)
     padded = np.concatenate([payload, np.zeros(blocks * k - payload_bits, dtype=int)])
-    # block b occupies zeros [b*106, b*106+106) of codeword b; filler zeros
+    # codeword b carries payload bits [b*k, b*k + k); the last ends in filler zeros
     block_bits_matrix = padded.reshape(blocks, k)
 
     coeffs = np.empty((blocks, k + 1), dtype=complex)

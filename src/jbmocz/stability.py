@@ -48,6 +48,8 @@ MIN_SAMPLE_COUNT = 64
 ROOT_TOL = 1e-6  # |X(alpha)| relative to sum_i |c_i||alpha|^i
 ON_GRID_DISTANCE = 1e-4  # closer roots are scored by deflation
 BLOCK_VALUES = 2**17  # grid values formed at once by reliability_profile
+RADIUS_GRID = np.arange(1.001, 1.5, 0.001)  # the design curves' radius search
+RADIUS_GRID.flags.writeable = False
 
 
 def _check_roots(coeffs, roots) -> None:
@@ -269,17 +271,3 @@ def optimize_radius(
             f"[{radius_grid[0]:.6g}, {radius_grid[-1]:.6g}], so the optimum may lie "
             "outside it", RuntimeWarning, stacklevel=2)
     return float(radius_grid[best])
-
-
-def default_radius_grid(num_zeros: int) -> np.ndarray:
-    """Search grid for the radius: fine 1e-3 steps for long codewords,
-    coarser and wider for short ones.
-
-    For K < 32 the minimum codebook stability can fall monotonically in R
-    (at K=8: 1.2017 at R=1.005, 0.8958 at R=1.3), so optimize_radius lands
-    on the grid's lower edge, 1.005, and warns that the grid did not
-    bracket an optimum."""
-    if num_zeros >= 32:
-        return np.arange(1.001, 1.5, 0.001)
-    return np.arange(1.005, 2.0, 0.005)
-

@@ -155,14 +155,6 @@ class TestApplyOfdmChannel:
         np.testing.assert_allclose(y[5:55], x, atol=1e-12)
         np.testing.assert_allclose(y[:5], 0, atol=1e-12)
 
-    def test_clock_drift_accumulates(self):
-        x = np.arange(1, 400, dtype=complex)
-        # 1e4 ppm = 1% drift: one extra sample of delay per 100 samples
-        y = apply_ofdm_channel(x, np.array([1.0]), ImpairmentSpec(drift_ppm=1e4), 1e6)
-        np.testing.assert_allclose(y[50], x[50], atol=1e-12)
-        np.testing.assert_allclose(y[150], x[149], atol=1e-12)
-        np.testing.assert_allclose(y[350], x[347], atol=1e-12)
-
     def test_subcarrier_gains_match_fft_of_taps(self):
         rng = np.random.default_rng(11)
         cfg = OfdmConfig(64, 8, 1e6, 40, 3)

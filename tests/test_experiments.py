@@ -34,7 +34,7 @@ from jbmocz.experiments import (
 )
 from jbmocz.phy import OfdmConfig, ofdm_demodulate, ofdm_modulate
 from jbmocz.rotation import apply_rotation
-from jbmocz.stability import default_radius_grid, min_codebook_stability, optimize_radius
+from jbmocz.stability import min_codebook_stability
 from jbmocz.zeros import ConstellationParams, encode_coeffs
 
 
@@ -97,6 +97,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="asymmetry"):
             DesignCurvesConfig(asymmetry=())
 
+    @pytest.mark.parametrize("asymmetry", [("a",), (0.5,), (1.1, float("nan")),
+                                           (float("inf"),), (True,)])
+    def test_design_curves_asymmetry_values_rejected(self, asymmetry):
+        # each built, then failed mid-run (True ran as zeta=1)
+        with pytest.raises(ValueError, match="asymmetry="):
+            DesignCurvesConfig(asymmetry=asymmetry)
+
+    @pytest.mark.parametrize("num_zeros", [8, 31])
+    def test_design_curves_short_codewords_rejected(self, num_zeros):
+        # the search used to report the grid's first radius for every zeta
+        with pytest.raises(ValueError, match="num_zeros"):
+            load_config("design_curves", overrides={"num_zeros": num_zeros})
+
     @pytest.mark.parametrize("overrides, field", [
         (dict(num_zeros=32, info_bits=16), "info_bits"),    # derived: no key
         (dict(num_zeros=32, coding="polar", info_bits=32), "info_bits"),
@@ -156,10 +169,11 @@ class TestConfig:
             load_config("rotation_mse", overrides={"num_zeros": 32})
         RotationMseConfig(num_zeros=31, estimator_bins=(64,))
 
-    @pytest.mark.parametrize("schemes", [(), ("fm", "fmx")])
+    @pytest.mark.parametrize("schemes", [(), ("fm", "fmx"), ("fm", "fm"), ("tm", "fm", "tm")])
     def test_ofdm_schemes_rejected(self, schemes):
         # no schemes used to write a CSV with a header and no rows; an
-        # unknown one failed only in the worker, after setup
+        # unknown one failed only in the worker, after setup; a repeated
+        # one ran its receiver twice and wrote its rows twice
         with pytest.raises(ValueError, match="ofdm_schemes"):
             BerOfdmConfig(num_zeros=32, ofdm_schemes=schemes)
 
@@ -251,16 +265,36 @@ class TestConfig:
         (dict(cp_len=4), "step_back"),                  # random draws up to 5
         (dict(channel_taps=10), "channel_taps"),
         (dict(channel_taps=6, cp_len=4, step_back=0), "channel_taps"),
+        # accepted while step-back and span were bounded each on its own
+        (dict(tm_preamble_zeros=2, step_back=8), "cp_len"),
+        (dict(cp_len=5, channel_taps=6), "cp_len"),
     ])
     def test_ofdm_link_outside_prefix_rejected(self, settings, field):
         with pytest.raises(ValueError, match=field):
             BerOfdmConfig(**settings)
 
     def test_ofdm_link_inside_prefix_accepted(self):
-        BerOfdmConfig(tm_preamble_zeros=2, step_back=8)
-        BerOfdmConfig(cp_len=5, channel_taps=6)
+        BerOfdmConfig(step_back=5)
+        BerOfdmConfig(cp_len=10, channel_taps=6)
         BerOfdmConfig(cp_len=0, step_back=0, channel_taps=1)
         BerOfdmConfig(channel="flat", channel_taps=10)  # a flat channel has no span
+
+    @pytest.mark.parametrize("channel", ["fading", "flat"])
+    @pytest.mark.parametrize("cp_len", range(11))
+    def test_ofdm_prefix_rule(self, cp_len, channel):
+        # a config builds exactly when the deepest step-back plus the span
+        # stays inside the prefix, where TestGridLink finds the link exact
+        for taps in range(1, cp_len + 3):
+            span = taps - 1 if channel == "fading" else 0
+            for step_back in ["random", *range(cp_len + 2)]:
+                deepest = experiments.OFDM_RANDOM_STEP_BACK if step_back == "random" else step_back
+                settings = dict(cp_len=cp_len, channel=channel, channel_taps=taps,
+                                step_back=step_back)
+                if deepest + span <= cp_len:
+                    BerOfdmConfig(**settings)
+                else:
+                    with pytest.raises(ValueError, match="step_back.*channel_taps.*cp_len"):
+                        BerOfdmConfig(**settings)
 
     @pytest.mark.parametrize("config_class", [BerSequenceConfig, BerOfdmConfig,
                                               RotationMseConfig])
@@ -318,6 +352,23 @@ class TestConfig:
     def test_key_types_checked_at_build(self, kind, field, value):
         with pytest.raises(ValueError, match=field):
             load_config(kind, overrides={field: value})
+
+    @pytest.mark.parametrize("config_class, settings, field", [
+        # a string raised a bare TypeError; True and inf built and ran, and
+        # NaN failed in ConstellationParams without naming the key
+        (BerSequenceConfig, dict(radius="1.2"), "radius"),
+        (StabilityReportConfig, dict(radius="1.2"), "radius"),
+        (StabilityReportConfig, dict(radius=True), "radius"),
+        (StabilityReportConfig, dict(radius=float("inf")), "radius"),
+        (StabilityReportConfig, dict(radius=float("nan")), "radius"),
+        (StabilityReportConfig, dict(scheme="jutted", asymmetry="1.1"), "asymmetry"),
+        (StabilityReportConfig, dict(scheme="jutted", asymmetry=float("inf")), "asymmetry"),
+        (RotationMseConfig, dict(asymmetry=True), "asymmetry"),
+    ])
+    def test_float_keys_checked_at_build(self, config_class, settings, field):
+        base = dict(scheme="huffman", num_zeros=8, radius=1.2, asymmetry=1.0)
+        with pytest.raises(ValueError, match=f"{field}="):
+            config_class(**base | settings)
 
     def test_numpy_int_keys_accepted(self):
         # step_back and loopback_step_back used to reject numpy ints
@@ -390,29 +441,29 @@ class TestDeterminism:
         assert a == b
 
 
-# ber_ofdm rows, seed 2026, all three schemes.  The first two were
-# recorded with the packet-at-a-time receiver the batched one replaced (600
-# packets, 128 payload bits, random step-back: chunks of 256, 256 and 88, so
-# the last block is partial); the third with the three per-scheme grid links
-# that `_grid_link` replaced, on every knob the link reads
+# ber_ofdm rows, seed 2026, all three schemes.  The first two (600 packets,
+# 128 payload bits, random step-back: chunks of 256, 256 and 88, so the last
+# block is partial) were recorded with `_grid_link` before the prefix rule,
+# with cp_len 9 set, the default since; the third with the three per-scheme
+# grid links that `_grid_link` replaced, on every knob the link reads
 GOLDEN_OFDM = {
     "fading-12.0": (dict(channel="fading", ebn0_db=(12.0,)), """\
 experiment,param_name,param_value,metric,value,trials,seed
 ber-ofdm-fm,ebn0_db,12,ber,0.1363932292,600,2026
-ber-ofdm-fm,ebn0_db,12,bler,0.293125,600,2026
-ber-ofdm-fm_chest,ebn0_db,12,ber,0.15125,600,2026
-ber-ofdm-fm_chest,ebn0_db,12,bler,0.3270833333,600,2026
-ber-ofdm-tm,ebn0_db,12,ber,0.0605859375,600,2026
-ber-ofdm-tm,ebn0_db,12,bler,0.1352083333,600,2026
+ber-ofdm-fm,ebn0_db,12,bler,0.2933333333,600,2026
+ber-ofdm-fm_chest,ebn0_db,12,ber,0.1513802083,600,2026
+ber-ofdm-fm_chest,ebn0_db,12,bler,0.3275,600,2026
+ber-ofdm-tm,ebn0_db,12,ber,0.06075520833,600,2026
+ber-ofdm-tm,ebn0_db,12,bler,0.1354166667,600,2026
 """),
     "flat-6.0": (dict(channel="flat", ebn0_db=(6.0,)), """\
 experiment,param_name,param_value,metric,value,trials,seed
-ber-ofdm-fm,ebn0_db,6,ber,0.06731770833,600,2026
-ber-ofdm-fm,ebn0_db,6,bler,0.1677083333,600,2026
-ber-ofdm-fm_chest,ebn0_db,6,ber,0.2865364583,600,2026
-ber-ofdm-fm_chest,ebn0_db,6,bler,0.6783333333,600,2026
-ber-ofdm-tm,ebn0_db,6,ber,0.03180989583,600,2026
-ber-ofdm-tm,ebn0_db,6,bler,0.07895833333,600,2026
+ber-ofdm-fm,ebn0_db,6,ber,0.06837239583,600,2026
+ber-ofdm-fm,ebn0_db,6,bler,0.1702083333,600,2026
+ber-ofdm-fm_chest,ebn0_db,6,ber,0.28796875,600,2026
+ber-ofdm-fm_chest,ebn0_db,6,bler,0.6825,600,2026
+ber-ofdm-tm,ebn0_db,6,ber,0.0328515625,600,2026
+ber-ofdm-tm,ebn0_db,6,bler,0.08125,600,2026
 """),
     "knobs": (dict(pdp="exp", step_back=3, cp_len=9, idft_size=128, tm_preamble_zeros=6,
                    channel_taps=3, payload_bits=96, ebn0_db=(10.0, float("inf")),
@@ -567,19 +618,24 @@ class TestGridLink:
 class TestOtherRunners:
     @pytest.mark.slow
     def test_design_curves_rows(self):
-        cfg = DesignCurvesConfig(num_zeros=8,
-                                 asymmetry=(1.0, 1.15), seed=0)
+        # one search per zeta over the whole grid; both optima are interior
+        cfg = DesignCurvesConfig(num_zeros=32, asymmetry=(1.0, 1.15), seed=0)
         rows = run_design_curves(cfg)
         by = {(r.param_value, r.metric): r.value for r in rows}
-        grid = default_radius_grid(8)
-        for zeta in cfg.asymmetry:
-            r_star = optimize_radius(8, zeta, grid)
-            assert by[(zeta, "r_star")] == r_star
+        for zeta, r_star in ((1.0, 1.036), (1.15, 1.044)):
+            assert by[(zeta, "r_star")] == pytest.approx(r_star)
             assert by[(zeta, "c_min")] == min_codebook_stability(
-                ConstellationParams(8, r_star, zeta))
+                ConstellationParams(32, by[(zeta, "r_star")], zeta))
         assert by[(1.15, "c_min")] <= by[(1.0, "c_min")]
         assert by[(1.15, "papr_db")] >= by[(1.0, "papr_db")]
-        assert by[(1.0, "r_star")] > 1.0
+
+    def test_design_curves_edge_optimum_raises(self, monkeypatch):
+        # a grid that does not bracket R* used to give its edge as R*
+        monkeypatch.setattr(experiments, "RADIUS_GRID", np.array([1.001, 1.002]))
+        cfg = DesignCurvesConfig(num_zeros=32, asymmetry=(1.15,))
+        with pytest.warns(RuntimeWarning, match="radius of the grid"):
+            with pytest.raises(ValueError, match="num_zeros=32, asymmetry=1.15"):
+                run_design_curves(cfg)
 
     def test_papr_table(self):
         rows = run_papr_table(PaprTableConfig())
@@ -651,13 +707,13 @@ RESOLVED_DEFAULTS = {
                          ofdm_schemes=("fm", "fm_chest", "tm")),
     "ber_ofdm": dict(seed=0, out=None, threads=1, num_zeros=32, channel="fading",
                      channel_taps=5, pdp="uniform", ebn0_db=(8.0, 12.0, 16.0, 20.0),
-                     trials=1000, idft_size=256, cp_len=8, payload_bits=512,
+                     trials=1000, idft_size=256, cp_len=9, payload_bits=512,
                      ofdm_schemes=("fm", "fm_chest", "tm"), tm_preamble_zeros=4,
                      step_back="random"),
     "rotation_mse": dict(seed=0, out=None, scheme="jutted", num_zeros=31, radius=None,
                          asymmetry=None, threads=1, ebn0_db=(0.0, 4.0, 8.0, 12.0, 16.0),
                          trials=10000, estimator_bins=(64, 1024)),
-    "design_curves": dict(seed=0, out=None, num_zeros=8,
+    "design_curves": dict(seed=0, out=None, num_zeros=32,
                           asymmetry=(1.0, 1.03, 1.06, 1.09, 1.12, 1.15)),
     "papr_table": dict(seed=0, out=None),
     "stability_report": dict(seed=0, out=None, scheme="huffman", num_zeros=8, radius=1.176,
@@ -691,6 +747,13 @@ class TestCli:
         config.write_text("warp_factor: 9\n")
         with pytest.raises(ValueError):
             load_config("papr_table", str(config))
+
+    def test_kind_key_rejected(self, tmp_path):
+        # a kind key used to be dropped, so a ber_ofdm file ran as any kind
+        config = tmp_path / "ofdm.yaml"
+        config.write_text("kind: ber_ofdm\n")
+        with pytest.raises(ValueError, match="kind"):
+            load_config("rotation_mse", str(config))
 
     def test_kind_defaults_and_benchmark_configs_load(self):
         # each kind's class reproduces the defaults the CLI ran before the

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jbmocz import experiments
 from jbmocz.experiments import DesignCurvesConfig, run_design_curves
 from jbmocz.phy import papr_fm
 from jbmocz.stability import (
@@ -17,7 +18,6 @@ from jbmocz.stability import (
     _grid_log_distance,
     _grid_power,
     codebook_stability,
-    default_radius_grid,
     deflate,
     min_codebook_stability,
     optimize_radius,
@@ -405,9 +405,9 @@ class TestOptimizeRadius:
             optimize_radius(8, 1.0, [])
 
     def test_grid_edge_warns(self):
-        # at K=8 the minimum stability falls with R, so the default grid's
-        # lower edge wins; the result is unchanged, only reported
-        grid = default_radius_grid(8)[:10]
+        # at K=8 the minimum stability falls with R, so the grid's lower
+        # edge wins; the result is unchanged, only reported
+        grid = np.arange(1.005, 1.055, 0.005)
         with pytest.warns(RuntimeWarning, match=r"K=8, zeta=1\.0: .* first radius"):
             best = optimize_radius(8, 1.0, grid)
         assert best == grid[0]
@@ -435,11 +435,21 @@ class TestAsymmetrySweep:
         assert all(a >= b for a, b in zip(stab, stab[1:]))
         assert all(a <= b for a, b in zip(papr, papr[1:]))
 
-    def test_single_point_matches_optimize(self):
-        rows = run_design_curves(DesignCurvesConfig(num_zeros=8, asymmetry=(1.1,), seed=0))
+    def test_single_point_matches_optimize(self, monkeypatch):
+        # a short grid around R*(32, 1.15) = 1.044, searched once: the row
+        # reports what optimize_radius returned
+        searches = []
+
+        def search(*args, **kwargs):
+            searches.append(optimize_radius(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(experiments, "RADIUS_GRID", np.arange(1.040, 1.0485, 0.001))
+        monkeypatch.setattr(experiments, "optimize_radius", search)
+        rows = run_design_curves(DesignCurvesConfig(num_zeros=32, asymmetry=(1.15,), seed=0))
         by = {r.metric: r.value for r in rows}
-        assert len(rows) == 3 and {r.param_value for r in rows} == {1.1}
-        assert by["r_star"] == optimize_radius(8, 1.1, default_radius_grid(8))
+        assert len(rows) == 3 and {r.param_value for r in rows} == {1.15}
+        assert searches == [by["r_star"]] and by["r_star"] == pytest.approx(1.044)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
