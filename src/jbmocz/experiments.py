@@ -137,13 +137,15 @@ class _Config:
 
 
 def _check_sweep(config):
-    """The Eb/N0 sweep: a nonempty list of numbers or +inf (noiseless)."""
+    """The Eb/N0 sweep: a nonempty list of distinct numbers or +inf (noiseless)."""
     sweep = config.ebn0_db
     if not isinstance(sweep, (tuple, list)) or not sweep:
         raise ValueError(f"ebn0_db={sweep!r}: the Eb/N0 sweep must be a nonempty list")
     if not all(_is_level(e) for e in sweep):
         raise ValueError(f"ebn0_db={sweep!r}: each Eb/N0 must be a number or +inf, "
                          "not NaN or -inf")
+    if len(set(sweep)) < len(sweep):
+        raise ValueError(f"ebn0_db={sweep!r}: each Eb/N0 at most once")
 
 
 @dataclass(frozen=True)
@@ -272,9 +274,10 @@ class RotationMseConfig(_ConstellationConfig):
         _check_sweep(self)
         sizes, least = self.estimator_bins, 2 * self.num_zeros + 2
         if not (isinstance(sizes, (tuple, list)) and sizes
-                and all(_is_int(n) and n >= least for n in sizes)):
+                and all(_is_int(n) and n >= least for n in sizes)
+                and len(set(sizes)) == len(sizes)):
             raise ValueError(f"estimator_bins={sizes!r}: a K={self.num_zeros} template needs "
-                             f"a nonempty list of integer sizes of at least {least}")
+                             f"a nonempty list of distinct integer sizes of at least {least}")
 
 
 @dataclass(frozen=True)
@@ -291,9 +294,10 @@ class DesignCurvesConfig(_Config):
         if self.num_zeros < 32:
             raise ValueError(f"num_zeros={self.num_zeros}: design curves need K of at least 32")
         if not (isinstance(self.asymmetry, (tuple, list)) and self.asymmetry
-                and all(_is_number(z) and np.isfinite(z) and z >= 1 for z in self.asymmetry)):
-            raise ValueError(f"asymmetry={self.asymmetry!r}: not a nonempty list of finite "
-                             "numbers of at least 1")
+                and all(_is_number(z) and np.isfinite(z) and z >= 1 for z in self.asymmetry)
+                and len(set(self.asymmetry)) == len(self.asymmetry)):
+            raise ValueError(f"asymmetry={self.asymmetry!r}: not a nonempty list of distinct "
+                             "finite numbers of at least 1")
 
 
 @dataclass(frozen=True)
@@ -488,53 +492,47 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # tests/test_experiments.py::TestGridLink::test_matches_sample_level_chain
 # asserts.  BerOfdmConfig rejects every config outside that prefix rule.
 #
-# Each scheme runs a chunk on a generator of its own, in blocks of
-# OFDM_BLOCK_PACKETS packets, each in two phases.  The draw loop makes the
-# random draws packet by packet, in a fixed order: messages, channel taps,
-# cell noise, then (fm_chest) preamble bits, preamble noise and guard
-# noise, then the step-back.  One decode per scheme does everything else
-# once per block, on stacks with a leading packet axis: polar encoding,
-# synthesis, the link, the rotation or channel estimate, pseudo-LLRs, SC
-# decoding.  So the random stream, and with it the CSV, does not depend on
-# the block size.  Each packet also keeps its own matrix shapes in the
-# zero-testing products (the packet axis is a stack axis), so every
-# packet's numbers are those of a receiver that decodes one packet at a
-# time, bit for bit.
+# Each scheme runs a chunk of OFDM_CHUNK_PACKETS packets on a generator of
+# its own, in two phases.  `_draw_packets` makes the chunk's random draws
+# whole, one generator call per field, in a fixed order: messages, channel
+# taps, cell noise, then (fm_chest) preamble bits, preamble noise and guard
+# noise, then the step-backs.  The step-backs come last, so a fixed
+# step-back, which draws nothing, leaves every other field as a random one
+# does.  One decode per scheme then does everything else once per chunk, on
+# stacks with a leading packet axis: polar encoding, synthesis, the link,
+# the rotation or channel estimate, pseudo-LLRs, SC decoding.  Each packet
+# keeps its own matrix shapes in the zero-testing products (the packet axis
+# is a stack axis), so every packet's numbers are those of a receiver that
+# decodes one packet at a time, bit for bit.
 #
-# Throughput grows with the block, but so does memory: each packet holds
-# about 72 KB per worker thread at K=32 with 512 payload bits, most of it
-# pseudo_llrs' temporaries, though bits are carried as uint8 and each stack
-# is freed once used.  24 packets is the largest block that keeps the peak
-# RSS of the 2-thread ofdm_k32 benchmark clearly inside 5% of that of
-# 12-packet blocks, while nearly doubling its packets/s.
+# A chunk is held whole: its draws and the decode's temporaries take about
+# 72 KB per packet per worker thread at K=32 with 512 payload bits, most of
+# it pseudo_llrs' temporaries, though bits are carried as uint8 and each
+# stack is freed once used.  24 packets keep the peak RSS of the 2-thread
+# ofdm_k32 benchmark at about 46 MB; 256-packet chunks would hold about
+# 14 MB per thread of fm_chest noise alone while it is drawn.
 
-OFDM_BLOCK_PACKETS = 24
+OFDM_CHUNK_PACKETS = 24
 
 
 def _draw_packets(rng, count, config: BerOfdmConfig, noise_shape, noise_var, with_chest):
-    """The random draws of `count` packets, made one packet at a time into
-    arrays with a leading packet axis.  "cirs" is absent on a flat channel,
-    and the preamble draws are present only with_chest."""
+    """The random draws of `count` packets, one generator call per field,
+    each with a leading packet axis.  "cirs" is absent on a flat channel,
+    and the preamble draws are present only with_chest.  A fixed step-back
+    draws nothing."""
     n_sub, ktm = config.num_zeros + 1, config.tm_preamble_zeros
-    shapes = {"messages": ((config.payload_bits // 16, 16), np.uint8),
-              "noise": (noise_shape, complex), "step_backs": ((), int)}
+    draws = {"messages": rng.integers(0, 2, (count, config.payload_bits // 16, 16),
+                                      dtype=np.uint8)}
     if config.channel != "flat":
-        shapes["cirs"] = ((config.channel_taps,), complex)
+        draws["cirs"] = chan.draw_cir((count, config.channel_taps), rng, profile=config.pdp)
+    draws["noise"] = chan.complex_noise((count,) + noise_shape, noise_var, rng)
     if with_chest:
-        shapes.update(pre_bits=((n_sub, ktm), np.uint8), pre_noise=((n_sub, ktm + 1), complex),
-                      guard_noise=((config.idft_size - n_sub, ktm + 1), complex))
-    draws = {name: np.empty((count,) + shape, dtype) for name, (shape, dtype) in shapes.items()}
-    for p in range(count):
-        draws["messages"][p] = rng.integers(0, 2, shapes["messages"][0])
-        if "cirs" in draws:
-            draws["cirs"][p] = chan.draw_cir(config.channel_taps, rng, profile=config.pdp)
-        draws["noise"][p] = chan.complex_noise(noise_shape, noise_var, rng)
-        if with_chest:
-            draws["pre_bits"][p] = rng.integers(0, 2, (n_sub, ktm))
-            for name in ("pre_noise", "guard_noise"):
-                draws[name][p] = chan.complex_noise(shapes[name][0], noise_var, rng)
-        draws["step_backs"][p] = (rng.integers(0, OFDM_RANDOM_STEP_BACK + 1)
-                                  if config.step_back == "random" else int(config.step_back))
+        draws["pre_bits"] = rng.integers(0, 2, (count, n_sub, ktm), dtype=np.uint8)
+        draws["pre_noise"] = chan.complex_noise((count, n_sub, ktm + 1), noise_var, rng)
+        draws["guard_noise"] = chan.complex_noise((count, config.idft_size - n_sub, ktm + 1),
+                                                  noise_var, rng)
+    draws["step_backs"] = (rng.integers(0, OFDM_RANDOM_STEP_BACK + 1, count)
+                           if config.step_back == "random" else np.full(count, config.step_back))
     return draws
 
 
@@ -563,7 +561,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
     template = make_template(first, n_idft)
 
     def decode(draws, scheme):
-        """(P, blocks, 16) decoded messages of a block of packets."""
+        """(P, blocks, 16) decoded messages of a chunk of packets."""
         if scheme == "fm_chest":
             # estimated first, so the preamble and guard cells are freed
             # before the payload stack exists
@@ -605,19 +603,15 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
             noise_var = chan.ebn0_to_noise_var(ebn0, config.payload_bits,
                                                (n_idft + config.cp_len) * cells) / n_idft
             noise_shape = (blocks, k + 1) if scheme == "tm" else (k + 1, blocks)  # (S, T)
-            rng = np.random.default_rng(seeds)
-            bit_errors = block_errors = 0
-            for start in range(0, n, OFDM_BLOCK_PACKETS):
-                draws = _draw_packets(rng, min(OFDM_BLOCK_PACKETS, n - start), config,
-                                      noise_shape, noise_var, with_chest)
-                errs = decode(draws, scheme) != draws["messages"]
-                bit_errors += int(errs.sum())
-                block_errors += int(errs.any(axis=-1).sum())
-            counts += (bit_errors, block_errors, n * config.payload_bits, n * blocks)
+            draws = _draw_packets(np.random.default_rng(seeds), n, config, noise_shape,
+                                  noise_var, with_chest)
+            errs = decode(draws, scheme) != draws["messages"]
+            counts += (int(errs.sum()), int(errs.any(axis=-1).sum()),
+                       n * config.payload_bits, n * blocks)
         return counts
 
     names = [f"ber-ofdm-{scheme}" for scheme in config.ofdm_schemes]
-    return _rate_rows(config, names, _sweep(config, worker, chunk=256))
+    return _rate_rows(config, names, _sweep(config, worker, chunk=OFDM_CHUNK_PACKETS))
 
 
 # ---------------------------------------------------------------------------

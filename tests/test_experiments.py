@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from jbmocz import experiments
-from jbmocz.channel import ImpairmentSpec, apply_ofdm_channel, draw_cir
+from jbmocz.channel import ImpairmentSpec, apply_ofdm_channel, complex_noise, draw_cir
 from jbmocz.cli import load_config, main
 from jbmocz.experiments import (
     EXPERIMENTS,
@@ -98,9 +98,10 @@ class TestConfig:
             DesignCurvesConfig(asymmetry=())
 
     @pytest.mark.parametrize("asymmetry", [("a",), (0.5,), (1.1, float("nan")),
-                                           (float("inf"),), (True,)])
+                                           (float("inf"),), (True,), (1.0, 1.15, 1.0)])
     def test_design_curves_asymmetry_values_rejected(self, asymmetry):
-        # each built, then failed mid-run (True ran as zeta=1)
+        # each built, then failed mid-run (True ran as zeta=1), except the
+        # repeat, which ran its radius search twice
         with pytest.raises(ValueError, match="asymmetry="):
             DesignCurvesConfig(asymmetry=asymmetry)
 
@@ -311,6 +312,7 @@ class TestConfig:
         ("ebn0_db", 10),          # a YAML scalar: TypeError 'int' object is not iterable
         ("ebn0_db", ["a"]),       # TypeError from np.isnan
         ("ebn0_db", [8.0, True]),
+        ("ebn0_db", [8.0, 4.0, 8]),  # ran, giving two rows of one Eb/N0
         ("trials", 2.5),          # built, then failed mid-run
         ("trials", True),
         ("threads", 0),           # built, then ran serially without a word
@@ -347,6 +349,7 @@ class TestConfig:
         ("ber_ofdm", "tm_preamble_zeros", 4.5),
         ("rotation_mse", "estimator_bins", 64),         # a bare TypeError
         ("rotation_mse", "estimator_bins", (100.5,)),   # ran as rotation-mse-n101
+        ("rotation_mse", "estimator_bins", (64, 64)),   # ran, two rotation-mse-n64 rows
         ("loopback", "loopback_snr_db", "a"),
     ])
     def test_key_types_checked_at_build(self, kind, field, value):
@@ -407,18 +410,37 @@ class TestDeterminism:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("block", [1, 7, 12, 300])
-    def test_ofdm_rows_independent_of_packet_block(self, monkeypatch, block):
-        # the draw loop keeps the random stream packet-ordered, so the block
-        # size of the batched compute cannot change a number; 260 packets
-        # make chunks of 256 and 4, so a 300-packet block is cut short by its
-        # chunk
-        cfg = BerOfdmConfig(num_zeros=32, ebn0_db=(8.0,), trials=260,
-                            payload_bits=48, seed=4)
-        assert experiments.OFDM_BLOCK_PACKETS == 24
-        expected = run_ber_ofdm(cfg)
-        monkeypatch.setattr(experiments, "OFDM_BLOCK_PACKETS", block)
-        assert run_ber_ofdm(cfg) == expected
+    @pytest.mark.parametrize("channel", ["fading", "flat"])
+    def test_draw_packets_one_call_per_field(self, channel):
+        # a chunk's draws are one generator call per field, in a fixed order
+        cfg = BerOfdmConfig(channel=channel, pdp="exp", payload_bits=48, tm_preamble_zeros=3)
+        count, noise_shape, noise_var = 5, (33, 3), 0.3
+        draws = experiments._draw_packets(np.random.default_rng(9), count, cfg, noise_shape,
+                                          noise_var, with_chest=True)
+        rng = np.random.default_rng(9)
+        expected = {"messages": rng.integers(0, 2, (count, 3, 16), dtype=np.uint8)}
+        if channel == "fading":
+            expected["cirs"] = draw_cir((count, 5), rng, profile="exp")
+        expected["noise"] = complex_noise((count, 33, 3), noise_var, rng)
+        expected["pre_bits"] = rng.integers(0, 2, (count, 33, 3), dtype=np.uint8)
+        expected["pre_noise"] = complex_noise((count, 33, 4), noise_var, rng)
+        expected["guard_noise"] = complex_noise((count, 256 - 33, 4), noise_var, rng)
+        before_step_backs = rng.bit_generator.state
+        expected["step_backs"] = rng.integers(0, experiments.OFDM_RANDOM_STEP_BACK + 1, count)
+        assert draws.keys() == expected.keys()
+        for name, value in expected.items():
+            assert draws[name].dtype == value.dtype, name
+            assert np.array_equal(draws[name], value), name
+        # a fixed step-back draws nothing: it leaves the generator where the
+        # random one starts, so the other fields, and with them criterion
+        # 8(c)'s TM rows, do not depend on the step-back
+        rng = np.random.default_rng(9)
+        fixed = experiments._draw_packets(rng, count, dataclasses.replace(cfg, step_back=2),
+                                          noise_shape, noise_var, with_chest=True)
+        assert rng.bit_generator.state == before_step_backs
+        assert np.array_equal(fixed.pop("step_backs"), np.full(count, 2))
+        for name, value in fixed.items():
+            assert np.array_equal(value, expected[name]), name
 
     def test_rotation_mse_csv_identical_across_thread_counts(self, tmp_path):
         # its values are float sums over chunks; 9000 trials make chunks of
@@ -441,44 +463,44 @@ class TestDeterminism:
         assert a == b
 
 
-# ber_ofdm rows, seed 2026, all three schemes.  The first two (600 packets,
-# 128 payload bits, random step-back: chunks of 256, 256 and 88, so the last
-# block is partial) were recorded with `_grid_link` before the prefix rule,
-# with cp_len 9 set, the default since; the third with the three per-scheme
-# grid links that `_grid_link` replaced, on every knob the link reads
+# ber_ofdm rows, seed 2026, all three schemes, recorded with each chunk
+# drawn whole (one generator call per field) and decoded once.  The first
+# two run 600 packets, 128 payload bits and a random step-back: 25 full
+# 24-packet chunks.  The third runs 300 packets on every knob the link
+# reads: 12 full chunks and a partial one of 12.
 GOLDEN_OFDM = {
     "fading-12.0": (dict(channel="fading", ebn0_db=(12.0,)), """\
 experiment,param_name,param_value,metric,value,trials,seed
-ber-ofdm-fm,ebn0_db,12,ber,0.1363932292,600,2026
-ber-ofdm-fm,ebn0_db,12,bler,0.2933333333,600,2026
-ber-ofdm-fm_chest,ebn0_db,12,ber,0.1513802083,600,2026
-ber-ofdm-fm_chest,ebn0_db,12,bler,0.3275,600,2026
-ber-ofdm-tm,ebn0_db,12,ber,0.06075520833,600,2026
-ber-ofdm-tm,ebn0_db,12,bler,0.1354166667,600,2026
+ber-ofdm-fm,ebn0_db,12,ber,0.1473828125,600,2026
+ber-ofdm-fm,ebn0_db,12,bler,0.3222916667,600,2026
+ber-ofdm-fm_chest,ebn0_db,12,ber,0.1409635417,600,2026
+ber-ofdm-fm_chest,ebn0_db,12,bler,0.3164583333,600,2026
+ber-ofdm-tm,ebn0_db,12,ber,0.06361979167,600,2026
+ber-ofdm-tm,ebn0_db,12,bler,0.1483333333,600,2026
 """),
     "flat-6.0": (dict(channel="flat", ebn0_db=(6.0,)), """\
 experiment,param_name,param_value,metric,value,trials,seed
-ber-ofdm-fm,ebn0_db,6,ber,0.06837239583,600,2026
-ber-ofdm-fm,ebn0_db,6,bler,0.1702083333,600,2026
-ber-ofdm-fm_chest,ebn0_db,6,ber,0.28796875,600,2026
-ber-ofdm-fm_chest,ebn0_db,6,bler,0.6825,600,2026
-ber-ofdm-tm,ebn0_db,6,ber,0.0328515625,600,2026
-ber-ofdm-tm,ebn0_db,6,bler,0.08125,600,2026
+ber-ofdm-fm,ebn0_db,6,ber,0.058359375,600,2026
+ber-ofdm-fm,ebn0_db,6,bler,0.148125,600,2026
+ber-ofdm-fm_chest,ebn0_db,6,ber,0.2780338542,600,2026
+ber-ofdm-fm_chest,ebn0_db,6,bler,0.661875,600,2026
+ber-ofdm-tm,ebn0_db,6,ber,0.03364583333,600,2026
+ber-ofdm-tm,ebn0_db,6,bler,0.0825,600,2026
 """),
     "knobs": (dict(pdp="exp", step_back=3, cp_len=9, idft_size=128, tm_preamble_zeros=6,
                    channel_taps=3, payload_bits=96, ebn0_db=(10.0, float("inf")),
                    trials=300, threads=2), """\
 experiment,param_name,param_value,metric,value,trials,seed
-ber-ofdm-fm,ebn0_db,10,ber,0.2048611111,300,2026
-ber-ofdm-fm,ebn0_db,10,bler,0.4455555556,300,2026
-ber-ofdm-fm,ebn0_db,inf,ber,0.09003472222,300,2026
-ber-ofdm-fm,ebn0_db,inf,bler,0.1883333333,300,2026
-ber-ofdm-fm_chest,ebn0_db,10,ber,0.2494791667,300,2026
-ber-ofdm-fm_chest,ebn0_db,10,bler,0.5461111111,300,2026
+ber-ofdm-fm,ebn0_db,10,ber,0.194375,300,2026
+ber-ofdm-fm,ebn0_db,10,bler,0.4277777778,300,2026
+ber-ofdm-fm,ebn0_db,inf,ber,0.07388888889,300,2026
+ber-ofdm-fm,ebn0_db,inf,bler,0.1538888889,300,2026
+ber-ofdm-fm_chest,ebn0_db,10,ber,0.2513194444,300,2026
+ber-ofdm-fm_chest,ebn0_db,10,bler,0.5455555556,300,2026
 ber-ofdm-fm_chest,ebn0_db,inf,ber,0,300,2026
 ber-ofdm-fm_chest,ebn0_db,inf,bler,0,300,2026
-ber-ofdm-tm,ebn0_db,10,ber,0.1155208333,300,2026
-ber-ofdm-tm,ebn0_db,10,bler,0.2522222222,300,2026
+ber-ofdm-tm,ebn0_db,10,ber,0.08930555556,300,2026
+ber-ofdm-tm,ebn0_db,10,bler,0.1994444444,300,2026
 ber-ofdm-tm,ebn0_db,inf,ber,0,300,2026
 ber-ofdm-tm,ebn0_db,inf,bler,0,300,2026
 """),
