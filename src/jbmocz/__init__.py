@@ -27,7 +27,7 @@ from .phy import (
 from .polar import PolarSpec, polar_construct, polar_decode_sc, polar_encode
 from .rotation import (
     apply_rotation,
-    correct_rotation,
+    correct_bins,
     estimate_rotation_bins,
     oversampled_magnitudes,
     rotation_bins,

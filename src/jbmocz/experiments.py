@@ -48,7 +48,7 @@ from .phy import (
 from .polar import polar_construct, polar_decode_sc, polar_encode
 from .rotation import (
     apply_rotation,
-    correct_rotation,
+    correct_bins,
     estimate_rotation_bins,
     rotation_bins,
     rotation_mse,
@@ -440,8 +440,7 @@ def run_ber_sequence(config: BerSequenceConfig) -> list:
         received, _ = _sequence_link(rng, encode_coeffs(bits, params), channel_taps,
                                      noise_var, config.rotation)
         if config.correct:
-            bins = rotation_bins(received, template)
-            received = correct_rotation(received, 2.0 * np.pi * bins / template.size)
+            received = correct_bins(received, rotation_bins(received, template), template.size)
         if config.coding == "polar":
             decoded = polar_decode_sc(pseudo_llrs(received, params), polar_spec)
         else:
@@ -585,8 +584,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
                 received *= equalizer[:, None]
             else:
                 bins = rotation_bins(received[:, 0], template)
-                received = correct_rotation(received,
-                                            (2.0 * np.pi * bins / template.size)[:, None])
+                received = correct_bins(received, bins[:, None], template.size)
             # received[:, :1] keeps the jutted symbol a one-row product per packet
             llrs = np.concatenate([pseudo_llrs(received[:, :1], first),
                                    pseudo_llrs(received[:, 1:], payload)], axis=1)
@@ -752,7 +750,7 @@ def run_loopback(config: LoopbackConfig, iq_path: str = None) -> LoopbackReport:
                    start + cfg.symbol_len + cfg.cp_len + n_idft)
     template = make_template(first_params, n_idft)
     n_hat = int(estimate_rotation_bins(np.abs(rx[window]), template))
-    rx_grid = correct_rotation(rx_grid.T, 2.0 * np.pi * n_hat / n_idft).T
+    rx_grid = correct_bins(rx_grid.T, n_hat, n_idft).T
 
     header_hat = dizet_hard(rx_grid[0 : 2 * (header_len + 1) : 2, 0], sync_params)
     decoded = np.empty((blocks, k), dtype=int)

@@ -1,5 +1,5 @@
-"""Zero rotation: the impairment, its template-correlation estimator, and
-the experiment-level error metric.
+"""Zero rotation: the impairment, its template-correlation estimator, the
+derotation by bin, and the experiment-level error metric.
 
 A residual timing (or frequency) offset phase-modulates the received
 coefficients, which rotates every zero counterclockwise by a common angle.
@@ -8,16 +8,28 @@ a cyclic shift of the sampled magnitude |Y(e^{j omega})| and can be estimated
 by correlating against the template over all N cyclic shifts.
 
 `rotation_bins` runs that pipeline (N-point magnitude IFFT, then the
-correlation by rfft, template product, irfft and argmax) over a coefficient
-stack in blocks of at most BLOCK_VALUES grid values, or one row where a
-single row is larger.  A 4096-row stack at N = 1024 would otherwise hold
-several 32-64 MB intermediates at once and stream each through memory; a
-64-row block keeps the working set of a few MB in a core's L2 cache and
-bounds the peak memory of the call.  FFTs treat each row on its own, so the
-bins do not depend on the block size.
+correlation by rfft, product with the template's conjugate spectrum, irfft
+and argmax) over a coefficient stack in blocks of at most BLOCK_VALUES grid
+values, or one row where a single row is larger.  A 4096-row stack at
+N = 1024 would otherwise hold several 32-64 MB intermediates at once and
+stream each through memory; a 64-row block keeps the working set of a few
+MB in a core's L2 cache and bounds the peak memory of the call.  The
+zero-padded input, the IFFT output and the magnitudes live in three buffers
+allocated once per call, sized by the smaller of the stack and the block,
+and filled in place for every block; the template's spectrum is computed
+once per Template (`Template.conj_spectrum`).  FFTs treat each row on its
+own, so the bins do not depend on the block size.
+
+A bin m stands for the angle 2 pi m/N, so a receiver derotates with
+`correct_bins(coeffs, bins, N)`, which looks each row's phase ramp up in a
+cached read-only (N, L) table instead of evaluating L complex exponentials
+per row; the table holds exactly the values
+`apply_rotation(coeffs, -2 pi m/N)` multiplies by.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -34,13 +46,34 @@ def apply_rotation(coeffs, angle) -> np.ndarray:
     shape that broadcasts against coeffs.shape[:-1].
     """
     coeffs = np.asarray(coeffs, dtype=complex)
+    return coeffs * _phase_ramp(angle, coeffs.shape[-1])
+
+
+def _phase_ramp(angle, length: int) -> np.ndarray:
+    """e^{-j*angle*l} for l in [length], along a new last axis."""
     angle = np.asarray(angle, dtype=float)[..., None]
-    return coeffs * np.exp(-1j * angle * np.arange(coeffs.shape[-1]))
+    return np.exp(-1j * angle * np.arange(length))
 
 
-def correct_rotation(coeffs, angle) -> np.ndarray:
-    """Undo apply_rotation(coeffs, angle), with the same angle shapes."""
-    return apply_rotation(coeffs, -np.asarray(angle, dtype=float))
+@functools.lru_cache(maxsize=8)
+def _phase_table(n_bins: int, length: int) -> np.ndarray:
+    """Row m: the ramp apply_rotation(·, -(2 pi m/N)) multiplies a length-L
+    row by.  Read-only, since every caller shares it."""
+    table = _phase_ramp(-(2.0 * np.pi * np.arange(n_bins) / n_bins), length)
+    table.flags.writeable = False
+    return table
+
+
+def correct_bins(coeffs, bins, n_bins: int) -> np.ndarray:
+    """Undo a rotation by bins * 2 pi / n_bins: equal to
+    apply_rotation(coeffs, -2 pi bins/n_bins), bit for bit.
+
+    coeffs: (..., L).  bins: integers in [n_bins], a scalar or one bin per
+    polynomial, of a shape that broadcasts against coeffs.shape[:-1] like
+    apply_rotation's angle.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    return coeffs * _phase_table(n_bins, coeffs.shape[-1])[bins]
 
 
 def oversampled_magnitudes(coeffs, n_samples: int) -> np.ndarray:
@@ -51,14 +84,15 @@ def oversampled_magnitudes(coeffs, n_samples: int) -> np.ndarray:
     return n_samples * np.abs(np.fft.ifft(coeffs, n=n_samples, axis=-1))
 
 
-def _correlation_scores(magnitudes: np.ndarray, template: np.ndarray) -> np.ndarray:
+def _correlation_scores(magnitudes: np.ndarray, template: Template) -> np.ndarray:
     """score[s] = sum_n template[(n - s) mod N] * magnitudes[n], all s.
 
     Computed with the correlation theorem; equals the direct inner-product
     definition to within roundoff.
     """
-    spec = np.fft.rfft(magnitudes, axis=-1) * np.conj(np.fft.rfft(template))
-    return np.fft.irfft(spec, n=len(template), axis=-1)
+    spec = np.fft.rfft(magnitudes, axis=-1)
+    spec *= template.conj_spectrum
+    return np.fft.irfft(spec, n=template.size, axis=-1)
 
 
 def estimate_rotation_bins(magnitudes, template: Template) -> np.ndarray:
@@ -76,25 +110,35 @@ def estimate_rotation_bins(magnitudes, template: Template) -> np.ndarray:
         raise ValueError(
             f"expected {template.size} magnitude samples, got {magnitudes.shape[-1]}"
         )
-    scores = _correlation_scores(magnitudes, template.samples)
-    return np.argmax(scores, axis=-1)
+    return np.argmax(_correlation_scores(magnitudes, template), axis=-1)
 
 
 def rotation_bins(coeffs, template: Template) -> np.ndarray:
     """Rotation bins of (..., L) received coefficients: the magnitudes of
     each row on the template's N-point grid, matched against the template.
-    Correct a row with correct_rotation(coeffs, 2*pi*bin/N).
+    Correct the rows with correct_bins(coeffs, bins, N).
 
-    Runs in blocks of at most BLOCK_VALUES grid values (see the module
-    docstring); a single (L,) row gives a scalar bin."""
+    Runs in blocks of at most BLOCK_VALUES grid values through buffers
+    allocated once per call (see the module docstring); rows longer than N
+    are cropped to N, as ifft(·, n=N) does.  A single (L,) row gives a
+    scalar bin."""
     coeffs = np.asarray(coeffs)
     rows = coeffs.reshape(-1, coeffs.shape[-1])
-    step = max(1, BLOCK_VALUES // template.size)
+    n = template.size
+    step = max(1, min(len(rows), BLOCK_VALUES // n))
+    width = min(rows.shape[-1], n)
+    padded = np.zeros((step, n), dtype=complex)  # columns width.. stay zero
+    evals = np.empty((step, n), dtype=complex)
+    magnitudes = np.empty((step, n))
     bins = np.empty(len(rows), dtype=np.intp)
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
-        bins[start : start + step] = estimate_rotation_bins(
-            oversampled_magnitudes(block, template.size), template)
+        h = len(block)
+        padded[:h, :width] = block[:, :width]
+        np.fft.ifft(padded[:h], axis=-1, out=evals[:h])
+        np.abs(evals[:h], out=magnitudes[:h])
+        magnitudes[:h] *= n  # oversampled_magnitudes' N * |ifft(·, n=N)|
+        bins[start : start + h] = estimate_rotation_bins(magnitudes[:h], template)
     return bins.reshape(coeffs.shape[:-1])[()]
 
 

@@ -326,6 +326,14 @@ class Template:
     def size(self) -> int:
         return len(self.samples)
 
+    @functools.cached_property
+    def conj_spectrum(self) -> np.ndarray:
+        """conj(rfft(samples)): the template side of the rotation
+        estimator's correlation, computed once per template; read-only."""
+        spectrum = np.conj(np.fft.rfft(self.samples))
+        spectrum.flags.writeable = False
+        return spectrum
+
 
 def make_template(params: ConstellationParams, n_samples: int) -> Template:
     """Sample the codebook magnitude at omega = 2*pi*n/N for n in [N].

@@ -17,7 +17,7 @@ from jbmocz.experiments import (
 )
 from jbmocz.phy import papr_fm, papr_fm_huffman, papr_peak_at_dc
 from jbmocz.polar import polar_construct, polar_decode_sc, polar_encode
-from jbmocz.rotation import apply_rotation, correct_rotation, rotation_bins
+from jbmocz.rotation import apply_rotation, rotation_bins
 from jbmocz.stability import codebook_stability, optimize_radius, poly_stability
 from jbmocz.zeros import (
     ConstellationParams,
@@ -165,7 +165,7 @@ def test_criterion_5_noiseless_correctness():
     received = apply_rotation(x, (12 / 7) * fig2.base_angle)
     template = make_template(fig2, 1024)
     angle = 2 * np.pi * rotation_bins(received, template) / 1024
-    decoded = dizet_hard(correct_rotation(received, angle), fig2)
+    decoded = dizet_hard(apply_rotation(received, -angle), fig2)
     scenario = np.array_equal(decoded, msg)
     ok = exact and scenario
     report(5, ok, f"multipath exact decode {exact}, rotation scenario decode {scenario}")

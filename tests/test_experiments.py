@@ -1,6 +1,7 @@
 """Harness tests: determinism, CSV schema, metric sanity, CLI plumbing."""
 
 import dataclasses
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from jbmocz.experiments import (
     StabilityReportConfig,
     MetricRow,
     jutted_params,
+    loopback_rows,
     run_ber_ofdm,
     run_ber_sequence,
     run_design_curves,
@@ -531,6 +533,18 @@ ber-seq-jutted-polar-rotcorr,ebn0_db,6,bler,0.7485555556,9000,2026
 ber-seq-jutted-polar-rotcorr,ebn0_db,10,ber,0.1811319444,9000,2026
 ber-seq-jutted-polar-rotcorr,ebn0_db,10,bler,0.4762222222,9000,2026
 """),
+    # criterion 6's corrected path (L = 65 on the 1024-bin grid); 9000
+    # codewords as above
+    "ber_sequence_awgn_rotcorr": (
+        BerSequenceConfig(scheme="jutted", num_zeros=64, channel="awgn", rotation="uniform",
+                          correct=True, ebn0_db=(4.0, 8.0), trials=9000, seed=2026, threads=2),
+        """\
+experiment,param_name,param_value,metric,value,trials,seed
+ber-seq-jutted-rotcorr,ebn0_db,4,ber,0.08636979167,9000,2026
+ber-seq-jutted-rotcorr,ebn0_db,4,bler,0.9717777778,9000,2026
+ber-seq-jutted-rotcorr,ebn0_db,8,ber,0.005557291667,9000,2026
+ber-seq-jutted-rotcorr,ebn0_db,8,bler,0.2948888889,9000,2026
+"""),
     # 5000 trials: chunks of 4096 and 904
     "rotation_mse": (
         RotationMseConfig(num_zeros=31, ebn0_db=(4.0, float("inf")), trials=5000, seed=2026,
@@ -551,6 +565,31 @@ def test_sequence_golden_csv(tmp_path, kind):
     path = tmp_path / "golden.csv"
     write_csv(run_experiment(cfg), path)
     assert path.read_text() == expected
+
+
+# loopback rows at 20 dB SNR and the deepest step-back (seed 3), with the
+# receiver's sync and residual-bin readings and the packet's I/Q bytes
+GOLDEN_LOOPBACK = (
+    LoopbackConfig(loopback_snr_db=20.0, loopback_step_back=8, seed=3),
+    """\
+experiment,param_name,param_value,metric,value,trials,seed
+loopback-header,num_zeros,127,ber,0,1,3
+loopback-payload,num_zeros,127,ber,0,1,3
+loopback-payload,num_zeros,127,papr_db,1.478713,1,3
+loopback-template,num_zeros,127,papr_db,7.266260149,1,3
+""",
+    dict(sync_tau=109, residual_bin=7),
+    "fc426ce685a1244591c60243e931ef83f5319cdae74261057e55c4205e6021c5",
+)
+
+
+def test_loopback_golden_csv(tmp_path):
+    cfg, expected, readings, iq_sha256 = GOLDEN_LOOPBACK
+    report = run_loopback(cfg, iq_path=str(tmp_path / "pkt.iq"))
+    write_csv(loopback_rows(report, cfg), tmp_path / "golden.csv")
+    assert (tmp_path / "golden.csv").read_text() == expected
+    assert {key: getattr(report, key) for key in readings} == readings
+    assert hashlib.sha256((tmp_path / "pkt.iq").read_bytes()).hexdigest() == iq_sha256
 
 
 class TestBerSequenceRows:

@@ -1,5 +1,7 @@
 """Zero-rotation impairment and template-correlation estimator tests."""
 
+import concurrent.futures
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,8 +13,9 @@ from jbmocz.dizet import dizet_hard
 from jbmocz.rotation import (
     BLOCK_VALUES,
     _correlation_scores,
+    _phase_table,
     apply_rotation,
-    correct_rotation,
+    correct_bins,
     estimate_rotation_bins,
     oversampled_magnitudes,
     rotation_bins,
@@ -35,6 +38,11 @@ def fig2_codeword():
     return zeros_to_coeffs(encode_bits(FIG2_BITS, FIG2))
 
 
+def derotate(coeffs, angle):
+    """Undo apply_rotation(coeffs, angle)."""
+    return apply_rotation(coeffs, -np.asarray(angle, dtype=float))
+
+
 class TestApplyRotation:
     def test_zero_angle_identity(self):
         x = fig2_codeword()
@@ -55,21 +63,89 @@ class TestApplyRotation:
 
     def test_correct_inverts(self):
         x = fig2_codeword()
-        np.testing.assert_allclose(correct_rotation(apply_rotation(x, 1.234), 1.234), x,
+        np.testing.assert_allclose(derotate(apply_rotation(x, 1.234), 1.234), x,
                                    atol=1e-12)
 
     def test_per_row_angles_match_scalar_calls(self):
         rows = np.stack([fig2_codeword(), 2j * fig2_codeword(), -fig2_codeword()])
         angles = np.array([0.3, 2.0, 5.9])
-        for fn in (apply_rotation, correct_rotation):
-            stacked = fn(rows, angles)
-            for i in range(3):
-                np.testing.assert_array_equal(stacked[i], fn(rows[i], angles[i]))
+        stacked = apply_rotation(rows, angles)
+        for i in range(3):
+            np.testing.assert_array_equal(stacked[i], apply_rotation(rows[i], angles[i]))
         # one angle per packet across a (packets, symbols, L) stack
         packets = np.stack([rows, rows[::-1]])
         stacked = apply_rotation(packets, angles[:2, None])
         for p in range(2):
             np.testing.assert_array_equal(stacked[p], apply_rotation(packets[p], angles[p]))
+
+
+class TestCorrectBins:
+    @staticmethod
+    def assert_matches_apply_rotation(k, n_bins, rows, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((rows, k + 1)) + 1j * rng.standard_normal((rows, k + 1))
+        bins = rng.integers(0, n_bins, rows)
+        assert np.array_equal(correct_bins(coeffs, bins, n_bins),
+                              apply_rotation(coeffs, -2 * np.pi * bins / n_bins))
+        # (P, M, S) with one bin per packet, as the OFDM FM receiver passes
+        packets = coeffs * rng.standard_normal((3, 1, 1))
+        per_packet = rng.integers(0, n_bins, (3, 1))
+        assert np.array_equal(correct_bins(packets, per_packet, n_bins),
+                              apply_rotation(packets, -2 * np.pi * per_packet / n_bins))
+        # one scalar bin for every row, as the loopback receiver passes
+        scalar = int(bins[0])
+        assert np.array_equal(correct_bins(coeffs, scalar, n_bins),
+                              apply_rotation(coeffs, -2 * np.pi * scalar / n_bins))
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(2, 127), extra_bins=st.integers(0, 1024), rows=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_apply_rotation(self, k, extra_bins, rows, seed):
+        self.assert_matches_apply_rotation(k, 2 * k + 2 + extra_bins, rows, seed)
+
+    @pytest.mark.parametrize("extra_bins", [0, 510, 1024])
+    def test_matches_apply_rotation_k256(self, extra_bins):
+        self.assert_matches_apply_rotation(256, 514 + extra_bins, 300, extra_bins)
+
+    def test_every_bin_of_the_table(self):
+        coeffs = np.tile(fig2_codeword(), (1024, 1))
+        bins = np.arange(1024)
+        assert np.array_equal(correct_bins(coeffs, bins, 1024),
+                              apply_rotation(coeffs, -2 * np.pi * bins / 1024))
+
+    def test_shapes_and_read_only_table(self):
+        x = fig2_codeword()
+        assert correct_bins(x, 5, 64).shape == x.shape
+        assert correct_bins(np.tile(x, (4, 3, 1)), np.arange(4)[:, None], 64).shape == (4, 3, 9)
+        with pytest.raises(ValueError):
+            _phase_table(64, 9)[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            make_template(FIG2, 64).conj_spectrum[0] = 1.0
+
+    def test_threads_share_caches(self):
+        # a fresh template and an empty table cache, so the pool threads race
+        # to build Template.conj_spectrum and the table while they estimate
+        params = ConstellationParams(32, 1.05, 1.1)
+        template = make_template(params, 256)
+        received = received_stack(params, (300,), seed=9)
+        _phase_table.cache_clear()
+
+        def receive():
+            bins = rotation_bins(received, template)
+            return bins, correct_bins(received, bins, 256)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(receive) for _ in range(16)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        expected = whole_stack_bins(received, template)
+        for bins, corrected in results:
+            assert np.array_equal(bins, expected)
+            assert np.array_equal(corrected, apply_rotation(received, -2 * np.pi * expected / 256))
 
 
 class TestEstimator:
@@ -120,7 +196,7 @@ class TestEstimator:
         template = make_template(params, 1024)
         coeffs = zeros_to_coeffs(encode_bits(np.random.default_rng(2).integers(0, 2, 8), params))
         mags = oversampled_magnitudes(coeffs, 1024)
-        scores = _correlation_scores(mags, template.samples)
+        scores = _correlation_scores(mags, template)
         period = 1024 // 8
         for m in range(1, 8):
             np.testing.assert_allclose(scores, np.roll(scores, m * period),
@@ -133,7 +209,7 @@ class TestEstimator:
         direct = np.array([
             np.dot(np.roll(template.samples, s), mags) for s in range(256)
         ])
-        np.testing.assert_allclose(_correlation_scores(mags, template.samples), direct,
+        np.testing.assert_allclose(_correlation_scores(mags, template), direct,
                                    atol=1e-9)
 
     def test_size_mismatch(self):
@@ -185,6 +261,25 @@ class TestBlockedRotationBins:
             assert bins.shape == shape
             assert np.array_equal(bins, whole_stack_bins(received, template)), shape
 
+    @pytest.mark.parametrize("n_bins", [514, 1024])
+    def test_row_counts_around_block_k256(self, n_bins):
+        params = ConstellationParams(256, 1.008, 1.05)
+        template = make_template(params, n_bins)
+        block = BLOCK_VALUES // n_bins
+        for rows in (1, block - 1, block, block + 1, 3 * block + 5):
+            received = received_stack(params, (rows,), seed=rows)
+            bins = rotation_bins(received, template)
+            assert bins.shape == (rows,)
+            assert np.array_equal(bins, whole_stack_bins(received, template)), rows
+
+    def test_rows_longer_than_grid_are_cropped(self):
+        # ifft(·, n=N) crops (..., L) rows to their first N values when L > N
+        template = make_template(ConstellationParams(8, 1.176, 1.15), 18)
+        received = received_stack(self.params, (70,), seed=11)
+        bins = rotation_bins(received, template)
+        assert np.array_equal(bins, whole_stack_bins(received, template))
+        assert np.array_equal(bins, rotation_bins(received[:, :18], template))
+
     def test_empty_stack(self):
         template = make_template(self.params, 1024)
         bins = rotation_bins(np.zeros((0, 33), dtype=complex), template)
@@ -217,6 +312,22 @@ class TestBlockedRotationBins:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
 
+    def test_peak_memory_sized_by_stack(self):
+        # the OFDM FM receiver's call: 24 rows at N = 256, where a block
+        # holds 256 rows; buffers sized by the block would exceed the bound
+        # on their own, one block's worth of complex values
+        template = make_template(self.params, 256)
+        received = received_stack(self.params, (24,), seed=5)
+        rotation_bins(received, template)
+        bound = BLOCK_VALUES * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            rotation_bins(received, template)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+
 
 class TestEndToEnd:
     def test_fig2_scenario(self):
@@ -225,7 +336,7 @@ class TestEndToEnd:
         received = apply_rotation(x, phi)
         template = make_template(FIG2, 1024)
         angle = 2 * np.pi * rotation_bins(received, template) / 1024
-        corrected = correct_rotation(received, angle)
+        corrected = derotate(received, angle)
         np.testing.assert_array_equal(dizet_hard(corrected, FIG2), FIG2_BITS)
 
     def test_one_bin_off_still_decodes(self):
@@ -236,7 +347,7 @@ class TestEndToEnd:
             received = apply_rotation(x, phi)
             nearest = round(phi * 1024 / (2 * np.pi)) % 1024
             off = (nearest + rng.choice([-1, 1])) % 1024
-            corrected = correct_rotation(received, 2 * np.pi * off / 1024)
+            corrected = derotate(received, 2 * np.pi * off / 1024)
             np.testing.assert_array_equal(dizet_hard(corrected, FIG2), FIG2_BITS)
 
 
