@@ -49,7 +49,6 @@ from .zeros import (
     aacf_edge_scale,
     coeffs_to_zeros,
     default_radius,
-    demap_zeros,
     encode_bits,
     encode_coeffs,
     make_template,

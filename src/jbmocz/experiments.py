@@ -21,6 +21,7 @@ payload bits (the convention is echoed in the CSV header).
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import numbers
 import os
 import tempfile
@@ -97,74 +98,85 @@ def huffman_params(num_zeros: int) -> ConstellationParams:
 # one frozen config class per experiment kind (see EXPERIMENTS), holding
 # only the keys its runner reads, with that kind's defaults
 
-# the integer keys of every kind that has them, each with its least value
-_INT_KEYS = {"seed": 0, "num_zeros": 2, "trials": 1, "threads": 1, "channel_taps": 1,
-             "idft_size": 1, "cp_len": 0, "payload_bits": 1,
-             "tm_preamble_zeros": 2,  # the preamble codeword needs at least 2 zeros
-             "loopback_step_back": 0}
+# a rule's kind -> (the type of its values, its name in messages)
+_KINDS = {"int": (numbers.Integral, "an integer"), "number": (numbers.Real, "a finite number"),
+          "level": (numbers.Real, "a level (dB, or +inf for no noise)"),
+          "bool": ((bool, np.bool_), "true or false"), "path": (str, "a path")}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class _Key:
+    """The rule of one config key: a value of its kind (see _KINDS; None
+    for `values` only) in least..most, one of `values`, or None if
+    `optional`.  With `many`, a nonempty list of distinct such values."""
+
+    kind: str = None
+    least: float = -math.inf
+    most: float = math.inf
+    values: tuple = ()
+    optional: bool = False
+    many: bool = False
+
+    def accepts(self, value) -> bool:
+        if self.many:
+            return (isinstance(value, (tuple, list)) and len(value) > 0
+                    and all(map(self._fits, value)) and len(set(value)) == len(value))
+        return value is None and self.optional or self._fits(value)
+
+    def _fits(self, value) -> bool:
+        if value in self.values or self.kind is None:
+            return value in self.values
+        if not isinstance(value, _KINDS[self.kind][0]):
+            return False
+        # a number is no bool, NaN or -inf, and +inf only if a level
+        return (self.kind in ("bool", "path") or not isinstance(value, bool) and -math.inf < value
+                and self.least <= value <= self.most and (value < math.inf or self.kind == "level"))
+
+    def __str__(self) -> str:
+        each = ["null"] * self.optional + [repr(value) for value in self.values]
+        if self.kind:
+            each.append(_KINDS[self.kind][1] + (
+                "" if self.least == -math.inf else f" of at least {self.least}"
+                if self.most == math.inf else f" in {self.least}..{self.most}"))
+        text = " or ".join(filter(None, [", ".join(each[:-1]), each[-1]]))
+        return f"a nonempty list of distinct entries, each {text}" if self.many else text
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_level(value) -> bool:
-    """A number of dB, or +inf for no noise: never NaN or -inf."""
-    return _is_number(value) and not np.isnan(value) and value != -np.inf
+_COUNT = _Key("int", least=1)      # trials, threads, taps, sizes
+_SWEEP = _Key("level", many=True)  # the Eb/N0 points
 
 
 @dataclass(frozen=True)
 class _Config:
-    """The keys of every kind.  `choices`, a class attribute and not a key,
-    maps a key to the values the kind runs."""
+    """The keys of every kind.  `keys`, a class attribute and not a key,
+    holds each key's rule; subclasses extend it."""
 
-    choices = {}
+    keys = {"seed": _Key("int", least=0), "out": _Key("path", optional=True)}
     seed: int = 0
     out: str = None
 
     def __post_init__(self):
-        for name, least in _INT_KEYS.items():
-            value = getattr(self, name, least)
-            if not _is_int(value) or value < least:
-                raise ValueError(f"{name}={value!r} must be an integer of at least {least}")
-        for name, allowed in self.choices.items():
-            if getattr(self, name) not in allowed:
-                raise ValueError(f"{name}={getattr(self, name)!r} is not one of {allowed}")
-
-
-def _check_sweep(config):
-    """The Eb/N0 sweep: a nonempty list of distinct numbers or +inf (noiseless)."""
-    sweep = config.ebn0_db
-    if not isinstance(sweep, (tuple, list)) or not sweep:
-        raise ValueError(f"ebn0_db={sweep!r}: the Eb/N0 sweep must be a nonempty list")
-    if not all(_is_level(e) for e in sweep):
-        raise ValueError(f"ebn0_db={sweep!r}: each Eb/N0 must be a number or +inf, "
-                         "not NaN or -inf")
-    if len(set(sweep)) < len(sweep):
-        raise ValueError(f"ebn0_db={sweep!r}: each Eb/N0 at most once")
+        for name, rule in self.keys.items():
+            value = getattr(self, name)
+            if not rule.accepts(value):
+                raise ValueError(f"{name}={value!r} must be {rule}")
 
 
 @dataclass(frozen=True)
 class _ConstellationConfig(_Config):
     """A scheme's reference design, or an explicit radius and asymmetry."""
 
-    scheme: str = "jutted"            # jutted | huffman
+    keys = _Config.keys | {"scheme": _Key(values=("jutted", "huffman")),
+                           "num_zeros": _Key("int", least=2),
+                           "radius": _Key("number", optional=True),
+                           "asymmetry": _Key("number", optional=True)}
+    scheme: str = "jutted"
     num_zeros: int = 64
     radius: float = None              # None -> the scheme's design
     asymmetry: float = None           # only with a radius: > 1 if jutted, None -> 1
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("radius", "asymmetry"):
-            value = getattr(self, name)
-            if not (value is None or _is_number(value) and np.isfinite(value)):
-                raise ValueError(f"{name}={value!r} must be null or a finite number")
-        if self.scheme not in ("jutted", "huffman"):
-            raise ValueError(f"scheme={self.scheme!r} must be 'jutted' or 'huffman'")
         if self.asymmetry is not None and self.radius is None:
             raise ValueError(f"asymmetry={self.asymmetry}: give it only with a radius")
         if self.scheme == "huffman" and self.asymmetry not in (None, 1.0):
@@ -188,8 +200,13 @@ class BerSequenceConfig(_ConstellationConfig):
     """Codewords through fading or AWGN, decoded hard or by polar SC.
     ofdm_schemes is unread: the benchmark's warm-up sets it on every kind."""
 
-    choices = {"coding": ("none", "polar"), "channel": ("fading", "awgn"),
-               "pdp": ("uniform",)}
+    keys = _ConstellationConfig.keys | {
+        "threads": _COUNT, "coding": _Key(values=("none", "polar")),
+        "channel": _Key(values=("fading", "awgn")), "channel_taps": _COUNT,
+        "pdp": _Key(values=("uniform",)),
+        "rotation": _Key("number", values=("uniform",), optional=True),
+        "correct": _Key("bool"), "ebn0_db": _SWEEP, "trials": _COUNT,
+        "ofdm_schemes": _Key(values=OFDM_SCHEMES, many=True)}
     threads: int = 1
     coding: str = "none"              # polar: the (32,16) code, K=32
     channel: str = "fading"
@@ -203,14 +220,10 @@ class BerSequenceConfig(_ConstellationConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_sweep(self)
         if self.coding == "polar" and self.num_zeros != 32:
             raise ValueError(f"num_zeros={self.num_zeros}: polar-coded runs use K=32")
         if self.channel == "awgn" and self.channel_taps != BerSequenceConfig.channel_taps:
             raise ValueError(f"channel_taps={self.channel_taps}: an awgn channel has no taps")
-        if not (self.rotation in (None, "uniform")
-                or _is_number(self.rotation) and np.isfinite(self.rotation)):
-            raise ValueError(f"rotation={self.rotation!r}: not None, 'uniform' or a finite angle")
         if self.correct and self.rotation is None:
             raise ValueError("correct=True: there is no rotation to correct; set rotation")
 
@@ -219,7 +232,14 @@ class BerSequenceConfig(_ConstellationConfig):
 class BerOfdmConfig(_Config):
     """Polar-coded OFDM packets through each receiver of ofdm_schemes."""
 
-    choices = {"num_zeros": (32,), "channel": ("fading", "flat"), "pdp": chan.PDP_PROFILES}
+    keys = _Config.keys | {
+        "threads": _COUNT, "num_zeros": _Key("int", least=32, most=32),
+        "channel": _Key(values=("fading", "flat")), "channel_taps": _COUNT,
+        "pdp": _Key(values=chan.PDP_PROFILES), "ebn0_db": _SWEEP, "trials": _COUNT,
+        "idft_size": _COUNT, "cp_len": _Key("int", least=0), "payload_bits": _COUNT,
+        "ofdm_schemes": _Key(values=OFDM_SCHEMES, many=True),
+        "tm_preamble_zeros": _Key("int", least=2),  # the preamble codeword's zeros
+        "step_back": _Key("int", least=0, values=("random",))}
     threads: int = 1
     num_zeros: int = 32
     channel: str = "fading"
@@ -236,19 +256,10 @@ class BerOfdmConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_sweep(self)
         if self.payload_bits % 16:  # 16 bits per polar block
             raise ValueError(f"payload_bits={self.payload_bits}: not a positive multiple of 16")
-        schemes = self.ofdm_schemes
-        if (not schemes or not set(schemes) <= set(OFDM_SCHEMES)
-                or len(set(schemes)) < len(schemes)):
-            raise ValueError(f"ofdm_schemes={schemes!r}: need a nonempty subset of "
-                             f"{OFDM_SCHEMES}, each at most once")
         if self.idft_size < 2 * self.num_zeros + 2:
             raise ValueError(f"idft_size={self.idft_size}: the template needs 2K+2 bins")
-        if self.step_back != "random" and not (_is_int(self.step_back) and self.step_back >= 0):
-            raise ValueError(f"step_back={self.step_back!r} must be 'random' or an integer "
-                             "of at least 0")
         # the prefix rule: the grid link is exact only if the deepest
         # step-back plus the channel span stays inside the cyclic prefix
         deepest = OFDM_RANDOM_STEP_BACK if self.step_back == "random" else self.step_back
@@ -263,6 +274,8 @@ class BerOfdmConfig(_Config):
 class RotationMseConfig(_ConstellationConfig):
     """Rotation-estimator MSE of every estimator size on shared trials."""
 
+    keys = _ConstellationConfig.keys | {"threads": _COUNT, "ebn0_db": _SWEEP, "trials": _COUNT,
+                                        "estimator_bins": _Key("int", least=1, many=True)}
     num_zeros: int = 31
     threads: int = 1
     ebn0_db: tuple = (0.0, 4.0, 8.0, 12.0, 16.0)
@@ -271,33 +284,20 @@ class RotationMseConfig(_ConstellationConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_sweep(self)
-        sizes, least = self.estimator_bins, 2 * self.num_zeros + 2
-        if not (isinstance(sizes, (tuple, list)) and sizes
-                and all(_is_int(n) and n >= least for n in sizes)
-                and len(set(sizes)) == len(sizes)):
-            raise ValueError(f"estimator_bins={sizes!r}: a K={self.num_zeros} template needs "
-                             f"a nonempty list of distinct integer sizes of at least {least}")
+        if min(self.estimator_bins) < 2 * self.num_zeros + 2:
+            raise ValueError(f"estimator_bins={self.estimator_bins!r}: a K={self.num_zeros} "
+                             f"template needs at least {2 * self.num_zeros + 2} bins")
 
 
 @dataclass(frozen=True)
 class DesignCurvesConfig(_Config):
     """The serial radius search R*(K, zeta) for each asymmetry of a list."""
 
+    # below K=32 the minimum stability can fall monotonically in R
+    keys = _Config.keys | {"num_zeros": _Key("int", least=32),
+                           "asymmetry": _Key("number", least=1, many=True)}
     num_zeros: int = 32
     asymmetry: tuple = (1.0, 1.03, 1.06, 1.09, 1.12, 1.15)
-
-    def __post_init__(self):
-        super().__post_init__()
-        # below K=32 the minimum stability can fall monotonically in R, so
-        # the search would report the grid's first radius
-        if self.num_zeros < 32:
-            raise ValueError(f"num_zeros={self.num_zeros}: design curves need K of at least 32")
-        if not (isinstance(self.asymmetry, (tuple, list)) and self.asymmetry
-                and all(_is_number(z) and np.isfinite(z) and z >= 1 for z in self.asymmetry)
-                and len(set(self.asymmetry)) == len(self.asymmetry)):
-            raise ValueError(f"asymmetry={self.asymmetry!r}: not a nonempty list of distinct "
-                             "finite numbers of at least 1")
 
 
 @dataclass(frozen=True)
@@ -319,18 +319,11 @@ class StabilityReportConfig(_ConstellationConfig):
 class LoopbackConfig(_Config):
     """The fixed K=127, 424-bit, 512-point packet through the I/Q loopback."""
 
+    # the step-back keeps the prefix rule on a one-tap channel, of span 0
+    keys = _Config.keys | {"loopback_snr_db": _Key("level", optional=True),
+                           "loopback_step_back": _Key("int", least=0, most=LOOPBACK_CP_LEN)}
     loopback_snr_db: float = None     # None -> noiseless
     loopback_step_back: int = 6       # samples into the packet's cyclic prefix
-
-    def __post_init__(self):
-        super().__post_init__()
-        # the prefix rule on the loopback's one-tap channel, whose span is 0
-        if self.loopback_step_back > LOOPBACK_CP_LEN:
-            raise ValueError(f"loopback_step_back={self.loopback_step_back}: not in "
-                             f"0..{LOOPBACK_CP_LEN}, the packet's cyclic prefix")
-        if not (self.loopback_snr_db is None or _is_level(self.loopback_snr_db)):
-            raise ValueError(f"loopback_snr_db={self.loopback_snr_db!r}: not null (noiseless), "
-                             "a number or +inf")
 
 
 @dataclass(frozen=True)

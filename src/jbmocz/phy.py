@@ -58,10 +58,6 @@ def map_fm(codewords) -> np.ndarray:
     return codewords.T.copy()
 
 
-def demap_fm(grid) -> np.ndarray:
-    return np.asarray(grid, dtype=complex).T.copy()
-
-
 def ofdm_modulate(grid, config: OfdmConfig) -> np.ndarray:
     """Synthesize the sample stream for an (S, M) resource grid: per symbol,
     an N-point inverse transform of the zero-padded column with a cyclic

@@ -217,20 +217,18 @@ def min_codebook_stability(
     params: ConstellationParams,
     samples: int = MIN_SAMPLE_COUNT,
     seed: int = 0,
-    exact: bool = None,
 ) -> float:
-    """Minimum polynomial stability over the codebook.
-
-    Exact for K <= 16 by default.  Otherwise the all-outside and all-inside
-    codewords (the consistent extremes) are checked alongside a seeded
-    random sample, and the smallest value found is returned.  Pass `exact`
-    to force either path.
-    """
-    k = params.num_zeros
-    if exact is None:
-        exact = k <= EXACT_LIMIT
-    if exact:
+    """Minimum polynomial stability over the codebook: exact for K <= 16,
+    sampled by `_sampled_min_stability` beyond."""
+    if params.num_zeros <= EXACT_LIMIT:
         return float(np.min(codebook_stabilities(params)))
+    return _sampled_min_stability(params, samples, seed)
+
+
+def _sampled_min_stability(params: ConstellationParams, samples: int, seed: int) -> float:
+    """The smallest stability of the all-outside and all-inside codewords
+    (the consistent extremes) and a seeded random sample of the codebook."""
+    k = params.num_zeros
     rng = np.random.default_rng(seed)
     messages = np.vstack(
         [np.ones((1, k), dtype=int), np.zeros((1, k), dtype=int),

@@ -223,24 +223,6 @@ def coeffs_to_zeros(coeffs) -> np.ndarray:
     return np.roots(coeffs[::-1])
 
 
-def demap_zeros(zeros, params: ConstellationParams) -> np.ndarray:
-    """Recover bits from an unordered set of K zeros by nearest-point
-    assignment against the 2K constellation points."""
-    zeros = np.asarray(zeros, dtype=complex)
-    points = np.concatenate([params.outer_points(), params.inner_points()])
-    nearest = np.argmin(np.abs(zeros[:, None] - points[None, :]), axis=1)
-    k = params.num_zeros
-    bits = np.zeros(k, dtype=int)
-    seen = np.zeros(k, dtype=bool)
-    for idx in nearest:
-        pair, bit = idx % k, int(idx < k)
-        if seen[pair]:
-            raise ArithmeticError(f"two zeros both map to pair {pair}")
-        seen[pair] = True
-        bits[pair] = bit
-    return bits
-
-
 def aacf(coeffs) -> np.ndarray:
     """Aperiodic autocorrelation a_l = sum_i conj(x_i) x_{i+l} for
     l = -K..K, returned lowest lag first (length 2K+1)."""

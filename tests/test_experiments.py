@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import yaml
 
 from jbmocz import experiments
 from jbmocz.channel import ImpairmentSpec, apply_ofdm_channel, complex_noise, draw_cir
-from jbmocz.cli import load_config, main
+from jbmocz.cli import COMMANDS, load_config, main
 from jbmocz.experiments import (
     EXPERIMENTS,
     BerOfdmConfig,
@@ -38,6 +39,15 @@ from jbmocz.phy import OfdmConfig, ofdm_demodulate, ofdm_modulate
 from jbmocz.rotation import apply_rotation
 from jbmocz.stability import min_codebook_stability
 from jbmocz.zeros import ConstellationParams, encode_coeffs
+
+
+def wrong_values(rule):
+    """Values of the wrong type for a key's rule: a bool for a numeric kind
+    (and a string for a finite number), 2 for a bool, 1 for a path; an
+    empty list, or a list of one wrong value, where a list is due."""
+    wrong = {"int": [True], "number": [True, "1.5"], "level": [True], "bool": [2],
+             "path": [1], None: [True]}[rule.kind]
+    return [[], wrong[:1]] if rule.many else wrong
 
 
 class TestConfig:
@@ -353,10 +363,16 @@ class TestConfig:
         ("rotation_mse", "estimator_bins", (100.5,)),   # ran as rotation-mse-n101
         ("rotation_mse", "estimator_bins", (64, 64)),   # ran, two rotation-mse-n64 rows
         ("loopback", "loopback_snr_db", "a"),
+        ("ber_sequence", "correct", "false"),           # ran the corrected receiver
+        ("ber_sequence", "correct", 2),
+        ("papr_table", "out", 1),                       # wrote the CSV to fd 1
+        ("loopback", "out", 1),
     ])
     def test_key_types_checked_at_build(self, kind, field, value):
+        # a correction needs a rotation, so set one: the key's own rule must reject it
+        rotation = {"rotation": "uniform"} if field == "correct" else {}
         with pytest.raises(ValueError, match=field):
-            load_config(kind, overrides={field: value})
+            load_config(kind, overrides={field: value, **rotation})
 
     @pytest.mark.parametrize("config_class, settings, field", [
         # a string raised a bare TypeError; True and inf built and ran, and
@@ -374,6 +390,21 @@ class TestConfig:
         base = dict(scheme="huffman", num_zeros=8, radius=1.2, asymmetry=1.0)
         with pytest.raises(ValueError, match=f"{field}="):
             config_class(**base | settings)
+
+    @pytest.mark.parametrize("kind", list(EXPERIMENTS))
+    def test_every_key_has_a_rule(self, kind):
+        config_class = EXPERIMENTS[kind][0]
+        assert set(config_class.keys) == {f.name for f in dataclasses.fields(config_class)}
+
+    @pytest.mark.parametrize("config_class, field, value", [
+        pytest.param(config_class, name, value, id=f"{kind}-{name}-{value!r}")
+        for kind, (config_class, _) in EXPERIMENTS.items()
+        for name, rule in config_class.keys.items()
+        for value in wrong_values(rule)
+    ])
+    def test_rule_rejects_wrong_type(self, config_class, field, value):
+        with pytest.raises(ValueError, match=f"^{field}="):
+            config_class(**{field: value})
 
     def test_numpy_int_keys_accepted(self):
         # step_back and loopback_step_back used to reject numpy ints
@@ -831,6 +862,32 @@ class TestCli:
             load_config(kind, str(configs / f"{name}.yaml"),
                         dict(trials=1, ebn0_db=config.ebn0_db[:1],
                              ofdm_schemes=config.ofdm_schemes[:1]))
+
+    def test_numeric_out_rejected(self, tmp_path, monkeypatch):
+        # out: 1 used to make write_csv open file descriptor 1
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "out.yaml"
+        config.write_text("out: 1\n")
+        with pytest.raises(ValueError, match="out="):
+            main(["papr-table", "--config", str(config)])
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_readme_names_every_key(self, command):
+        # each subcommand's bullet under "Config files" gives every key but
+        # seed and out as `key: default`
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Config files")[1].split("\n## ")[0]
+        config_class = EXPERIMENTS[COMMANDS[command]][0]
+        head = f"\n- `{command}` (`{config_class.__name__}`):"
+        assert section.count(head) == 1
+        bullet = section.split(head)[1].split("\n- ")[0].split("\n\n")[0]
+        named = {}
+        for name, text in re.findall(r"`([a-z_0-9]+): ([^`]+)`", bullet):
+            value = yaml.safe_load(" ".join(text.split()))
+            named[name] = tuple(value) if isinstance(value, list) else value
+        assert named == {f.name: f.default for f in dataclasses.fields(config_class)
+                         if f.name not in ("seed", "out")}
 
     def test_stability_command(self, tmp_path):
         out = tmp_path / "stab.csv"

@@ -8,7 +8,6 @@ from jbmocz.dizet import dizet_hard
 from jbmocz.phy import (
     OfdmConfig,
     build_sync_symbol,
-    demap_fm,
     estimate_channel_blind,
     estimate_noise_var,
     map_fm,
@@ -52,7 +51,7 @@ class TestResourceMapping:
     def test_map_demap_identity(self):
         rng = np.random.default_rng(0)
         codewords = random_codewords(rng, ConstellationParams(8, 1.2), 5)
-        np.testing.assert_array_equal(demap_fm(map_fm(codewords)), codewords)
+        np.testing.assert_array_equal(map_fm(codewords).T, codewords)
 
     def test_fm_symbol_evaluates_polynomial(self):
         rng = np.random.default_rng(1)

@@ -13,10 +13,13 @@ from jbmocz.experiments import DesignCurvesConfig, run_design_curves
 from jbmocz.phy import papr_fm
 from jbmocz.stability import (
     BLOCK_VALUES,
+    MIN_SAMPLE_COUNT,
     ON_GRID_DISTANCE,
     _check_roots,
     _grid_log_distance,
     _grid_power,
+    _sampled_min_stability,
+    codebook_stabilities,
     codebook_stability,
     deflate,
     min_codebook_stability,
@@ -371,8 +374,8 @@ class TestMinCodebookStability:
     @pytest.mark.parametrize("k", [8, 10, 12])
     def test_fast_path_matches_exhaustive(self, k):
         params = ConstellationParams(k, default_radius(k), 1.08)
-        exact = min_codebook_stability(params, exact=True)
-        fast = min_codebook_stability(params, exact=False)
+        exact = min(codebook_stabilities(params))
+        fast = _sampled_min_stability(params, MIN_SAMPLE_COUNT, seed=0)
         assert fast == pytest.approx(exact, abs=1e-12)
 
     def test_extremes_bracket_codebook(self):
@@ -383,7 +386,7 @@ class TestMinCodebookStability:
             inside, z_in = unit_codeword(np.zeros(k, dtype=int), params)
             outside, z_out = unit_codeword(np.ones(k, dtype=int), params)
             lo, hi = poly_stability(outside, z_out), poly_stability(inside, z_in)
-            assert min_codebook_stability(params, exact=True) == pytest.approx(lo, abs=1e-12)
+            assert min_codebook_stability(params) == pytest.approx(lo, abs=1e-12)
             rng = np.random.default_rng(3)
             for _ in range(25):
                 c, z = unit_codeword(rng.integers(0, 2, k), params)

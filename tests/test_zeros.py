@@ -13,7 +13,6 @@ from jbmocz.zeros import (
     aacf_edge_scale,
     coeffs_to_zeros,
     default_radius,
-    demap_zeros,
     encode_bits,
     encode_coeffs,
     make_template,
@@ -37,6 +36,24 @@ def brute_force_aacf(coeffs):
                 acc += np.conj(coeffs[i]) * coeffs[j]
         out[lag + k] = acc
     return out
+
+
+def demap_zeros(zeros, params: ConstellationParams) -> np.ndarray:
+    """Recover bits from an unordered set of K zeros by nearest-point
+    assignment against the 2K constellation points."""
+    zeros = np.asarray(zeros, dtype=complex)
+    points = np.concatenate([params.outer_points(), params.inner_points()])
+    nearest = np.argmin(np.abs(zeros[:, None] - points[None, :]), axis=1)
+    k = params.num_zeros
+    bits = np.zeros(k, dtype=int)
+    seen = np.zeros(k, dtype=bool)
+    for idx in nearest:
+        pair, bit = idx % k, int(idx < k)
+        if seen[pair]:
+            raise ArithmeticError(f"two zeros both map to pair {pair}")
+        seen[pair] = True
+        bits[pair] = bit
+    return bits
 
 
 class TestConstellationParams:
