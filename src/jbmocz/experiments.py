@@ -260,6 +260,10 @@ class BerOfdmConfig(_Config):
             raise ValueError(f"payload_bits={self.payload_bits}: not a positive multiple of 16")
         if self.idft_size < 2 * self.num_zeros + 2:
             raise ValueError(f"idft_size={self.idft_size}: the template needs 2K+2 bins")
+        if self.channel == "flat" and self.channel_taps != BerOfdmConfig.channel_taps:
+            raise ValueError(f"channel_taps={self.channel_taps}: a flat channel has no taps")
+        if self.channel == "flat" and self.pdp != BerOfdmConfig.pdp:
+            raise ValueError(f"pdp={self.pdp!r}: a flat channel has no power delay profile")
         # the prefix rule: the grid link is exact only if the deepest
         # step-back plus the channel span stays inside the cyclic prefix
         deepest = OFDM_RANDOM_STEP_BACK if self.step_back == "random" else self.step_back
@@ -631,7 +635,7 @@ def run_design_curves(config: DesignCurvesConfig) -> list:
 def run_papr_table(config: PaprTableConfig) -> list:
     entries = [
         ("huffman", ConstellationParams(63, 1.025)),
-        ("huffman", ConstellationParams(127, default_radius(127))),
+        ("huffman", huffman_params(127)),
         ("jutted", jutted_params(127)),
     ]
     rows = []
@@ -699,7 +703,7 @@ def run_loopback(config: LoopbackConfig, iq_path: str = None) -> LoopbackReport:
 
     sync_params = ConstellationParams(header_len, 1.025)
     first_params = jutted_params(k)
-    payload_params = ConstellationParams(k, default_radius(k))
+    payload_params = huffman_params(k)
 
     n_idft, fs = 512, 20e6
     n_sub = k + 1

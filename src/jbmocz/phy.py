@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dizet import dizet_hard
-from .zeros import (ConstellationParams, _edge_scale_huffman, aacf_edge_scale, encode_coeffs,
-                    power_spectrum)
+from .zeros import ConstellationParams, aacf_edge_scale, encode_coeffs, power_spectrum
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def papr_peak_at_dc(params: ConstellationParams) -> bool:
     k, r, zeta = params.num_zeros, params.radius, params.asymmetry
     if not (zeta > 1.0 and r > 1.0 and k >= 2):
         raise ValueError("condition is posed for asymmetry > 1, radius > 1, K >= 2")
-    eta_h = _edge_scale_huffman(k, r)
+    eta_h = aacf_edge_scale(ConstellationParams(k, r))
     a = zeta * r + 1.0 / (zeta * r)
     b = r + 1.0 / r
     c = 2.0 * np.cos(np.pi / k)
@@ -185,24 +184,21 @@ def papr_peak_at_dc(params: ConstellationParams) -> bool:
 def papr_fm(params: ConstellationParams, grid_size: int = 8192) -> tuple[float, str]:
     """FM symbol PAPR in dB plus the method used.
 
-    Huffman constellations and jutted ones whose spectrum provably peaks at
-    DC use the closed forms; otherwise the peak is located numerically on a
-    dense frequency grid (grid_size >= 4096).
+    Huffman constellations use the closed form 1 + 2 eta, and jutted ones
+    whose spectrum provably peaks at DC the power spectrum at omega = 0;
+    otherwise the peak is located numerically on a dense frequency grid
+    (grid_size >= 4096).
     """
     if params.is_huffman:
         return papr_fm_huffman(params), "closed_form"
     if grid_size < 4096:
         raise ValueError(f"grid too coarse ({grid_size}), need >= 4096")
     if papr_peak_at_dc(params):
-        k, r, zeta = params.num_zeros, params.radius, params.asymmetry
-        eta_h = _edge_scale_huffman(k, r)
-        a = zeta * r + 1.0 / (zeta * r)
-        b = r + 1.0 / r
-        papr = (aacf_edge_scale(params) / eta_h) * (a - 2.0) / (b - 2.0) * (1.0 - 2.0 * eta_h)
-        return 10.0 * np.log10(papr), "closed_form"
-    omega = 2.0 * np.pi * np.arange(grid_size) / grid_size
+        omega, method = 0.0, "closed_form"
+    else:
+        omega, method = 2.0 * np.pi * np.arange(grid_size) / grid_size, "numeric"
     peak = power_spectrum(params, omega).max()
-    return 10.0 * np.log10(peak / (params.num_zeros + 1)), "numeric"
+    return 10.0 * np.log10(peak / (params.num_zeros + 1)), method
 
 
 def measured_papr_db(samples) -> float:
@@ -214,10 +210,9 @@ def measured_papr_db(samples) -> float:
 @dataclass(frozen=True)
 class ChannelEstimate:
     """Per-subcarrier complex gains with the matching MMSE equalizer; for
-    stacked packets, gains and equalizer are (..., S) and noise_var (...)."""
+    stacked packets, both are (..., S)."""
 
     gains: np.ndarray
-    noise_var: float | np.ndarray
     equalizer: np.ndarray
 
 
@@ -252,7 +247,7 @@ def estimate_channel_blind(received_tm_grid, params_tm: ConstellationParams,
         np.abs(reencoded) ** 2, axis=-1
     )
     equalizer = np.conj(gains) / (np.abs(gains) ** 2 + np.expand_dims(noise_var, -1))
-    return ChannelEstimate(gains=gains, noise_var=noise_var, equalizer=equalizer)
+    return ChannelEstimate(gains=gains, equalizer=equalizer)
 
 
 def write_iq(path, samples) -> None:

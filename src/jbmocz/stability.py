@@ -27,11 +27,12 @@ Every zero of a codebook stack is one of the constellation's 2K points (a
 so d[n] is built once per distinct root, not once per pair.  Each pair then
 gathers its root's d and its row's |X(w_n)|^2, and its N values are reduced
 by one log2 and one sum, the same arithmetic, bit for bit, as forming them
-pair by pair.  The distances are built for BLOCK_VALUES // (3N) roots at a
-time and the pairs, sorted by root, are scored as many at a time, so the
-distance table and the two gather buffers hold at most BLOCK_VALUES grid
-values, whatever the size of the stack; beyond that the profile holds the
-(rows, N) power array and a few values per pair.
+pair by pair.  The stack is scored BLOCK_VALUES // N rows at a time; in a
+block, distances are built for BLOCK_VALUES // (3N) roots at a time and the
+pairs, sorted by root, scored as many at a time.  So the power array, its
+transform, the distance table and the gather buffers hold a few times
+BLOCK_VALUES grid values, whatever the size of the stack, plus a few values
+per pair.  Rows are scored on their own, so the blocks change no score.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import warnings
 
 import numpy as np
 
+from .rotation import oversampled_magnitudes
 from .zeros import ConstellationParams, coeffs_to_zeros, encode_bits, encode_coeffs
 
 GRID_SIZE = 1024  # N, the unit-circle grid of the capacity
@@ -99,12 +101,6 @@ def deflate(coeffs, root) -> np.ndarray:
     return np.where(outer[..., None], up, down)
 
 
-def _grid_power(coeffs, grid_size: int) -> np.ndarray:
-    """|P(e^{j 2 pi n/N})|^2 on the uniform grid, via zero-padded transform."""
-    evals = grid_size * np.fft.ifft(coeffs, n=grid_size, axis=-1)
-    return np.abs(evals) ** 2
-
-
 def _grid_log_distance(roots, grid_size: int) -> np.ndarray:
     """sum_n log2|w_n - alpha|^2 over the grid, as log2|alpha^N - 1|^2."""
     outer = np.abs(roots) > 1.0
@@ -127,8 +123,18 @@ def reliability_profile(coeffs, roots) -> np.ndarray:
     k = roots.shape[-1]
     coeffs = np.broadcast_to(coeffs, lead + coeffs.shape[-1:]).reshape(-1, coeffs.shape[-1])
     roots = np.broadcast_to(roots, lead + (k,)).reshape(-1, k)
-    _check_roots(coeffs, roots)
+    scores = np.empty(roots.shape)
+    step = BLOCK_VALUES // GRID_SIZE
+    for start in range(0, len(roots), step):
+        rows = slice(start, start + step)
+        scores[rows] = _block_profile(coeffs[rows], roots[rows])
+    return scores.reshape(lead + (k,))
 
+
+def _block_profile(coeffs, roots) -> np.ndarray:
+    """reliability_profile of a (rows, K+1), (rows, K) block."""
+    k = roots.shape[-1]
+    _check_roots(coeffs, roots)
     grid = np.exp(2j * np.pi * np.arange(GRID_SIZE) / GRID_SIZE)
     nearest = np.rint(np.angle(roots) * GRID_SIZE / (2 * np.pi)).astype(int) % GRID_SIZE
     on_grid = np.abs(roots - grid[nearest]) < ON_GRID_DISTANCE
@@ -140,7 +146,7 @@ def reliability_profile(coeffs, roots) -> np.ndarray:
     inverse = inverse.reshape(-1)
     order = np.argsort(inverse, kind="stable")
     sorted_inverse = inverse[order]
-    power = _grid_power(coeffs, GRID_SIZE)
+    power = oversampled_magnitudes(coeffs, GRID_SIZE) ** 2
     step = BLOCK_VALUES // (3 * GRID_SIZE)
     tables, values, powers = np.empty((3, step, GRID_SIZE))
     sums = np.empty(inverse.size)
@@ -163,8 +169,9 @@ def reliability_profile(coeffs, roots) -> np.ndarray:
     rows, cols = np.nonzero(on_grid)
     if rows.size:
         quotients = deflate(coeffs[rows], roots[rows, cols])
-        scores[rows, cols] = np.mean(np.log2(1.0 + _grid_power(quotients, GRID_SIZE)), axis=-1)
-    return scores.reshape(lead + (k,))
+        power = oversampled_magnitudes(quotients, GRID_SIZE) ** 2
+        scores[rows, cols] = np.mean(np.log2(1.0 + power), axis=-1)
+    return scores
 
 
 def poly_stability(coeffs, roots=None) -> float:

@@ -25,8 +25,8 @@ rescale, rather than rephasing by the computed one: at R=1.5, K=127 that
 coefficient is ~R^-K of the norm, below its rounding.  base and delta are
 cached for the last SYNTHESIS_CACHE_SIZE constellations (a bounded cache,
 since a radius search visits dozens).  `zeros_to_coeffs` expands arbitrary
-zeros by the K-step product recurrence; it is the reference for the
-identity.
+zeros by the plain K-step product recurrence; it is the reference for the
+identity, not a second synthesis path: no runner calls it.
 """
 
 from __future__ import annotations
@@ -94,16 +94,14 @@ def encode_bits(bits, params: ConstellationParams) -> np.ndarray:
     """Map binary messages to zero patterns.
 
     bits: (..., K) array of 0/1.  Returns (..., K) complex zeros where
-    zero k sits at rho_k e^{j psi_k} for bit 1 and rho_k^-1 e^{j psi_k}
-    for bit 0.
+    zero k is outer_points()[k] for bit 1 and inner_points()[k] for bit 0.
     """
     bits = np.asarray(bits)
     if bits.shape[-1] != params.num_zeros:
         raise ValueError(
             f"expected {params.num_zeros} bits per message, got {bits.shape[-1]}"
         )
-    rho = np.where(bits != 0, params.zero_radii, 1.0 / params.zero_radii)
-    return rho * np.exp(1j * params.zero_phases)
+    return np.where(bits != 0, params.outer_points(), params.inner_points())
 
 
 def _low_discrepancy_order(n: int) -> np.ndarray:
@@ -131,7 +129,9 @@ def zeros_to_coeffs(zeros, energy: float = None) -> np.ndarray:
 
     zeros: (..., K) complex.  Returns (..., K+1) coefficients of
     prod_k (z - zeros[k]), rescaled so the squared 2-norm equals `energy`
-    (default K+1) with a real, positive leading coefficient.
+    (default K+1) with a real, positive leading coefficient.  The plain
+    product recurrence, the reference `encode_coeffs` is checked against;
+    not tuned for speed.
     """
     zeros = np.asarray(zeros, dtype=complex)
     k = zeros.shape[-1]
@@ -141,21 +141,13 @@ def zeros_to_coeffs(zeros, energy: float = None) -> np.ndarray:
         raise ValueError(f"energy must be positive, got {energy}")
     coeffs = np.zeros(zeros.shape[:-1] + (k + 1,), dtype=complex)
     coeffs[..., 0] = 1.0
-    spare = np.empty_like(coeffs)
-    # multiply by (z - alpha): the next coefficients are the current ones
-    # shifted up one power minus alpha times the current ones, written into
-    # the spare buffer, after which the two buffers swap roles
+    # multiply by (z - alpha): the current coefficients shifted up one
+    # power, minus alpha times the current ones
     for i in _low_discrepancy_order(k):
-        np.multiply(zeros[..., i, None], coeffs, out=spare)
-        np.subtract(0.0, spare[..., :1], out=spare[..., :1])
-        np.subtract(coeffs[..., :-1], spare[..., 1:], out=spare[..., 1:])
-        coeffs, spare = spare, coeffs
-    # np.linalg.norm(coeffs, axis=-1) by its own steps, in the spare buffer
-    np.conjugate(coeffs, out=spare)
-    spare *= coeffs
-    norm = np.sqrt(np.add.reduce(spare.real, axis=-1, keepdims=True))
-    coeffs *= np.sqrt(energy) / norm
-    return coeffs
+        shifted = np.roll(coeffs, 1, axis=-1)
+        shifted[..., 0] = 0.0
+        coeffs = shifted - zeros[..., i, None] * coeffs
+    return coeffs * (np.sqrt(energy) / np.linalg.norm(coeffs, axis=-1, keepdims=True))
 
 
 @functools.lru_cache(maxsize=SYNTHESIS_CACHE_SIZE)
@@ -236,10 +228,6 @@ def aacf(coeffs) -> np.ndarray:
     return out
 
 
-def _edge_scale_huffman(num_zeros: int, radius: float) -> float:
-    return 1.0 / (radius**num_zeros + radius**-num_zeros)
-
-
 def aacf_edge_scale(params: ConstellationParams) -> float:
     """Closed-form scale of the codebook AACF, i.e. -a_K / (K+1).
 
@@ -247,7 +235,7 @@ def aacf_edge_scale(params: ConstellationParams) -> float:
     """
     k, r, zeta = params.num_zeros, params.radius, params.asymmetry
     if zeta == 1.0:
-        return _edge_scale_huffman(k, r)
+        return 1.0 / (r**k + r**-k)
     middle = (1.0 - zeta) * (1.0 - 1.0 / zeta)
     middle *= (r ** (k - 1) - r ** -(k - 1)) / (r - 1.0 / r)
     return 1.0 / (zeta * r**k + r**-k / zeta - middle)
@@ -283,7 +271,7 @@ def power_spectrum(params: ConstellationParams, omega, energy: float = None) -> 
     if energy is None:
         energy = float(k + 1)
     omega = np.asarray(omega, dtype=float)
-    eta_h = _edge_scale_huffman(k, r)
+    eta_h = aacf_edge_scale(ConstellationParams(k, r))
     base = energy * (1.0 - 2.0 * eta_h * np.cos(k * omega))
     if zeta == 1.0:
         return base
@@ -302,7 +290,6 @@ class Template:
     """
 
     samples: np.ndarray
-    params: ConstellationParams
 
     @property
     def size(self) -> int:
@@ -329,4 +316,4 @@ def make_template(params: ConstellationParams, n_samples: int) -> Template:
         )
     omega = 2.0 * np.pi * np.arange(n_samples) / n_samples
     spec = power_spectrum(params, omega)
-    return Template(samples=np.sqrt(np.maximum(spec, 0.0)), params=params)
+    return Template(samples=np.sqrt(np.maximum(spec, 0.0)))

@@ -281,6 +281,10 @@ class TestConfig:
         # accepted while step-back and span were bounded each on its own
         (dict(tm_preamble_zeros=2, step_back=8), "cp_len"),
         (dict(cp_len=5, channel_taps=6), "cp_len"),
+        # a flat channel ran its one unit tap whatever these said
+        (dict(channel="flat", channel_taps=10), "channel_taps"),
+        (dict(channel="flat", channel_taps=1), "channel_taps"),
+        (dict(channel="flat", pdp="exp"), "pdp"),
     ])
     def test_ofdm_link_outside_prefix_rejected(self, settings, field):
         with pytest.raises(ValueError, match=field):
@@ -290,14 +294,16 @@ class TestConfig:
         BerOfdmConfig(step_back=5)
         BerOfdmConfig(cp_len=10, channel_taps=6)
         BerOfdmConfig(cp_len=0, step_back=0, channel_taps=1)
-        BerOfdmConfig(channel="flat", channel_taps=10)  # a flat channel has no span
+        BerOfdmConfig(channel="flat")  # a flat channel has no span
 
     @pytest.mark.parametrize("channel", ["fading", "flat"])
     @pytest.mark.parametrize("cp_len", range(11))
     def test_ofdm_prefix_rule(self, cp_len, channel):
         # a config builds exactly when the deepest step-back plus the span
         # stays inside the prefix, where TestGridLink finds the link exact
-        for taps in range(1, cp_len + 3):
+        # a flat channel takes only the default taps
+        tap_counts = range(1, cp_len + 3) if channel == "fading" else [BerOfdmConfig.channel_taps]
+        for taps in tap_counts:
             span = taps - 1 if channel == "fading" else 0
             for step_back in ["random", *range(cp_len + 2)]:
                 deepest = experiments.OFDM_RANDOM_STEP_BACK if step_back == "random" else step_back
@@ -446,7 +452,8 @@ class TestDeterminism:
     @pytest.mark.parametrize("channel", ["fading", "flat"])
     def test_draw_packets_one_call_per_field(self, channel):
         # a chunk's draws are one generator call per field, in a fixed order
-        cfg = BerOfdmConfig(channel=channel, pdp="exp", payload_bits=48, tm_preamble_zeros=3)
+        pdp = "exp" if channel == "fading" else "uniform"  # a flat channel has no profile
+        cfg = BerOfdmConfig(channel=channel, pdp=pdp, payload_bits=48, tm_preamble_zeros=3)
         count, noise_shape, noise_var = 5, (33, 3), 0.3
         draws = experiments._draw_packets(np.random.default_rng(9), count, cfg, noise_shape,
                                           noise_var, with_chest=True)

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from jbmocz import experiments
 from jbmocz.experiments import DesignCurvesConfig, run_design_curves
 from jbmocz.phy import papr_fm
+from jbmocz.rotation import oversampled_magnitudes
 from jbmocz.stability import (
     BLOCK_VALUES,
     MIN_SAMPLE_COUNT,
     ON_GRID_DISTANCE,
     _check_roots,
     _grid_log_distance,
-    _grid_power,
     _sampled_min_stability,
     codebook_stabilities,
     codebook_stability,
@@ -75,7 +75,7 @@ def row_block_profile(coeffs, roots, grid_size=1024):
     on_grid = np.abs(roots - grid[nearest]) < ON_GRID_DISTANCE
     spectral = np.where(on_grid, 0.0, roots)
 
-    power = _grid_power(coeffs, grid_size)
+    power = oversampled_magnitudes(coeffs, grid_size) ** 2
     sums = np.empty(roots.shape)
     step = max(1, BLOCK_VALUES // (k * grid_size))
     for start in range(0, len(roots), step):
@@ -89,7 +89,8 @@ def row_block_profile(coeffs, roots, grid_size=1024):
     rows, cols = np.nonzero(on_grid)
     if rows.size:
         quotients = deflate(coeffs[rows], roots[rows, cols])
-        scores[rows, cols] = np.mean(np.log2(1.0 + _grid_power(quotients, grid_size)), axis=-1)
+        power = oversampled_magnitudes(quotients, grid_size) ** 2
+        scores[rows, cols] = np.mean(np.log2(1.0 + power), axis=-1)
     return scores.reshape(lead + (k,))
 
 
@@ -247,16 +248,23 @@ class TestSpectralProfile:
         assert profile.shape == expected.shape
         assert np.array_equal(profile, expected)
 
-    @pytest.mark.parametrize("layout", ["codebook", "distinct"])
+    @pytest.mark.parametrize("layout", ["codebook", "distinct", "exact_k12"])
     def test_working_set_bounded(self, layout):
         # The distance table and chunk buffers hold BLOCK_VALUES values, the
         # per-pair indices and scores a few more; the zero-padded transform
         # briefly holds three times the (rows, N) power array.  The 300x32
         # stack's distinct roots would need a 78 MB table if built at once.
+        # The exact K=12 codebook's 4096 rows are scored in row blocks, so
+        # its bound does not grow with the rows: scored at once, their power
+        # array and its transform took 105 MB.
         rng = np.random.default_rng(6)
         if layout == "codebook":
             params = ConstellationParams(128, 1.015)
             bits = rng.integers(0, 2, (66, 128))
+            coeffs, zeros = encode_coeffs(bits, params, energy=1.0), encode_bits(bits, params)
+        elif layout == "exact_k12":
+            params = ConstellationParams(12, 1.1)
+            bits = (np.arange(2**12)[:, None] >> np.arange(12)) & 1
             coeffs, zeros = encode_coeffs(bits, params, energy=1.0), encode_bits(bits, params)
         else:
             zeros = spread_zeros(rng, 300, 32, 1.001 + 0.1 * rng.random(300),
@@ -264,6 +272,8 @@ class TestSpectralProfile:
             coeffs = zeros_to_coeffs(zeros, energy=1.0)
         reliability_profile(coeffs, zeros)
         bound = 2 * BLOCK_VALUES * 8 + 3 * len(coeffs) * 1024 * 8
+        if layout == "exact_k12":
+            bound = 16 * 2**20
         tracemalloc.start()
         try:
             reliability_profile(coeffs, zeros)

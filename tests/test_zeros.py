@@ -126,8 +126,8 @@ class TestZerosToCoeffs:
 
 
 def _roll_loop_coeffs(zeros, energy=None):
-    """Reference synthesis: the shift-by-np.roll recurrence that the in-place
-    loop of zeros_to_coeffs replaced."""
+    """The shift-by-np.roll product recurrence, written out apart from
+    zeros_to_coeffs."""
     zeros = np.asarray(zeros, dtype=complex)
     k = zeros.shape[-1]
     energy = float(k + 1) if energy is None else energy
@@ -141,6 +141,9 @@ def _roll_loop_coeffs(zeros, energy=None):
 
 
 class TestInPlaceSynthesis:
+    """zeros_to_coeffs is the plain recurrence.  An in-place rewrite of it
+    was checked here bit for bit, and so must any later tuned one be."""
+
     @pytest.mark.parametrize("k", [2, 3, 4, 16, 31, 32, 63, 64, 127, 128, 256])
     def test_bit_identical_to_roll_loop(self, k):
         rng = np.random.default_rng(k)
