@@ -10,23 +10,27 @@ breaking the rotational symmetry of the constellation.
 Coefficient vectors are ordered lowest power first: coeffs[i] multiplies z**i.
 Most functions accept stacked inputs, operating on the last axis.
 
-Codewords are synthesized from bits by `encode_coeffs`.  Because the zero
-phases are fixed, the log of the codeword at the K+1 roots of unity
-w_n = e^{j 2 pi n/(K+1)} is linear in the bits:
+Codewords are synthesized from bits by `encode_coeffs` as the product
+X(w_n) = prod_k (w_n - alpha_k) on the K+1 roots of unity
+w_n = e^{j 2 pi n/(K+1)}, then a (K+1)-point FFT.  The zero phases are
+fixed, so the bits are split into groups of g consecutive bits, and each
+group j has a cached table with one row per bit pattern b,
 
-    log X(w_n) = base_n + sum_k b_k delta[k, n],
-    base_n = sum_k log(w_n - inner_k),
-    delta[k, n] = log(w_n - outer_k) - log(w_n - inner_k),
+    T_j[b, n] = prod_{k in group j} (w_n - point_k(bit_k of b)),
 
-so a stack of messages takes one real GEMM against the (K, 2(K+1)) table
-of delta's real and imaginary parts, an exp, and a (K+1)-point FFT.  The
-leading coefficient of the monic product is set to exactly 1 before the
-rescale, rather than rephasing by the computed one: at R=1.5, K=127 that
-coefficient is ~R^-K of the norm, below its rounding.  base and delta are
-cached for the last SYNTHESIS_CACHE_SIZE constellations (a bounded cache,
-since a radius search visits dozens).  `zeros_to_coeffs` expands arbitrary
-zeros by the plain K-step product recurrence; it is the reference for the
-identity, not a second synthesis path: no runner calls it.
+built by doubling: one zero at a time, T <- [T (w - inner_k); T (w - outer_k)].
+A message stack becomes one table index per group, and X(w_n) is the
+product of the gathered rows, formed SYNTHESIS_BLOCK_ROWS rows at a time;
+no log or exp is taken.  g is the largest size up to 8 whose tables fit
+SYNTHESIS_TABLE_VALUES grid values (8 at K=32, 6 at K=64, 3 at K=128, 2
+past K=156).  The leading coefficient of the monic product is set to
+exactly 1 before the rescale, rather than rephasing by the computed one:
+at R=1.5, K=127 that coefficient is ~R^-K of the norm, below its rounding.
+The tables are cached for the last SYNTHESIS_CACHE_SIZE constellations (a
+bounded cache, since a radius search visits dozens).  `zeros_to_coeffs`
+expands arbitrary zeros by the plain K-step product recurrence; it is the
+reference for the identity, not a second synthesis path: no runner calls
+it.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SYNTHESIS_CACHE_SIZE = 3  # constellations whose synthesis tables are kept
+SYNTHESIS_TABLE_VALUES = 2**16  # budget of one constellation's group tables
+SYNTHESIS_BLOCK_ROWS = 256  # rows multiplied together while they stay in cache
 
 
 def default_radius(num_zeros: int) -> float:
@@ -150,33 +156,48 @@ def zeros_to_coeffs(zeros, energy: float = None) -> np.ndarray:
     return coeffs * (np.sqrt(energy) / np.linalg.norm(coeffs, axis=-1, keepdims=True))
 
 
-@functools.lru_cache(maxsize=SYNTHESIS_CACHE_SIZE)
-def _synthesis_tables(params: ConstellationParams):
-    """(base, delta) of the log-linear synthesis, read-only.
+def _group_size(num_zeros: int) -> int:
+    """Bits per synthesis group: the largest g <= 8 whose tables, 2^g rows
+    per full group of g bits and 2^r for a last group of r = K mod g, hold
+    at most SYNTHESIS_TABLE_VALUES grid values.  g = 2 when none does
+    (K > 180): its 2K(K+1) values are as few as any g can take."""
+    k = num_zeros
+    for g in range(8, 2, -1):
+        full, rest = divmod(k, g)
+        if (full * 2**g + (2**rest if rest else 0)) * (k + 1) <= SYNTHESIS_TABLE_VALUES:
+            return g
+    return 2
 
-    base: (K+1,) complex, sum_k log(w_n - inner_k).  delta: (K, 2(K+1))
-    float, row k the interleaved real and imaginary parts of
-    log((w_n - outer_k) / (w_n - inner_k)) (delta up to 2 pi j, which exp
-    ignores), so that bits @ delta viewed as complex is
-    sum_k b_k delta[k, n].
-    """
+
+@functools.lru_cache(maxsize=SYNTHESIS_CACHE_SIZE)
+def _synthesis_tables(params: ConstellationParams) -> tuple:
+    """The group tables of the product synthesis, read-only: one
+    (2^g, K+1) table per group of g consecutive bits (2^r rows for a last
+    group of r < g), row b holding X_j(w_n) of the group's bit pattern b,
+    first bit least significant.  Built by doubling, one zero at a time."""
     k = params.num_zeros
-    w = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
-    inner = w - params.inner_points()[:, None]
-    base = np.log(inner).sum(axis=0)
-    delta = np.log((w - params.outer_points()[:, None]) / inner).view(float)
-    base.flags.writeable = delta.flags.writeable = False
-    return base, delta
+    g = _group_size(k)
+    grid = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
+    inner, outer = params.inner_points(), params.outer_points()
+    tables = []
+    for first in range(0, k, g):
+        table = np.ones((1, k + 1), dtype=complex)
+        for i in range(first, min(first + g, k)):
+            table = np.concatenate([table * (grid - inner[i]), table * (grid - outer[i])])
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
 def encode_coeffs(bits, params: ConstellationParams, energy: float = None) -> np.ndarray:
     """Coefficient vectors of binary messages, zeros_to_coeffs(encode_bits(
-    bits, params), energy) computed by the log-linear identity (module
+    bits, params), energy) computed as a product of group tables (module
     docstring).
 
-    bits: (..., K) array of 0/1.  Returns (..., K+1) coefficients with
-    squared 2-norm `energy` (default K+1) and a real, positive leading
-    coefficient.
+    bits: (..., K) array, nonzero meaning 1.  Returns (..., K+1)
+    coefficients with squared 2-norm `energy` (default K+1) and a real,
+    positive leading coefficient.  Each row's numbers do not depend on the
+    other rows of the stack.
     """
     bits = np.asarray(bits)
     k = params.num_zeros
@@ -186,19 +207,38 @@ def encode_coeffs(bits, params: ConstellationParams, energy: float = None) -> np
         energy = float(k + 1)
     if not energy > 0:
         raise ValueError(f"energy must be positive, got {energy}")
-    base, delta = _synthesis_tables(params)
-    rows = bits.reshape(-1, k) != 0
-    # log X(w_n) for every row, then X(w_n), in one buffer
-    values = np.matmul(rows, delta).view(complex)
-    values += base
-    np.exp(values, out=values)
+    tables = _synthesis_tables(params)
+    g = _group_size(k)
+    messages = bits.reshape(-1, k)
+    n = len(messages)
+    # each group's bit pattern as a table row index, one index row per group
+    padded = np.zeros((n, len(tables) * g), dtype=bool)
+    np.not_equal(messages, 0, out=padded[:, :k])
+    index = np.packbits(padded.reshape(n, len(tables), g), axis=-1, bitorder="little")
+    index = index.reshape(n, len(tables)).T.copy()
+    del padded
+    # X(w_n) as the product of the group factors, a block of rows at a
+    # time; every index is in range, and take's "clip" mode skips the
+    # buffered bounds check of "raise"
+    values = np.empty((n, k + 1), dtype=complex)
+    factor = np.empty((min(n, SYNTHESIS_BLOCK_ROWS), k + 1), dtype=complex)
+    for start in range(0, n, SYNTHESIS_BLOCK_ROWS):
+        rows = slice(start, start + SYNTHESIS_BLOCK_ROWS)
+        block = values[rows]
+        np.take(tables[0], index[0, rows], axis=0, out=block, mode="clip")
+        for table, column in zip(tables[1:], index[1:]):
+            np.take(table, column[rows], axis=0, out=factor[: len(block)], mode="clip")
+            block *= factor[: len(block)]
+    # freed before the FFT and the rescale, which lowers the call's peak
+    del factor
     coeffs = np.fft.fft(values, norm="forward", out=values)
     # the monic product's leading coefficient is 1; the computed one is
     # lost below rounding of the norm when R^K is large
     coeffs[:, -1] = 1.0
     flat = coeffs.view(float)
     scale = np.sqrt(energy / np.einsum("ij,ij->i", flat, flat))
-    coeffs *= scale[:, None]
+    # scaled as floats: a complex-by-real product would buffer a complex cast
+    flat *= scale[:, None]
     return coeffs.reshape(bits.shape[:-1] + (k + 1,))
 
 

@@ -1,7 +1,9 @@
-"""Package layout: every module uses only the public names of its siblings."""
+"""Package layout: every module uses only the public names of its siblings,
+and imports nothing beyond its declared dependencies."""
 
 import ast
 import pathlib
+import sys
 
 import jbmocz
 
@@ -20,5 +22,28 @@ def private_sibling_imports(path):
 
 def test_no_private_sibling_imports():
     offenders = {path.name: private_sibling_imports(path)
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+# the runtime dependencies of pyproject.toml, by import name
+DECLARED = {"numpy", "yaml"}
+
+
+def absolute_imports(path):
+    """Top-level name of each absolute import in the file, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_imports_only_declared_dependencies():
+    # scipy and pytest-benchmark may be installed, but are not declared
+    offenders = {path.name: sorted(absolute_imports(path) - DECLARED
+                                   - set(sys.stdlib_module_names))
                  for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jbmocz.zeros import (
+    SYNTHESIS_BLOCK_ROWS,
+    SYNTHESIS_TABLE_VALUES,
     ConstellationParams,
+    _group_size,
     _low_discrepancy_order,
+    _synthesis_tables,
     aacf,
     aacf_closed_form,
     aacf_edge_scale,
@@ -160,12 +164,14 @@ def _normwise_error(got, reference):
 
 
 class TestEncodeCoeffs:
-    """encode_coeffs against the product recurrence it replaces on the
-    synthesis path.  The log-linear identity changes the order of the
-    arithmetic, so the match is norm-wise, at 1e-12: the largest difference
-    seen over 20000 rows at K in [180, 256], R in [1.001, 1.02] was 5.3e-13,
-    mostly the recurrence's own error (against 160-digit coefficients it
-    erred 2-4e-13 where encode_coeffs erred 0.6-0.9e-13)."""
+    """encode_coeffs against the product recurrence zeros_to_coeffs.  The
+    group-table product multiplies the same root factors on the grid
+    instead of expanding them, so the match is norm-wise, at 1e-12.  Over
+    402 rows each (all ones, all zeros, 400 random), the largest normwise
+    difference was 6.3e-14 at (K, R, zeta) = (256, 1.5, 1.0), 3.3e-14 at
+    (256, 1.001, 1.2) and 2.5e-14 at (127, 1.5, 1.2), and 8.7e-14 over 300
+    random constellations with K in [2, 256], R in [1.001, 1.5], zeta in
+    [1, 1.2]."""
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(2, 256), radius=st.floats(1.001, 1.5), zeta=st.floats(1.0, 1.2),
@@ -178,6 +184,27 @@ class TestEncodeCoeffs:
         got = encode_coeffs(bits, params, energy)
         assert got.shape == lead + (k + 1,)
         assert _normwise_error(got, zeros_to_coeffs(encode_bits(bits, params), energy)) <= 1e-12
+
+    @pytest.mark.parametrize("k, radius, zeta", [(256, 1.5, 1.0), (256, 1.001, 1.2),
+                                                 (127, 1.5, 1.2)])
+    def test_worst_cases(self, k, radius, zeta):
+        params = ConstellationParams(k, radius, zeta)
+        bits = np.vstack([np.ones(k, dtype=int), np.zeros(k, dtype=int),
+                          np.random.default_rng(k).integers(0, 2, (400, k))])
+        assert _normwise_error(encode_coeffs(bits, params),
+                               zeros_to_coeffs(encode_bits(bits, params))) <= 1e-12
+
+    @pytest.mark.parametrize("k", [8, 33, 64])
+    def test_nonzero_bits_are_ones(self, k):
+        # bits != 0 as in encode_bits, whatever the dtype
+        params = ConstellationParams(k, default_radius(k), 1.1)
+        rng = np.random.default_rng(k)
+        ones = rng.integers(0, 2, (9, k)).astype(bool)
+        expected = encode_coeffs(ones.astype(int), params)
+        levels = rng.choice([-3, 2, 7, 255], size=ones.shape)
+        for bits in (ones, ones.astype(np.uint8), ones * levels, ones * levels.astype(float)):
+            assert np.array_equal(encode_bits(bits, params), encode_bits(ones, params))
+            assert np.array_equal(encode_coeffs(bits, params), expected)
 
     @pytest.mark.parametrize("k, radius, zeta", [
         (8, 1.176, 1.15), (64, 1.029, 1.072), (127, 1.5, 1.0), (127, 1.5, 1.2), (256, 1.5, 1.0),
@@ -199,6 +226,70 @@ class TestEncodeCoeffs:
             encode_coeffs(np.ones((3, 7), dtype=int), FIG2)
         with pytest.raises(ValueError, match="energy"):
             encode_coeffs(FIG2_BITS, FIG2, energy=0.0)
+
+
+class TestSynthesisTables:
+    """The group tables behind encode_coeffs: their size rule, and each row
+    against the direct product of its pattern's root factors."""
+
+    def test_group_size_rule(self):
+        assert [_group_size(k) for k in (2, 32, 64, 127, 128, 156, 157, 180, 181, 256)] == \
+            [8, 8, 6, 4, 3, 3, 2, 2, 2, 2]
+
+    def test_tables_within_budget_and_read_only(self):
+        # past K=180 no group size fits the budget, and g = 2 holds the
+        # fewest values any size can: two rows per zero
+        for k in range(2, 257):
+            tables = _synthesis_tables(ConstellationParams(k, 1.2, 1.1))
+            values = sum(table.size for table in tables)
+            assert values <= SYNTHESIS_TABLE_VALUES or (k > 180 and values == 2 * k * (k + 1))
+            assert sum(np.log2(len(table)) for table in tables) == k
+            assert all(table.shape[1] == k + 1 and not table.flags.writeable
+                       for table in tables)
+            with pytest.raises(ValueError):
+                tables[0][0, 0] = 0.0
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 9, 32, 64, 127, 128, 157, 256])
+    def test_rows_equal_direct_products(self, k):
+        params = ConstellationParams(k, default_radius(k), 1.2)
+        grid = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))
+        inner, outer = params.inner_points(), params.outer_points()
+        first = 0
+        for table in _synthesis_tables(params):
+            size = int(np.log2(len(table)))
+            patterns = (np.arange(len(table))[:, None] >> np.arange(size)) & 1
+            points = np.where(patterns, outer[first:first + size], inner[first:first + size])
+            direct = np.prod(grid - points[..., None], axis=1)
+            np.testing.assert_allclose(table, direct, rtol=1e-13, atol=0)
+            first += size
+        assert first == k
+
+
+class TestRowIndependence:
+    """Each row of a stack encodes to the numbers of that row encoded alone,
+    bit for bit, whatever the stack's size and shape: experiments relies on
+    it for a packet's numbers to equal a one-packet receiver's."""
+
+    @pytest.mark.parametrize("k", [32, 64, 127])
+    @pytest.mark.parametrize("rows", [0, 1, SYNTHESIS_BLOCK_ROWS - 1, SYNTHESIS_BLOCK_ROWS,
+                                      SYNTHESIS_BLOCK_ROWS + 1, 4097])
+    def test_stack_rows_equal_single_rows(self, k, rows):
+        params = ConstellationParams(k, default_radius(k), 1.05)
+        bits = np.random.default_rng(rows).integers(0, 2, (rows, k))
+        stack = encode_coeffs(bits, params)
+        assert stack.shape == (rows, k + 1)
+        for row, coeffs in zip(bits, stack):
+            assert np.array_equal(encode_coeffs(row, params), coeffs)
+
+    @pytest.mark.parametrize("k", [32, 64, 127])
+    def test_shapes(self, k):
+        params = ConstellationParams(k, default_radius(k), 1.05)
+        bits = np.random.default_rng(k).integers(0, 2, (3, 5, k))
+        single = np.array([encode_coeffs(row, params) for row in bits.reshape(-1, k)])
+        assert encode_coeffs(bits[0, 0], params).shape == (k + 1,)
+        assert np.array_equal(encode_coeffs(bits, params), single.reshape(3, 5, k + 1))
+        assert np.array_equal(encode_coeffs(bits[1], params), single[5:10])
+        assert encode_coeffs(bits[:0], params).shape == (0, 5, k + 1)
 
 
 class TestCoeffsToZeros:
