@@ -488,41 +488,58 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # tests/test_experiments.py::TestGridLink::test_matches_sample_level_chain
 # asserts.  BerOfdmConfig rejects every config outside that prefix rule.
 #
-# Each scheme runs a chunk of OFDM_CHUNK_PACKETS packets on a generator of
-# its own, in two phases.  `_draw_packets` makes the chunk's random draws
-# whole, one generator call per field, in a fixed order: messages, channel
-# taps, cell noise, then (fm_chest) preamble bits, preamble noise and guard
-# noise, then the step-backs.  The step-backs come last, so a fixed
-# step-back, which draws nothing, leaves every other field as a random one
-# does.  One decode per scheme then does everything else once per chunk, on
-# stacks with a leading packet axis: polar encoding, synthesis, the link,
-# the rotation or channel estimate, pseudo-LLRs, SC decoding.  Each packet
-# keeps its own matrix shapes in the zero-testing products (the packet axis
-# is a stack axis), so every packet's numbers are those of a receiver that
-# decodes one packet at a time, bit for bit.
+# Each chunk of OFDM_CHUNK_PACKETS packets is drawn and synthesized once for
+# all its schemes.  `_draw_packets` makes the fields they share, one
+# generator call per field: messages, channel taps, then the payload cell
+# noise at unit scale (`complex_noise` at variance 2, whose scale is exactly
+# 1).  From the generator state those leave, `_draw_scheme` makes each
+# scheme's own: fm_chest's preamble bits, preamble noise and guard noise,
+# then the step-backs.  The step-backs come last, so a fixed step-back,
+# which draws nothing, leaves every other field as a random one does.  A
+# scheme's payload noise is the unit noise times sqrt(noise_var / 2) on the
+# float view, the multiply `complex_noise` makes, and tm's is fm's
+# reshaped, so every scheme sees, bit for bit, the random stream it would in
+# a sweep of its own.  Polar encoding, the payload and jutted synthesis and
+# the taps' transform run once per chunk, on stacks with a leading packet
+# axis.  Each scheme then decodes its own copy of the codewords, since the
+# link works in place: the link, the rotation or channel estimate,
+# pseudo-LLRs, SC decoding.  Each packet keeps its own matrix shapes in the
+# zero-testing products (the packet axis is a stack axis), so every packet's
+# numbers are those of a receiver that decodes one packet at a time, bit for
+# bit.
 #
-# A chunk is held whole: its draws and the decode's temporaries take about
-# 72 KB per packet per worker thread at K=32 with 512 payload bits, most of
-# it pseudo_llrs' temporaries, though bits are carried as uint8 and each
-# stack is freed once used.  24 packets keep the peak RSS of the 2-thread
-# ofdm_k32 benchmark at about 46 MB; 256-packet chunks would hold about
-# 14 MB per thread of fm_chest noise alone while it is drawn.
+# A chunk is held whole: its shared draws and stacks and one scheme's decode
+# take about 110 KB per packet per worker thread at K=32 with 512 payload
+# bits, most of it pseudo_llrs' temporaries, the unit noise and the
+# codewords, though bits are carried as uint8 and each scheme's stacks are
+# freed once used.  24 packets keep the peak RSS of the 2-thread ofdm_k32
+# benchmark at about 49 MB; 256-packet chunks would hold about 14 MB per
+# thread of noise alone while fm_chest draws its own.
 
 OFDM_CHUNK_PACKETS = 24
 
 
-def _draw_packets(rng, count, config: BerOfdmConfig, noise_shape, noise_var, with_chest):
-    """The random draws of `count` packets, one generator call per field,
-    each with a leading packet axis.  "cirs" is absent on a flat channel,
-    and the preamble draws are present only with_chest.  A fixed step-back
-    draws nothing."""
-    n_sub, ktm = config.num_zeros + 1, config.tm_preamble_zeros
-    draws = {"messages": rng.integers(0, 2, (count, config.payload_bits // 16, 16),
-                                      dtype=np.uint8)}
+def _draw_packets(rng, count, config: BerOfdmConfig):
+    """The draws every scheme shares for `count` packets, one generator call
+    per field, each with a leading packet axis: the messages, the taps
+    ("cirs", absent on a flat channel), then the payload cell noise at unit
+    scale, as fm's (S, T) = (K+1, blocks) grid (tm's is the same stream
+    reshaped)."""
+    blocks = config.payload_bits // 16
+    draws = {"messages": rng.integers(0, 2, (count, blocks, 16), dtype=np.uint8)}
     if config.channel != "flat":
         draws["cirs"] = chan.draw_cir((count, config.channel_taps), rng, profile=config.pdp)
-    draws["noise"] = chan.complex_noise((count,) + noise_shape, noise_var, rng)
+    draws["noise"] = chan.complex_noise((count, config.num_zeros + 1, blocks), 2.0, rng)
+    return draws
+
+
+def _draw_scheme(rng, count, config: BerOfdmConfig, noise_var, with_chest):
+    """A scheme's own draws for `count` packets, one generator call per
+    field: the fm_chest preamble bits, preamble noise and guard noise only
+    with_chest, then the step-backs.  A fixed step-back draws nothing."""
+    draws = {}
     if with_chest:
+        n_sub, ktm = config.num_zeros + 1, config.tm_preamble_zeros
         draws["pre_bits"] = rng.integers(0, 2, (count, n_sub, ktm), dtype=np.uint8)
         draws["pre_noise"] = chan.complex_noise((count, n_sub, ktm + 1), noise_var, rng)
         draws["guard_noise"] = chan.complex_noise((count, config.idft_size - n_sub, ktm + 1),
@@ -532,23 +549,29 @@ def _draw_packets(rng, count, config: BerOfdmConfig, noise_shape, noise_var, wit
     return draws
 
 
-def _grid_link(cells, noise, draws, idft_size):
+def _scaled(unit, noise_var):
+    """complex_noise(shape, noise_var, rng) from the unit noise
+    complex_noise(shape, 2.0, rng) of the same stream: its multiply by
+    sqrt(noise_var / 2), on the float view."""
+    return (unit.view(float) * np.sqrt(noise_var / 2.0)).view(complex)
+
+
+def _grid_link(cells, noise, gains, step_backs, idft_size):
     """(P, S, T) cells, P packets of S subcarriers by T symbols, through
-    each packet's gains (none on a flat channel), `noise`, then its
-    step-back ramp, in place."""
+    each packet's gains (the (P, idft_size) transform of its taps; None on
+    a flat channel), `noise`, then its step-back ramp, in place."""
     n_sub = cells.shape[1]
-    if "cirs" in draws:
-        cells *= np.fft.fft(draws["cirs"], idft_size, axis=-1)[:, :n_sub, None]
+    if gains is not None:
+        cells *= gains[:, :n_sub, None]
     cells += noise
-    cells *= np.exp(-2j * np.pi * np.arange(n_sub) * draws["step_backs"][:, None]
-                    / idft_size)[..., None]
+    cells *= np.exp(-2j * np.pi * np.arange(n_sub) * step_backs[:, None] / idft_size)[..., None]
     return cells
 
 
 def run_ber_ofdm(config: BerOfdmConfig) -> list:
-    """Packet-level BER/BLER for the configured OFDM schemes.  Each scheme
-    runs a chunk on a generator of its own from the chunk's seeds, so every
-    scheme sees the random stream it would in a sweep of its own."""
+    """Packet-level BER/BLER for the configured OFDM schemes.  The schemes
+    of a chunk share its draws and synthesis, and each sees the random
+    stream it would in a sweep of its own."""
     k, n_idft, ktm = config.num_zeros, config.idft_size, config.tm_preamble_zeros
     blocks = config.payload_bits // 16
     payload, first = huffman_params(k), jutted_params(k)
@@ -556,39 +579,55 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
     polar_spec = polar_construct(32, 16)
     template = make_template(first, n_idft)
 
-    def decode(draws, scheme):
-        """(P, blocks, 16) decoded messages of a chunk of packets."""
+    def decode(scheme, chunk, own, noise_var):
+        """(P, blocks, 16) decoded messages of a chunk of packets, sent on the
+        scheme's own copy of the chunk's (P, blocks, K+1) payload codewords
+        (fm and fm_chest send each packet's first codeword jutted)."""
+        gains, step_backs = chunk["gains"], own["step_backs"]
         if scheme == "fm_chest":
             # estimated first, so the preamble and guard cells are freed
-            # before the payload stack exists
-            pre_rx = _grid_link(encode_coeffs(draws.pop("pre_bits"), preamble),
-                                draws.pop("pre_noise"), draws, n_idft)
+            # before the payload stack is copied
+            pre_rx = _grid_link(encode_coeffs(own.pop("pre_bits"), preamble),
+                                own.pop("pre_noise"), gains, step_backs, n_idft)
             equalizer = estimate_channel_blind(
-                pre_rx, preamble, estimate_noise_var(draws.pop("guard_noise"))).equalizer
+                pre_rx, preamble, estimate_noise_var(own.pop("guard_noise"))).equalizer
             del pre_rx
-        code_bits = polar_encode(draws["messages"], polar_spec)
-        received = encode_coeffs(code_bits, payload)
+        cells = chunk["codewords"].copy()
         if scheme == "tm":
             # (P, S, K+1): subcarrier s carries codeword s, and the ramp is a
             # constant phase per codeword, which rotates no zero
-            llrs = pseudo_llrs(_grid_link(received, draws.pop("noise"), draws, n_idft), payload)
+            grid = cells
         else:
             # (P, M, S): FM symbol m carries codeword m on its S subcarriers,
             # a jutted first codeword, then Huffman payload codewords
-            received[:, 0] = encode_coeffs(code_bits[:, 0], first)
-            _grid_link(received.transpose(0, 2, 1), draws.pop("noise"), draws, n_idft)
+            cells[:, 0] = chunk["jutted"]
+            grid = cells.transpose(0, 2, 1)
+        _grid_link(grid, _scaled(chunk["noise"], noise_var).reshape(grid.shape), gains,
+                   step_backs, n_idft)
+        del grid
+        if scheme == "tm":
+            llrs = pseudo_llrs(cells, payload)
+        else:
             if scheme == "fm_chest":
-                received *= equalizer[:, None]
+                cells *= equalizer[:, None]
             else:
-                bins = rotation_bins(received[:, 0], template)
-                received = correct_bins(received, bins[:, None], template.size)
-            # received[:, :1] keeps the jutted symbol a one-row product per packet
-            llrs = np.concatenate([pseudo_llrs(received[:, :1], first),
-                                   pseudo_llrs(received[:, 1:], payload)], axis=1)
-        del received
+                bins = rotation_bins(cells[:, 0], template)
+                cells = correct_bins(cells, bins[:, None], template.size)
+            # cells[:, :1] keeps the jutted symbol a one-row product per packet
+            llrs = np.concatenate([pseudo_llrs(cells[:, :1], first),
+                                   pseudo_llrs(cells[:, 1:], payload)], axis=1)
+        del cells
         return polar_decode_sc(llrs, polar_spec)
 
     def worker(ebn0, seeds, n):
+        rng = np.random.default_rng(seeds)
+        chunk = _draw_packets(rng, n, config)
+        after_shared = rng.bit_generator.state
+        chunk["gains"] = np.fft.fft(chunk["cirs"], n_idft) if "cirs" in chunk else None
+        code_bits = polar_encode(chunk["messages"], polar_spec)
+        chunk["codewords"] = encode_coeffs(code_bits, payload)
+        chunk["jutted"] = encode_coeffs(code_bits[:, 0], first)
+        del code_bits
         counts = ()
         for scheme in config.ofdm_schemes:  # BerOfdmConfig has checked each
             with_chest = scheme == "fm_chest"
@@ -597,10 +636,9 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
             cells = blocks * (k + 1) + with_chest * (k + 1) * (ktm + 1)
             noise_var = chan.ebn0_to_noise_var(ebn0, config.payload_bits,
                                                (n_idft + config.cp_len) * cells) / n_idft
-            noise_shape = (blocks, k + 1) if scheme == "tm" else (k + 1, blocks)  # (S, T)
-            draws = _draw_packets(np.random.default_rng(seeds), n, config, noise_shape,
-                                  noise_var, with_chest)
-            errs = decode(draws, scheme) != draws["messages"]
+            rng.bit_generator.state = after_shared
+            own = _draw_scheme(rng, n, config, noise_var, with_chest)
+            errs = decode(scheme, chunk, own, noise_var) != chunk["messages"]
             counts += (int(errs.sum()), int(errs.any(axis=-1).sum()),
                        n * config.payload_bits, n * blocks)
         return counts

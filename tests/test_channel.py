@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from jbmocz.channel import (
     ImpairmentSpec,
@@ -85,6 +88,25 @@ class TestComplexNoise:
         one_draw = complex_noise(shape, 0.3, np.random.default_rng(seed))
         assert one_draw.shape == two_draws.shape and one_draw.dtype == complex
         assert np.array_equal(one_draw, two_draws)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=7),
+           variance=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_unit_noise_scales_to_any_variance(self, shape, variance, seed, data):
+        # the float view of the unit noise (variance 2, scale exactly 1)
+        # times sqrt(v / 2) is the noise of variance v from the same stream,
+        # bit for bit (signed zeros included); reshaped to another shape of
+        # as many elements, it is that shape's noise (ber_ofdm's tm layout)
+        unit = complex_noise(shape, 2.0, np.random.default_rng(seed)).reshape(-1)
+        scaled = (unit.view(float) * np.sqrt(variance / 2.0)).view(complex)
+        expected = complex_noise(shape, variance, np.random.default_rng(seed))
+        assert scaled.tobytes() == expected.tobytes()
+        size = expected.size
+        side = data.draw(st.sampled_from([d for d in range(1, size + 1) if size % d == 0] or [0]))
+        other = (side, size // side) if side else (0, 3)
+        expected = complex_noise(other, variance, np.random.default_rng(seed))
+        assert scaled.reshape(other).tobytes() == expected.tobytes()
 
 
 class TestConvolveChannel:

@@ -451,36 +451,70 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("channel", ["fading", "flat"])
     def test_draw_packets_one_call_per_field(self, channel):
-        # a chunk's draws are one generator call per field, in a fixed order
+        # a chunk's draws are one generator call per field, in a fixed
+        # order: the shared fields, then a scheme's own from the state the
+        # shared ones leave; the scaled unit noise is the noise drawn at the
+        # scheme's variance
         pdp = "exp" if channel == "fading" else "uniform"  # a flat channel has no profile
         cfg = BerOfdmConfig(channel=channel, pdp=pdp, payload_bits=48, tm_preamble_zeros=3)
-        count, noise_shape, noise_var = 5, (33, 3), 0.3
-        draws = experiments._draw_packets(np.random.default_rng(9), count, cfg, noise_shape,
-                                          noise_var, with_chest=True)
+        count, noise_var = 5, 0.3
+        rng = np.random.default_rng(9)
+        shared = experiments._draw_packets(rng, count, cfg)
+        after_shared = rng.bit_generator.state
+        own = experiments._draw_scheme(rng, count, cfg, noise_var, with_chest=True)
         rng = np.random.default_rng(9)
         expected = {"messages": rng.integers(0, 2, (count, 3, 16), dtype=np.uint8)}
         if channel == "fading":
             expected["cirs"] = draw_cir((count, 5), rng, profile="exp")
         expected["noise"] = complex_noise((count, 33, 3), noise_var, rng)
+        assert rng.bit_generator.state == after_shared
         expected["pre_bits"] = rng.integers(0, 2, (count, 33, 3), dtype=np.uint8)
         expected["pre_noise"] = complex_noise((count, 33, 4), noise_var, rng)
         expected["guard_noise"] = complex_noise((count, 256 - 33, 4), noise_var, rng)
         before_step_backs = rng.bit_generator.state
         expected["step_backs"] = rng.integers(0, experiments.OFDM_RANDOM_STEP_BACK + 1, count)
-        assert draws.keys() == expected.keys()
+        shared["noise"] = experiments._scaled(shared["noise"], noise_var)
+        draws = shared | own
+        assert list(draws) == list(expected)
         for name, value in expected.items():
             assert draws[name].dtype == value.dtype, name
-            assert np.array_equal(draws[name], value), name
+            assert draws[name].shape == value.shape, name
+            assert draws[name].tobytes() == value.tobytes(), name
         # a fixed step-back draws nothing: it leaves the generator where the
         # random one starts, so the other fields, and with them criterion
         # 8(c)'s TM rows, do not depend on the step-back
-        rng = np.random.default_rng(9)
-        fixed = experiments._draw_packets(rng, count, dataclasses.replace(cfg, step_back=2),
-                                          noise_shape, noise_var, with_chest=True)
+        rng.bit_generator.state = after_shared
+        fixed = experiments._draw_scheme(rng, count, dataclasses.replace(cfg, step_back=2),
+                                         noise_var, with_chest=True)
         assert rng.bit_generator.state == before_step_backs
         assert np.array_equal(fixed.pop("step_backs"), np.full(count, 2))
         for name, value in fixed.items():
             assert np.array_equal(value, expected[name]), name
+        # fm and tm draw only their step-backs, first after the shared fields
+        rng.bit_generator.state = after_shared
+        plain = experiments._draw_scheme(rng, count, cfg, noise_var, with_chest=False)
+        rng.bit_generator.state = after_shared
+        assert list(plain) == ["step_backs"]
+        assert np.array_equal(plain["step_backs"],
+                              rng.integers(0, experiments.OFDM_RANDOM_STEP_BACK + 1, count))
+
+    @pytest.mark.parametrize("settings", [
+        dict(channel="fading", step_back="random", ebn0_db=(8.0, float("inf"))),
+        dict(channel="flat", step_back=4, ebn0_db=(6.0, float("inf"))),
+        dict(channel="fading", pdp="exp", channel_taps=3, step_back=2, ebn0_db=(10.0,)),
+        dict(channel="flat", step_back="random", ebn0_db=(float("inf"),))])
+    @pytest.mark.parametrize("schemes", [experiments.OFDM_SCHEMES, ("tm", "fm_chest", "fm")])
+    def test_ofdm_scheme_rows_equal_its_own_run(self, settings, schemes):
+        # every scheme sees the random stream it would in a sweep of its
+        # own, whichever schemes run beside it and in whatever order; 30
+        # packets make a full 24-packet chunk and a partial one of 6
+        cfg = BerOfdmConfig(**dict(trials=30, payload_bits=64, tm_preamble_zeros=3, seed=21,
+                                   ofdm_schemes=schemes) | settings)
+        together = run_ber_ofdm(cfg)
+        for scheme in schemes:
+            alone = run_ber_ofdm(dataclasses.replace(cfg, ofdm_schemes=(scheme,)))
+            assert [row for row in together if row.experiment == f"ber-ofdm-{scheme}"] == alone
+        assert len(together) == 2 * len(schemes) * len(cfg.ebn0_db)
 
     def test_rotation_mse_csv_identical_across_thread_counts(self, tmp_path):
         # its values are float sums over chunks; 9000 trials make chunks of
@@ -695,8 +729,9 @@ class TestGridLink:
                 window = OfdmConfig(self.N, cp_len, 1.0, self.S, self.T)
                 start = sent.symbol_len - step_back
                 expected = ofdm_demodulate(rx[start : start + window.stream_len], window)
-                draws = {"cirs": taps[None], "step_backs": np.array([step_back])}
-                linked = experiments._grid_link(grid[None, :, 1:].copy(), 0.0, draws, self.N)
+                gains = np.fft.fft(taps, self.N)[None]
+                linked = experiments._grid_link(grid[None, :, 1:].copy(), 0.0, gains,
+                                                np.array([step_back]), self.N)
                 error = np.max(np.abs(linked[0] - expected))
                 if step_back + channel_taps - 1 <= cp_len:
                     assert error < 1e-12, (channel_taps, step_back)
@@ -708,9 +743,9 @@ class TestGridLink:
         cells = rng.normal(size=(4, self.S, self.T)) + 1j * rng.normal(size=(4, self.S, self.T))
         noise = rng.normal(size=cells.shape) * 1j
         step_backs = np.array([0, 1, 5, 8])
-        flat = experiments._grid_link(cells.copy(), noise, {"step_backs": step_backs}, self.N)
-        unit = experiments._grid_link(cells.copy(), noise, {"cirs": np.ones((4, 1)),
-                                                            "step_backs": step_backs}, self.N)
+        flat = experiments._grid_link(cells.copy(), noise, None, step_backs, self.N)
+        unit = experiments._grid_link(cells.copy(), noise, np.fft.fft(np.ones((4, 1)), self.N),
+                                      step_backs, self.N)
         assert np.array_equal(flat, unit)
 
 
