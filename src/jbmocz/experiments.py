@@ -36,7 +36,6 @@ from .phy import (
     build_sync_symbol,
     correct_cfo,
     estimate_channel_blind,
-    estimate_noise_var,
     measured_papr_db,
     map_fm,
     ofdm_demodulate,
@@ -493,28 +492,34 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # generator call per field: messages, channel taps, then the payload cell
 # noise at unit scale (`complex_noise` at variance 2, whose scale is exactly
 # 1).  From the generator state those leave, `_draw_scheme` makes each
-# scheme's own: fm_chest's preamble bits, preamble noise and guard noise,
-# then the step-backs.  The step-backs come last, so a fixed step-back,
-# which draws nothing, leaves every other field as a random one does.  A
-# scheme's payload noise is the unit noise times sqrt(noise_var / 2) on the
-# float view, the multiply `complex_noise` makes, and tm's is fm's
-# reshaped, so every scheme sees, bit for bit, the random stream it would in
-# a sweep of its own.  Polar encoding, the payload and jutted synthesis and
-# the taps' transform run once per chunk, on stacks with a leading packet
-# axis.  Each scheme then decodes its own copy of the codewords, since the
-# link works in place: the link, the rotation or channel estimate,
-# pseudo-LLRs, SC decoding.  Each packet keeps its own matrix shapes in the
-# zero-testing products (the packet axis is a stack axis), so every packet's
-# numbers are those of a receiver that decodes one packet at a time, bit for
-# bit.
+# scheme's own: fm_chest's preamble bits, preamble noise and noise
+# estimate, then the step-backs.  The step-backs come last, so a fixed
+# step-back, which draws nothing, leaves every other field as a random one
+# does.  fm_chest's receiver reads its G*T guard cells (G null subcarriers
+# by T preamble symbols) only through their mean power, which for white
+# noise of variance noise_var is exactly noise_var * Gamma(G*T, 1/(G*T)),
+# so that mean is drawn directly, one Gamma draw per packet, in place of
+# G*T complex normals (1,115 at the defaults).  A scheme's payload noise is
+# the unit noise times sqrt(noise_var / 2) on the float view, the multiply
+# `complex_noise` makes, and tm's is fm's reshaped, so every scheme sees,
+# bit for bit, the random stream it would in a sweep of its own.  Polar
+# encoding, the payload and jutted synthesis and the taps' transform run
+# once per chunk, on stacks with a leading packet axis; the gains keep only
+# the subcarriers a link reads.  Each scheme then decodes the chunk (the
+# link, the rotation or channel estimate, pseudo-LLRs, SC decoding) on its
+# own copy of the codewords, since the link works in place; the chunk's last
+# scheme takes the codewords and scales the unit noise in place.  Each
+# packet keeps its own matrix shapes in the zero-testing products (the
+# packet axis is a stack axis), so every packet's numbers are those of a
+# receiver that decodes one packet at a time, bit for bit.
 #
 # A chunk is held whole: its shared draws and stacks and one scheme's decode
-# take about 110 KB per packet per worker thread at K=32 with 512 payload
+# take about 105 KB per packet per worker thread at K=32 with 512 payload
 # bits, most of it pseudo_llrs' temporaries, the unit noise and the
 # codewords, though bits are carried as uint8 and each scheme's stacks are
 # freed once used.  24 packets keep the peak RSS of the 2-thread ofdm_k32
-# benchmark at about 49 MB; 256-packet chunks would hold about 14 MB per
-# thread of noise alone while fm_chest draws its own.
+# benchmark at about 49 MB; 256-packet chunks would hold about 9 MB per
+# thread of noise alone while fm_chest scales its own copy.
 
 OFDM_CHUNK_PACKETS = 24
 
@@ -535,25 +540,31 @@ def _draw_packets(rng, count, config: BerOfdmConfig):
 
 def _draw_scheme(rng, count, config: BerOfdmConfig, noise_var, with_chest):
     """A scheme's own draws for `count` packets, one generator call per
-    field: the fm_chest preamble bits, preamble noise and guard noise only
-    with_chest, then the step-backs.  A fixed step-back draws nothing."""
+    field: the fm_chest preamble bits, preamble noise and noise estimate
+    (only with_chest), then the step-backs.  A fixed step-back draws
+    nothing.  The noise estimate is `phy.estimate_noise_var` of a packet's
+    G*T guard cells drawn from its exact law: the mean of G*T Exp(noise_var)
+    cell powers, noise_var * Gamma(G*T, 1/(G*T)), exactly 0.0 at noise_var 0."""
     draws = {}
     if with_chest:
         n_sub, ktm = config.num_zeros + 1, config.tm_preamble_zeros
+        guard_cells = (config.idft_size - n_sub) * (ktm + 1)
         draws["pre_bits"] = rng.integers(0, 2, (count, n_sub, ktm), dtype=np.uint8)
         draws["pre_noise"] = chan.complex_noise((count, n_sub, ktm + 1), noise_var, rng)
-        draws["guard_noise"] = chan.complex_noise((count, config.idft_size - n_sub, ktm + 1),
-                                                  noise_var, rng)
+        draws["noise_estimate"] = rng.gamma(guard_cells, noise_var / guard_cells, count)
     draws["step_backs"] = (rng.integers(0, OFDM_RANDOM_STEP_BACK + 1, count)
                            if config.step_back == "random" else np.full(count, config.step_back))
     return draws
 
 
-def _scaled(unit, noise_var):
+def _scaled(unit, noise_var, in_place=False):
     """complex_noise(shape, noise_var, rng) from the unit noise
     complex_noise(shape, 2.0, rng) of the same stream: its multiply by
-    sqrt(noise_var / 2), on the float view."""
-    return (unit.view(float) * np.sqrt(noise_var / 2.0)).view(complex)
+    sqrt(noise_var / 2), on the float view (in place, overwriting `unit`,
+    if in_place)."""
+    floats = unit.view(float)
+    return np.multiply(floats, np.sqrt(noise_var / 2.0),
+                       out=floats if in_place else None).view(complex)
 
 
 def _grid_link(cells, noise, gains, step_backs, idft_size):
@@ -579,20 +590,22 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
     polar_spec = polar_construct(32, 16)
     template = make_template(first, n_idft)
 
-    def decode(scheme, chunk, own, noise_var):
+    def decode(scheme, chunk, own, noise_var, last):
         """(P, blocks, 16) decoded messages of a chunk of packets, sent on the
         scheme's own copy of the chunk's (P, blocks, K+1) payload codewords
-        (fm and fm_chest send each packet's first codeword jutted)."""
+        (fm and fm_chest send each packet's first codeword jutted).  The last
+        scheme of the chunk takes the codewords and scales the unit noise in
+        place."""
         gains, step_backs = chunk["gains"], own["step_backs"]
         if scheme == "fm_chest":
-            # estimated first, so the preamble and guard cells are freed
-            # before the payload stack is copied
+            # estimated first, so the preamble cells are freed before the
+            # payload stack is copied
             pre_rx = _grid_link(encode_coeffs(own.pop("pre_bits"), preamble),
                                 own.pop("pre_noise"), gains, step_backs, n_idft)
-            equalizer = estimate_channel_blind(
-                pre_rx, preamble, estimate_noise_var(own.pop("guard_noise"))).equalizer
+            equalizer = estimate_channel_blind(pre_rx, preamble,
+                                               own.pop("noise_estimate")).equalizer
             del pre_rx
-        cells = chunk["codewords"].copy()
+        cells = chunk.pop("codewords") if last else chunk["codewords"].copy()
         if scheme == "tm":
             # (P, S, K+1): subcarrier s carries codeword s, and the ramp is a
             # constant phase per codeword, which rotates no zero
@@ -602,9 +615,10 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
             # a jutted first codeword, then Huffman payload codewords
             cells[:, 0] = chunk["jutted"]
             grid = cells.transpose(0, 2, 1)
-        _grid_link(grid, _scaled(chunk["noise"], noise_var).reshape(grid.shape), gains,
+        unit = chunk.pop("noise") if last else chunk["noise"]
+        _grid_link(grid, _scaled(unit, noise_var, in_place=last).reshape(grid.shape), gains,
                    step_backs, n_idft)
-        del grid
+        del grid, unit
         if scheme == "tm":
             llrs = pseudo_llrs(cells, payload)
         else:
@@ -623,13 +637,16 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
         rng = np.random.default_rng(seeds)
         chunk = _draw_packets(rng, n, config)
         after_shared = rng.bit_generator.state
-        chunk["gains"] = np.fft.fft(chunk["cirs"], n_idft) if "cirs" in chunk else None
+        # only the subcarriers the links read: K+1 (fm, fm_chest) or blocks (tm)
+        chunk["gains"] = (np.fft.fft(chunk.pop("cirs"), n_idft)[:, :max(k + 1, blocks)].copy()
+                          if "cirs" in chunk else None)
         code_bits = polar_encode(chunk["messages"], polar_spec)
         chunk["codewords"] = encode_coeffs(code_bits, payload)
         chunk["jutted"] = encode_coeffs(code_bits[:, 0], first)
         del code_bits
         counts = ()
         for scheme in config.ofdm_schemes:  # BerOfdmConfig has checked each
+            last = scheme == config.ofdm_schemes[-1]
             with_chest = scheme == "fm_chest"
             # cells, the packet's total squared grid magnitude, takes (N + Ncp)
             # * cells in time, and the demodulator scales noise variance by 1/N
@@ -638,7 +655,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
                                                (n_idft + config.cp_len) * cells) / n_idft
             rng.bit_generator.state = after_shared
             own = _draw_scheme(rng, n, config, noise_var, with_chest)
-            errs = decode(scheme, chunk, own, noise_var) != chunk["messages"]
+            errs = decode(scheme, chunk, own, noise_var, last) != chunk["messages"]
             counts += (int(errs.sum()), int(errs.any(axis=-1).sum()),
                        n * config.payload_bits, n * blocks)
         return counts
