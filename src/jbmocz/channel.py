@@ -18,6 +18,7 @@ import numpy as np
 
 
 PDP_PROFILES = ("uniform", "exp")  # the power-delay profiles draw_cir implements
+EXP_PDP_DECAY = 3.0  # the "exp" profile's decay length, in taps
 
 
 def _as_shape(shape) -> tuple:
@@ -27,15 +28,14 @@ def _as_shape(shape) -> tuple:
         return (shape,)
 
 
-def draw_cir(shape, rng: np.random.Generator, profile: str = "uniform",
-             decay: float = 3.0) -> np.ndarray:
+def draw_cir(shape, rng: np.random.Generator, profile: str = "uniform") -> np.ndarray:
     """Draw channel impulse responses of complex Gaussian taps.
 
     shape: the number of taps, or a shape whose last axis is the taps (a
     stack of responses).  One normal draw of `shape` gives the real parts,
     a second the imaginary parts.
     profile "uniform": every tap has variance 1/num_taps.
-    profile "exp": tap variances decay as exp(-l/decay), normalized to unit
+    profile "exp": variances fall as exp(-l/EXP_PDP_DECAY), normalized to unit
     total power (the stand-in for standardized indoor multipath models).
     """
     shape = _as_shape(shape)
@@ -45,7 +45,7 @@ def draw_cir(shape, rng: np.random.Generator, profile: str = "uniform",
     if profile == "uniform":
         power = np.full(num_taps, 1.0 / num_taps)
     elif profile == "exp":
-        power = np.exp(-np.arange(num_taps) / decay)
+        power = np.exp(-np.arange(num_taps) / EXP_PDP_DECAY)
         power /= power.sum()
     else:
         raise ValueError(f"unknown power-delay profile {profile!r}")

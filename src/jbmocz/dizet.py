@@ -5,7 +5,9 @@ the evaluation at the inner point is scaled by rho^(L_t - 1) to balance the
 growth of |Y(z)| outside the unit circle.  A received sequence of length
 L_t = K + L_e carries the K data zeros plus L_e - 1 channel zeros, so the
 decoder needs the total length (i.e. knowledge of the effective channel
-length) for correct scaling.
+length) for correct scaling.  The soft output is the hard decision's two
+terms scaled by the balance and the row's energy, so its sign is the hard
+decision.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ def _eval_at_points(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _decision_terms(received, params: ConstellationParams):
     """Scaled squared magnitudes at the inner (bit-0) and outer (bit-1)
-    test points; inner term already carries the rho^(L_t-1) balance."""
+    test points, and the balance rho^(L_t-1); the inner term already
+    carries the balance, squared."""
     received = np.asarray(received, dtype=complex)
     length = received.shape[-1]
     if length < params.num_zeros + 1:
@@ -35,7 +38,7 @@ def _decision_terms(received, params: ConstellationParams):
     scale = rho ** (length - 1)
     outer = np.abs(_eval_at_points(received, params.outer_points())) ** 2
     inner = np.abs(_eval_at_points(received, params.inner_points())) ** 2
-    return scale**2 * inner, outer
+    return scale**2 * inner, outer, scale
 
 
 def dizet_hard(received, params: ConstellationParams) -> np.ndarray:
@@ -43,26 +46,23 @@ def dizet_hard(received, params: ConstellationParams) -> np.ndarray:
 
     Bit k is 1 iff |Y(outer_k)| < rho_k^(L_t-1) |Y(inner_k)|.
     """
-    inner, outer = _decision_terms(received, params)
+    inner, outer, _ = _decision_terms(received, params)
     return (outer < inner).astype(int)
 
 
 def pseudo_llrs(received, params: ConstellationParams) -> np.ndarray:
     """Soft bit metrics from zero testing, positive meaning bit 1.
 
-    The coefficients are normalized to unit energy first, then
+    With the coefficients normalized to unit energy,
     PLLR_k = rho_k^(L_t-1) |Y(inner_k)|^2 - rho_k^-(L_t-1) |Y(outer_k)|^2,
     the log-ratio of Gaussian pseudo-likelihoods of the two hypotheses.
-    The sign of each PLLR reproduces the hard decision.
+    It is dizet_hard's two terms divided by rho_k^(L_t-1) and by the row's
+    energy, so its sign is the hard decision.
     """
     received = np.asarray(received, dtype=complex)
-    norm = np.linalg.norm(received, axis=-1, keepdims=True)
-    if np.any(norm == 0):
+    energy = (np.einsum("...l,...l->...", received.real, received.real)
+              + np.einsum("...l,...l->...", received.imag, received.imag))
+    if np.any(energy == 0):
         raise ValueError("cannot normalize an all-zero received sequence")
-    received = received / norm
-    length = received.shape[-1]
-    inner, outer = _decision_terms(received, params)
-    scale = params.zero_radii ** (length - 1)
-    # _decision_terms returns rho^{2(Lt-1)}|Y(inner)|^2; divide once by the
-    # balance factor so the pair is rho^{+(Lt-1)} and rho^{-(Lt-1)}.
-    return (inner - outer) / scale
+    inner, outer, scale = _decision_terms(received, params)
+    return (inner - outer) / (scale * energy[..., None])

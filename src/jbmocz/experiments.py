@@ -507,19 +507,19 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # once per chunk, on stacks with a leading packet axis; the gains keep only
 # the subcarriers a link reads.  Each scheme then decodes the chunk (the
 # link, the rotation or channel estimate, pseudo-LLRs, SC decoding) on its
-# own copy of the codewords, since the link works in place; the chunk's last
-# scheme takes the codewords and scales the unit noise in place.  Each
-# packet keeps its own matrix shapes in the zero-testing products (the
-# packet axis is a stack axis), so every packet's numbers are those of a
-# receiver that decodes one packet at a time, bit for bit.
+# own copy of the codewords, since the link works in place, and its own
+# scaled copy of the unit noise.  Each packet keeps its own matrix shapes in
+# the zero-testing products (the packet axis is a stack axis), so every
+# packet's numbers are those of a receiver that decodes one packet at a
+# time, bit for bit.
 #
 # A chunk is held whole: its shared draws and stacks and one scheme's decode
-# take about 105 KB per packet per worker thread at K=32 with 512 payload
+# take about 94 KB per packet per worker thread at K=32 with 512 payload
 # bits, most of it pseudo_llrs' temporaries, the unit noise and the
 # codewords, though bits are carried as uint8 and each scheme's stacks are
 # freed once used.  24 packets keep the peak RSS of the 2-thread ofdm_k32
 # benchmark at about 49 MB; 256-packet chunks would hold about 9 MB per
-# thread of noise alone while fm_chest scales its own copy.
+# thread of noise alone while a scheme scales its own copy.
 
 OFDM_CHUNK_PACKETS = 24
 
@@ -557,14 +557,11 @@ def _draw_scheme(rng, count, config: BerOfdmConfig, noise_var, with_chest):
     return draws
 
 
-def _scaled(unit, noise_var, in_place=False):
+def _scaled(unit, noise_var):
     """complex_noise(shape, noise_var, rng) from the unit noise
     complex_noise(shape, 2.0, rng) of the same stream: its multiply by
-    sqrt(noise_var / 2), on the float view (in place, overwriting `unit`,
-    if in_place)."""
-    floats = unit.view(float)
-    return np.multiply(floats, np.sqrt(noise_var / 2.0),
-                       out=floats if in_place else None).view(complex)
+    sqrt(noise_var / 2), on the float view."""
+    return (unit.view(float) * np.sqrt(noise_var / 2.0)).view(complex)
 
 
 def _grid_link(cells, noise, gains, step_backs, idft_size):
@@ -590,12 +587,10 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
     polar_spec = polar_construct(32, 16)
     template = make_template(first, n_idft)
 
-    def decode(scheme, chunk, own, noise_var, last):
+    def decode(scheme, chunk, own, noise_var):
         """(P, blocks, 16) decoded messages of a chunk of packets, sent on the
         scheme's own copy of the chunk's (P, blocks, K+1) payload codewords
-        (fm and fm_chest send each packet's first codeword jutted).  The last
-        scheme of the chunk takes the codewords and scales the unit noise in
-        place."""
+        (fm and fm_chest send each packet's first codeword jutted)."""
         gains, step_backs = chunk["gains"], own["step_backs"]
         if scheme == "fm_chest":
             # estimated first, so the preamble cells are freed before the
@@ -605,7 +600,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
             equalizer = estimate_channel_blind(pre_rx, preamble,
                                                own.pop("noise_estimate")).equalizer
             del pre_rx
-        cells = chunk.pop("codewords") if last else chunk["codewords"].copy()
+        cells = chunk["codewords"].copy()
         if scheme == "tm":
             # (P, S, K+1): subcarrier s carries codeword s, and the ramp is a
             # constant phase per codeword, which rotates no zero
@@ -615,10 +610,9 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
             # a jutted first codeword, then Huffman payload codewords
             cells[:, 0] = chunk["jutted"]
             grid = cells.transpose(0, 2, 1)
-        unit = chunk.pop("noise") if last else chunk["noise"]
-        _grid_link(grid, _scaled(unit, noise_var, in_place=last).reshape(grid.shape), gains,
+        _grid_link(grid, _scaled(chunk["noise"], noise_var).reshape(grid.shape), gains,
                    step_backs, n_idft)
-        del grid, unit
+        del grid
         if scheme == "tm":
             llrs = pseudo_llrs(cells, payload)
         else:
@@ -646,7 +640,6 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
         del code_bits
         counts = ()
         for scheme in config.ofdm_schemes:  # BerOfdmConfig has checked each
-            last = scheme == config.ofdm_schemes[-1]
             with_chest = scheme == "fm_chest"
             # cells, the packet's total squared grid magnitude, takes (N + Ncp)
             # * cells in time, and the demodulator scales noise variance by 1/N
@@ -655,7 +648,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
                                                (n_idft + config.cp_len) * cells) / n_idft
             rng.bit_generator.state = after_shared
             own = _draw_scheme(rng, n, config, noise_var, with_chest)
-            errs = decode(scheme, chunk, own, noise_var, last) != chunk["messages"]
+            errs = decode(scheme, chunk, own, noise_var) != chunk["messages"]
             counts += (int(errs.sum()), int(errs.any(axis=-1).sum()),
                        n * config.payload_bits, n * blocks)
         return counts

@@ -21,6 +21,8 @@ import numpy as np
 from .dizet import dizet_hard
 from .zeros import ConstellationParams, aacf_edge_scale, encode_coeffs, power_spectrum
 
+PAPR_GRID_SIZE = 8192  # the dense frequency grid of papr_fm's numeric peak search
+
 
 @dataclass(frozen=True)
 class OfdmConfig:
@@ -181,22 +183,20 @@ def papr_peak_at_dc(params: ConstellationParams) -> bool:
     return bool(k * k < bound)
 
 
-def papr_fm(params: ConstellationParams, grid_size: int = 8192) -> tuple[float, str]:
+def papr_fm(params: ConstellationParams) -> tuple[float, str]:
     """FM symbol PAPR in dB plus the method used.
 
     Huffman constellations use the closed form 1 + 2 eta, and jutted ones
     whose spectrum provably peaks at DC the power spectrum at omega = 0;
-    otherwise the peak is located numerically on a dense frequency grid
-    (grid_size >= 4096).
+    otherwise the peak is located numerically on the PAPR_GRID_SIZE-point
+    frequency grid.
     """
     if params.is_huffman:
         return papr_fm_huffman(params), "closed_form"
-    if grid_size < 4096:
-        raise ValueError(f"grid too coarse ({grid_size}), need >= 4096")
     if papr_peak_at_dc(params):
         omega, method = 0.0, "closed_form"
     else:
-        omega, method = 2.0 * np.pi * np.arange(grid_size) / grid_size, "numeric"
+        omega, method = 2.0 * np.pi * np.arange(PAPR_GRID_SIZE) / PAPR_GRID_SIZE, "numeric"
     peak = power_spectrum(params, omega).max()
     return 10.0 * np.log10(peak / (params.num_zeros + 1)), method
 

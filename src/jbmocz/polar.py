@@ -31,6 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
+DESIGN_EBN0_DB = 4.0  # the Eb/N0 at which polar_construct ranks the channels
+
 
 @dataclass(frozen=True)
 class PolarSpec:
@@ -60,9 +62,9 @@ class PolarSpec:
         return mask
 
 
-def polar_construct(block_len: int, info_len: int, design_ebn0_db: float = 4.0) -> PolarSpec:
+def polar_construct(block_len: int, info_len: int) -> PolarSpec:
     """Freeze the block_len - info_len synthetic channels with the largest
-    Bhattacharyya parameters at the design point.
+    Bhattacharyya parameters at the design point DESIGN_EBN0_DB.
 
     The recursion starts from z = exp(-Eb/N0) and applies z -> 2z - z^2 for
     the degraded half and z -> z^2 for the upgraded half at each level.
@@ -72,7 +74,7 @@ def polar_construct(block_len: int, info_len: int, design_ebn0_db: float = 4.0) 
         raise ValueError(f"block length must be a power of two, got {n}")
     if not 0 <= info_len <= n:
         raise ValueError(f"info length {info_len} out of range for n={n}")
-    z = np.array([np.exp(-(10.0 ** (design_ebn0_db / 10.0)))])
+    z = np.array([np.exp(-(10.0 ** (DESIGN_EBN0_DB / 10.0)))])
     while len(z) < n:
         z = np.concatenate([2.0 * z - z * z, z * z])
     # freeze the worst channels; ties resolve toward lower indices

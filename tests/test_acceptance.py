@@ -100,7 +100,7 @@ def test_criterion_3_papr():
 
     v63 = papr_fm_huffman(ConstellationParams(63, 1.025))
     v127 = papr_fm_huffman(ConstellationParams(127, default_radius(127)))
-    vj, method = papr_fm(ConstellationParams(127, 1.018, 1.03), grid_size=8192)
+    vj, method = papr_fm(ConstellationParams(127, 1.018, 1.03))
 
     cond_ok = True
     n_cond = 0
@@ -110,7 +110,7 @@ def test_criterion_3_papr():
                 p = ConstellationParams(k, r, zeta)
                 if papr_peak_at_dc(p):
                     n_cond += 1
-                    closed, m = papr_fm(p, grid_size=8192)
+                    closed, m = papr_fm(p)
                     numeric = 10 * np.log10(power_spectrum(p, omega).max() / (k + 1))
                     cond_ok &= (m == "closed_form" and abs(closed - numeric) <= 0.01)
     ok = (closed_ok and agree_ok and abs(v63 - 1.50) <= 0.03

@@ -31,7 +31,7 @@ class TestDrawCir:
 
     def test_exponential_profile(self):
         rng = np.random.default_rng(2)
-        taps = np.stack([draw_cir(6, rng, profile="exp", decay=2.0) for _ in range(20000)])
+        taps = np.stack([draw_cir(6, rng, profile="exp") for _ in range(20000)])
         power = np.mean(np.abs(taps) ** 2, axis=0)
         assert np.sum(power) == pytest.approx(1.0, rel=0.05)
         assert np.all(np.diff(power) < 0)

@@ -1,12 +1,22 @@
 """Zero-testing decoder tests: hard decisions and soft output."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jbmocz.channel import complex_noise, convolve_channel
 from jbmocz.dizet import dizet_hard, pseudo_llrs
 from jbmocz.rotation import apply_rotation
-from jbmocz.zeros import ConstellationParams, default_radius, encode_bits, zeros_to_coeffs
+from jbmocz.zeros import (
+    ConstellationParams,
+    default_radius,
+    encode_bits,
+    encode_coeffs,
+    zeros_to_coeffs,
+)
 
 
 def make_codewords(rng, params, n):
@@ -92,3 +102,54 @@ class TestPseudoLlrs:
     def test_all_zero_input_rejected(self):
         with pytest.raises(ValueError):
             pseudo_llrs(np.zeros(9, dtype=complex), ConstellationParams(8, 1.2))
+
+
+def normalize_first_llrs(received, params):
+    """The soft output as it was first written: each row normalized to unit
+    energy, then evaluated at both test-point sets by a matrix product."""
+    received = received / np.linalg.norm(received, axis=-1, keepdims=True)
+    length = received.shape[-1]
+    scale = params.zero_radii ** (length - 1)
+    powers = np.arange(length)[:, None]
+    inner = np.abs(received @ params.inner_points()[None, :] ** powers) ** 2
+    outer = np.abs(received @ params.outer_points()[None, :] ** powers) ** 2
+    return (scale**2 * inner - outer) / scale
+
+
+class TestPseudoLlrsTerms:
+    """pseudo_llrs scales dizet_hard's two terms: its sign is the hard
+    decision bit for bit, and it equals the normalize-first formula up to
+    rounding."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(2, 127), jutted=st.booleans(),
+           lead=st.sampled_from([(), (5,), (0,), (2, 3)]), data=st.data(),
+           noise_var=st.sampled_from([0.0, 1e-3, 0.3]), seed=st.integers(0, 2**32 - 1))
+    def test_sign_and_normalize_first_agreement(self, k, jutted, lead, data, noise_var, seed):
+        taps = data.draw(st.integers(1, k + 8), label="taps")  # up to more than K
+        params = ConstellationParams(k, default_radius(k), 1.05 if jutted else 1.0)
+        rng = np.random.default_rng(seed)
+        coeffs = encode_coeffs(rng.integers(0, 2, lead + (k,)), params)
+        received = convolve_channel(coeffs, complex_noise(lead + (taps,), 1.0, rng), noise_var, rng)
+        llrs = pseudo_llrs(received, params)
+        assert llrs.shape == lead + (k,)
+        assert np.array_equal((llrs > 0).astype(int), dizet_hard(received, params))
+        reference = normalize_first_llrs(received, params)
+        row_max = np.abs(reference).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(llrs - reference) <= 1e-11 * row_max)
+
+    def test_peak_memory(self):
+        # a normalized copy of the stack, or a conjugate product of it for
+        # the norm, would take the peak to about 3x the input
+        params = ConstellationParams(32, default_radius(32))
+        rng = np.random.default_rng(8)
+        coeffs = encode_coeffs(rng.integers(0, 2, (4096, 32)), params)
+        received = coeffs + complex_noise(coeffs.shape, 0.1, rng)
+        pseudo_llrs(received, params)
+        tracemalloc.start()
+        try:
+            pseudo_llrs(received, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * received.nbytes, (peak, received.nbytes)

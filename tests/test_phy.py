@@ -213,10 +213,6 @@ class TestPapr:
         numeric = 10 * np.log10(power_spectrum(params, omega).max() / 17)
         assert closed == pytest.approx(numeric, abs=0.01)
 
-    def test_grid_floor(self):
-        with pytest.raises(ValueError):
-            papr_fm(ConstellationParams(16, 1.4, 1.05), grid_size=1024)
-
     def test_message_independence(self):
         rng = np.random.default_rng(11)
         params = ConstellationParams(32, 1.044, 1.15)
