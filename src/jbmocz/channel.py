@@ -6,6 +6,28 @@ stack of channel responses or noise.  `ImpairmentSpec` holds only the
 sample-level impairments of `apply_ofdm_channel`; the zero rotation of the
 sequence-level links is a key of their experiment configs.
 
+Every Gaussian draw is `standard_normal`, whose stream equals that of
+`normal(0, 1)`.  Complex noise of a shape is two `standard_normal` draws
+of that shape, real parts first (the stream of one draw of (2,) + shape),
+each times sqrt(variance / 2).  `add_noise` adds that noise in place to a
+C-contiguous complex128 array, so the link that owns an array adds its
+noise without a full-size copy; `complex_noise` is `add_noise` on an
+array of negative zeros, the additive identity, so its values are the
+scaled draws, signed zeros included.
+
+Both sequence-channel kernels work in blocks of at most BLOCK_VALUES
+values, so their temporaries stay in a core's cache and the output is
+their only full-size array.  `convolve_channel` walks the rows of the
+stack, or one row where a single row is larger: each tap's product with
+a block of codewords goes into one reused buffer and is added into the
+output, taps in order.  `add_noise` fills one float buffer with the
+draws of a block, scales it and adds it into that block's real parts,
+then walks the imaginary parts the same way; consecutive draws continue
+one stream, so the blocks' draws are those of the two whole-shape draws.
+Blocks change no number: each output value sees the same products, draws
+and sums, in the same order, as a whole-stack tap loop plus
+`out + noise`.
+
 All randomness flows through explicit numpy Generators so trials are
 reproducible and can be parallelized from independently derived seeds.
 """
@@ -19,6 +41,7 @@ import numpy as np
 
 PDP_PROFILES = ("uniform", "exp")  # the power-delay profiles draw_cir implements
 EXP_PDP_DECAY = 3.0  # the "exp" profile's decay length, in taps
+BLOCK_VALUES = 2**14  # values convolve_channel and add_noise form at once
 
 
 def _as_shape(shape) -> tuple:
@@ -32,8 +55,8 @@ def draw_cir(shape, rng: np.random.Generator, profile: str = "uniform") -> np.nd
     """Draw channel impulse responses of complex Gaussian taps.
 
     shape: the number of taps, or a shape whose last axis is the taps (a
-    stack of responses).  One normal draw of `shape` gives the real parts,
-    a second the imaginary parts.
+    stack of responses).  One standard normal draw of `shape` gives the
+    real parts, a second the imaginary parts.
     profile "uniform": every tap has variance 1/num_taps.
     profile "exp": variances fall as exp(-l/EXP_PDP_DECAY), normalized to unit
     total power (the stand-in for standardized indoor multipath models).
@@ -49,40 +72,68 @@ def draw_cir(shape, rng: np.random.Generator, profile: str = "uniform") -> np.nd
         power /= power.sum()
     else:
         raise ValueError(f"unknown power-delay profile {profile!r}")
-    taps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    taps = rng.standard_normal(size=shape) + 1j * rng.standard_normal(size=shape)
     return taps * np.sqrt(power / 2.0)
 
 
-def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian samples of the given variance.
+def add_noise(out: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray:
+    """Add circularly-symmetric complex Gaussian noise of the given variance
+    to `out` in place, and return it.
 
-    One normal draw of (2,) + shape gives the real parts, then the imaginary
-    parts: the stream of two draws of `shape`, real parts first.
+    out: a writeable, C-contiguous complex128 array of any shape; any
+    other array raises ValueError, since a copy would lose the add.  The
+    noise is two standard normal draws of out.shape, real parts first,
+    each times sqrt(variance / 2), drawn a block at a time (module
+    docstring); the draws are made even at variance 0.
     """
-    shape = _as_shape(shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("add_noise needs a writeable, C-contiguous complex128 array")
     scale = np.sqrt(variance / 2.0)
-    draws = rng.normal(size=(2,) + shape)
-    noise = np.empty(shape, dtype=complex)
-    np.multiply(draws[0], scale, out=noise.real)
-    np.multiply(draws[1], scale, out=noise.imag)
-    return noise
+    flat = out.reshape(-1)
+    draws = np.empty(min(flat.size, BLOCK_VALUES))
+    for half in (flat.real, flat.imag):
+        for start in range(0, flat.size, BLOCK_VALUES):
+            block = draws[: min(BLOCK_VALUES, flat.size - start)]
+            rng.standard_normal(out=block)
+            block *= scale
+            half[start : start + len(block)] += block
+    return out
+
+
+def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian samples of the given variance:
+    `add_noise` on negative zeros, so each value is its scaled draw."""
+    return add_noise(np.full(_as_shape(shape), complex(-0.0, -0.0)), variance, rng)
 
 
 def convolve_channel(coeffs, taps, noise_var: float, rng: np.random.Generator) -> np.ndarray:
     """Full linear convolution of codewords with channel taps plus AWGN.
 
-    coeffs: (..., K+1), taps: (L_e,) or (..., L_e) matching the leading
-    dims.  Returns (..., K + L_e) received coefficients.
+    coeffs: (..., K+1), taps: (L_e,) or (..., L_e); the leading dims
+    broadcast.  Returns (..., K + L_e) received coefficients, convolved in
+    row blocks (module docstring); noise is added only when noise_var > 0.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     taps = np.asarray(taps, dtype=complex)
-    out_len = coeffs.shape[-1] + taps.shape[-1] - 1
-    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], taps.shape[:-1]) + (out_len,),
-                   dtype=complex)
-    for l in range(taps.shape[-1]):
-        out[..., l : l + coeffs.shape[-1]] += taps[..., l, None] * coeffs
+    length, num_taps = coeffs.shape[-1], taps.shape[-1]
+    lead = np.broadcast_shapes(coeffs.shape[:-1], taps.shape[:-1])
+    out = np.zeros(lead + (length + num_taps - 1,), dtype=complex)
+    rows = out.reshape(-1, out.shape[-1])
+    # views wherever the broadcast rows flatten without a copy
+    coeff_rows = np.broadcast_to(coeffs, lead + (length,)).reshape(-1, length)
+    tap_rows = np.broadcast_to(taps, lead + (num_taps,)).reshape(-1, num_taps)
+    step = max(1, min(len(rows), BLOCK_VALUES // max(1, out.shape[-1])))
+    product = np.empty((step, length), dtype=complex)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        h = len(block)
+        for l in range(num_taps):
+            np.multiply(tap_rows[start : start + h, l, None], coeff_rows[start : start + h],
+                        out=product[:h])
+            block[:, l : l + length] += product[:h]
     if noise_var > 0:
-        out = out + complex_noise(out.shape, noise_var, rng)
+        add_noise(out, noise_var, rng)
     return out
 
 
@@ -125,5 +176,5 @@ def apply_ofdm_channel(samples, taps, spec: ImpairmentSpec, sample_rate: float,
     if spec.noise_var > 0:
         if rng is None:
             raise ValueError("noise requested but no rng supplied")
-        out = out + complex_noise(out.shape, spec.noise_var, rng)
+        add_noise(out, spec.noise_var, rng)
     return out

@@ -397,11 +397,14 @@ def _rate_rows(config, names, counts) -> list:
 def _sequence_link(rng, coeffs, channel_taps, noise_var, rotation):
     """Codewords through `channel_taps` equal-power fading taps each (None:
     AWGN alone), noise, then the zero rotation of BerSequenceConfig.rotation.
-    Returns the received coefficients and each codeword's angle."""
+    Returns the received coefficients and each codeword's angle.
+
+    Takes ownership of `coeffs` (a fresh encode_coeffs stack): the AWGN
+    link adds its noise to it in place and returns it."""
     n = len(coeffs)
     if channel_taps is None:
         # draws its noise even at noise_var 0, where convolve_channel draws none
-        received = coeffs + chan.complex_noise(coeffs.shape, noise_var, rng)
+        received = chan.add_noise(coeffs, noise_var, rng)
     else:
         taps = chan.draw_cir((n, channel_taps), rng)
         received = chan.convolve_channel(coeffs, taps, noise_var, rng)

@@ -1,5 +1,7 @@
 """Impairment simulation tests: CIR draws, convolution, OFDM sample channel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from jbmocz.channel import (
+    BLOCK_VALUES,
     ImpairmentSpec,
+    add_noise,
     apply_ofdm_channel,
     complex_noise,
     convolve_channel,
@@ -141,6 +145,136 @@ class TestConvolveChannel:
         rng = np.random.default_rng(8)
         y = convolve_channel(np.ones((3, 9), dtype=complex), np.ones((3, 5)), 0.0, rng)
         assert y.shape == (3, 13)
+
+
+def whole_stack_complex_noise(shape, variance, rng):
+    """complex_noise before the row blocks: one normal draw of (2,) + shape,
+    each half times sqrt(variance / 2)."""
+    try:
+        shape = tuple(shape)
+    except TypeError:  # an int
+        shape = (shape,)
+    scale = np.sqrt(variance / 2.0)
+    draws = rng.normal(size=(2,) + shape)
+    noise = np.empty(shape, dtype=complex)
+    np.multiply(draws[0], scale, out=noise.real)
+    np.multiply(draws[1], scale, out=noise.imag)
+    return noise
+
+
+def whole_stack_convolve(coeffs, taps, noise_var, rng):
+    """convolve_channel before the row blocks: each tap's product with the
+    whole stack, then out + noise."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    taps = np.asarray(taps, dtype=complex)
+    out_len = coeffs.shape[-1] + taps.shape[-1] - 1
+    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], taps.shape[:-1]) + (out_len,),
+                   dtype=complex)
+    for l in range(taps.shape[-1]):
+        out[..., l : l + coeffs.shape[-1]] += taps[..., l, None] * coeffs
+    if noise_var > 0:
+        out = out + whole_stack_complex_noise(out.shape, noise_var, rng)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def block_edge_counts(block):
+    """Counts of 0, 1 and either side of one and of several blocks."""
+    return [0, 1, block - 1, block, block + 1, 3 * block + 7]
+
+
+@st.composite
+def split_rows(draw, rows, layout):
+    """The leading dims of `rows` rows in a layout: (), (R,) or (a, b)."""
+    if layout == 1:
+        return ()
+    if layout == 2 or rows == 0:
+        return (rows,) if layout == 2 else draw(st.sampled_from([(0, 3), (2, 0)]))
+    a = draw(st.sampled_from([d for d in range(1, min(rows, 64) + 1) if rows % d == 0]))
+    return (a, rows // a)
+
+
+class TestBlockedChannel:
+    """The row-blocked channel against the whole-stack code it replaced,
+    bit for bit, generator state included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 256), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_convolve_matches_whole_stack(self, k, data, seed):
+        num_taps = data.draw(st.one_of(st.integers(1, 6), st.integers(k + 2, k + 4)))
+        block = max(1, BLOCK_VALUES // (k + num_taps))
+        layout = data.draw(st.sampled_from([1, 2, 3]))
+        rows = data.draw(st.sampled_from(block_edge_counts(block))) if layout > 1 else 1
+        lead = data.draw(split_rows(rows, layout))
+        shared = data.draw(st.sampled_from(["taps", "coeffs", "neither"]))
+        noise_var = data.draw(st.sampled_from([0.0, 0.3, 7.5]))
+        rng = np.random.default_rng(seed)
+        coeff_shape = (k + 1,) if shared == "coeffs" else lead + (k + 1,)
+        tap_shape = (num_taps,) if shared == "taps" else lead + (num_taps,)
+        coeffs = rng.standard_normal(coeff_shape) + 1j * rng.standard_normal(coeff_shape)
+        taps = rng.standard_normal(tap_shape) + 1j * rng.standard_normal(tap_shape)
+        old, new = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        expected = whole_stack_convolve(coeffs, taps, noise_var, old)
+        assert same_bits(convolve_channel(coeffs, taps, noise_var, new), expected)
+        assert new.bit_generator.state == old.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from(block_edge_counts(BLOCK_VALUES) + [7, 33 * 32]),
+           layout=st.sampled_from([2, 3]), variance=st.sampled_from([0.0, 0.3, 2.0, 1e6]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_add_noise_matches_whole_stack(self, size, layout, variance, seed, data):
+        shape = data.draw(split_rows(size, layout)) + (2,)
+        rng = np.random.default_rng(seed)
+        out = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        old, new = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        expected = out + whole_stack_complex_noise(shape, variance, old)
+        assert add_noise(out, variance, new) is out
+        assert same_bits(out, expected)
+        assert new.bit_generator.state == old.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=40),
+           variance=st.sampled_from([0.0, 0.3, 2.0]), seed=st.integers(0, 2**32 - 1))
+    def test_complex_noise_matches_whole_stack(self, shape, variance, seed):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = whole_stack_complex_noise(shape, variance, old)
+        noise = complex_noise(shape, variance, new)
+        assert noise.shape == expected.shape and np.array_equal(noise, expected)
+        assert new.bit_generator.state == old.bit_generator.state
+
+    def test_peak_memory_bound(self):
+        # the output and block-sized buffers (1.11x); the whole-stack code
+        # peaked at 3.00x the output's bytes
+        rng = np.random.default_rng(13)
+        coeffs = rng.standard_normal((4096, 65)) + 1j * rng.standard_normal((4096, 65))
+        taps = (rng.standard_normal((4096, 5)) + 1j * rng.standard_normal((4096, 5))) / np.sqrt(10)
+        tracemalloc.start()
+        try:
+            out = convolve_channel(coeffs, taps, 0.3, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
+
+    @pytest.mark.parametrize("out", [
+        np.zeros((4, 6), dtype=complex)[:, ::2],
+        np.zeros((4, 6), dtype=complex).T,
+        np.zeros((4, 6)),
+        np.zeros((4, 6), dtype=np.complex64),
+        np.zeros((4, 6), dtype=complex).tolist(),
+    ], ids=["strided", "transposed", "float", "complex64", "list"])
+    def test_add_noise_rejects_arrays_it_cannot_fill(self, out):
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            add_noise(out, 0.1, np.random.default_rng(0))
+
+    def test_add_noise_rejects_read_only(self):
+        out = np.zeros(5, dtype=complex)
+        out.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            add_noise(out, 0.1, np.random.default_rng(0))
 
 
 class TestEbn0Conversion:

@@ -47,3 +47,16 @@ def test_imports_only_declared_dependencies():
                                    - set(sys.stdlib_module_names))
                  for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def normal_calls(path):
+    """Line of each `<anything>.normal(...)` call in the file."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "normal"]
+
+
+def test_gaussian_draws_use_standard_normal():
+    # standard_normal gives normal(0, 1)'s stream without its loc/scale pass
+    offenders = {path.name: normal_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
