@@ -25,7 +25,7 @@ import math
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,8 +73,6 @@ JUTTED_DESIGNS = {
     64: (1.029, 1.072),
     127: (1.018, 1.03),
 }
-
-CSV_COLUMNS = ("experiment", "param_name", "param_value", "metric", "value", "trials", "seed")
 
 OFDM_SCHEMES = ("fm", "fm_chest", "tm")  # receivers ber_ofdm can run
 OFDM_RANDOM_STEP_BACK = 5  # step_back "random" draws uniformly from 0..5 samples
@@ -143,36 +141,38 @@ class _Key:
 
 _COUNT = _Key("int", least=1)      # trials, threads, taps, sizes
 _SWEEP = _Key("level", many=True)  # the Eb/N0 points
+_SCHEME = _Key(values=("jutted", "huffman"))
+_NUM_ZEROS = _Key("int", least=2)
+_NUMBER_OR_NULL = _Key("number", optional=True)
+
+
+def _key(default, rule: _Key):
+    """A config key: a field with this default that carries its rule."""
+    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass(frozen=True)
 class _Config:
-    """The keys of every kind.  `keys`, a class attribute and not a key,
-    holds each key's rule; subclasses extend it."""
+    """The keys of every kind; each field carries its rule (see _key)."""
 
-    keys = {"seed": _Key("int", least=0), "out": _Key("path", optional=True)}
-    seed: int = 0
-    out: str = None
+    seed: int = _key(0, _Key("int", least=0))
+    out: str = _key(None, _Key("path", optional=True))
 
     def __post_init__(self):
-        for name, rule in self.keys.items():
-            value = getattr(self, name)
+        for key in fields(self):
+            value, rule = getattr(self, key.name), key.metadata["rule"]
             if not rule.accepts(value):
-                raise ValueError(f"{name}={value!r} must be {rule}")
+                raise ValueError(f"{key.name}={value!r} must be {rule}")
 
 
 @dataclass(frozen=True)
 class _ConstellationConfig(_Config):
     """A scheme's reference design, or an explicit radius and asymmetry."""
 
-    keys = _Config.keys | {"scheme": _Key(values=("jutted", "huffman")),
-                           "num_zeros": _Key("int", least=2),
-                           "radius": _Key("number", optional=True),
-                           "asymmetry": _Key("number", optional=True)}
-    scheme: str = "jutted"
-    num_zeros: int = 64
-    radius: float = None              # None -> the scheme's design
-    asymmetry: float = None           # only with a radius: > 1 if jutted, None -> 1
+    scheme: str = _key("jutted", _SCHEME)
+    num_zeros: int = _key(64, _NUM_ZEROS)
+    radius: float = _key(None, _NUMBER_OR_NULL)     # None -> the scheme's design
+    asymmetry: float = _key(None, _NUMBER_OR_NULL)  # only with a radius: > 1 if jutted, None -> 1
 
     def __post_init__(self):
         super().__post_init__()
@@ -199,23 +199,17 @@ class BerSequenceConfig(_ConstellationConfig):
     """Codewords through fading or AWGN, decoded hard or by polar SC.
     ofdm_schemes is unread: the benchmark's warm-up sets it on every kind."""
 
-    keys = _ConstellationConfig.keys | {
-        "threads": _COUNT, "coding": _Key(values=("none", "polar")),
-        "channel": _Key(values=("fading", "awgn")), "channel_taps": _COUNT,
-        "pdp": _Key(values=("uniform",)),
-        "rotation": _Key("number", values=("uniform",), optional=True),
-        "correct": _Key("bool"), "ebn0_db": _SWEEP, "trials": _COUNT,
-        "ofdm_schemes": _Key(values=OFDM_SCHEMES, many=True)}
-    threads: int = 1
-    coding: str = "none"              # polar: the (32,16) code, K=32
-    channel: str = "fading"
-    channel_taps: int = 5
-    pdp: str = "uniform"              # the profile of its equal-power taps
-    rotation: object = None           # None | "uniform" | angle (radians)
-    correct: bool = False             # run the template estimator + correction
-    ebn0_db: tuple = (0.0, 4.0, 8.0, 12.0, 16.0)
-    trials: int = 20000
-    ofdm_schemes: tuple = OFDM_SCHEMES
+    threads: int = _key(1, _COUNT)
+    coding: str = _key("none", _Key(values=("none", "polar")))  # polar: the (32,16) code, K=32
+    channel: str = _key("fading", _Key(values=("fading", "awgn")))
+    channel_taps: int = _key(5, _COUNT)
+    pdp: str = _key("uniform", _Key(values=("uniform",)))  # the profile of its equal-power taps
+    # None | "uniform" | angle (radians)
+    rotation: object = _key(None, _Key("number", values=("uniform",), optional=True))
+    correct: bool = _key(False, _Key("bool"))  # run the template estimator + correction
+    ebn0_db: tuple = _key((0.0, 4.0, 8.0, 12.0, 16.0), _SWEEP)
+    trials: int = _key(20000, _COUNT)
+    ofdm_schemes: tuple = _key(OFDM_SCHEMES, _Key(values=OFDM_SCHEMES, many=True))
 
     def __post_init__(self):
         super().__post_init__()
@@ -231,27 +225,20 @@ class BerSequenceConfig(_ConstellationConfig):
 class BerOfdmConfig(_Config):
     """Polar-coded OFDM packets through each receiver of ofdm_schemes."""
 
-    keys = _Config.keys | {
-        "threads": _COUNT, "num_zeros": _Key("int", least=32, most=32),
-        "channel": _Key(values=("fading", "flat")), "channel_taps": _COUNT,
-        "pdp": _Key(values=chan.PDP_PROFILES), "ebn0_db": _SWEEP, "trials": _COUNT,
-        "idft_size": _COUNT, "cp_len": _Key("int", least=0), "payload_bits": _COUNT,
-        "ofdm_schemes": _Key(values=OFDM_SCHEMES, many=True),
-        "tm_preamble_zeros": _Key("int", least=2),  # the preamble codeword's zeros
-        "step_back": _Key("int", least=0, values=("random",))}
-    threads: int = 1
-    num_zeros: int = 32
-    channel: str = "fading"
-    channel_taps: int = 5
-    pdp: str = "uniform"
-    ebn0_db: tuple = (8.0, 12.0, 16.0, 20.0)
-    trials: int = 1000
-    idft_size: int = 256
-    cp_len: int = 9
-    payload_bits: int = 512
-    ofdm_schemes: tuple = OFDM_SCHEMES
-    tm_preamble_zeros: int = 4
-    step_back: object = "random"      # "random" (uniform over 0..5) | int
+    threads: int = _key(1, _COUNT)
+    num_zeros: int = _key(32, _Key("int", least=32, most=32))
+    channel: str = _key("fading", _Key(values=("fading", "flat")))
+    channel_taps: int = _key(5, _COUNT)
+    pdp: str = _key("uniform", _Key(values=chan.PDP_PROFILES))
+    ebn0_db: tuple = _key((8.0, 12.0, 16.0, 20.0), _SWEEP)
+    trials: int = _key(1000, _COUNT)
+    idft_size: int = _key(256, _COUNT)
+    cp_len: int = _key(9, _Key("int", least=0))
+    payload_bits: int = _key(512, _COUNT)
+    ofdm_schemes: tuple = _key(OFDM_SCHEMES, _Key(values=OFDM_SCHEMES, many=True))
+    tm_preamble_zeros: int = _key(4, _Key("int", least=2))  # the preamble codeword's zeros
+    # "random" (uniform over 0..5) | int
+    step_back: object = _key("random", _Key("int", least=0, values=("random",)))
 
     def __post_init__(self):
         super().__post_init__()
@@ -277,13 +264,11 @@ class BerOfdmConfig(_Config):
 class RotationMseConfig(_ConstellationConfig):
     """Rotation-estimator MSE of every estimator size on shared trials."""
 
-    keys = _ConstellationConfig.keys | {"threads": _COUNT, "ebn0_db": _SWEEP, "trials": _COUNT,
-                                        "estimator_bins": _Key("int", least=1, many=True)}
-    num_zeros: int = 31
-    threads: int = 1
-    ebn0_db: tuple = (0.0, 4.0, 8.0, 12.0, 16.0)
-    trials: int = 10000
-    estimator_bins: tuple = (64, 1024)
+    num_zeros: int = _key(31, _NUM_ZEROS)
+    threads: int = _key(1, _COUNT)
+    ebn0_db: tuple = _key((0.0, 4.0, 8.0, 12.0, 16.0), _SWEEP)
+    trials: int = _key(10000, _COUNT)
+    estimator_bins: tuple = _key((64, 1024), _Key("int", least=1, many=True))
 
     def __post_init__(self):
         super().__post_init__()
@@ -297,10 +282,8 @@ class DesignCurvesConfig(_Config):
     """The serial radius search R*(K, zeta) for each asymmetry of a list."""
 
     # below K=32 the minimum stability can fall monotonically in R
-    keys = _Config.keys | {"num_zeros": _Key("int", least=32),
-                           "asymmetry": _Key("number", least=1, many=True)}
-    num_zeros: int = 32
-    asymmetry: tuple = (1.0, 1.03, 1.06, 1.09, 1.12, 1.15)
+    num_zeros: int = _key(32, _Key("int", least=32))
+    asymmetry: tuple = _key((1.0, 1.03, 1.06, 1.09, 1.12, 1.15), _Key("number", least=1, many=True))
 
 
 @dataclass(frozen=True)
@@ -312,21 +295,20 @@ class PaprTableConfig(_Config):
 class StabilityReportConfig(_ConstellationConfig):
     """Mean and minimum noiseless codebook stability of one constellation."""
 
-    scheme: str = "huffman"
-    num_zeros: int = 8
-    radius: float = 1.176
-    asymmetry: float = 1.0
+    scheme: str = _key("huffman", _SCHEME)
+    num_zeros: int = _key(8, _NUM_ZEROS)
+    radius: float = _key(1.176, _NUMBER_OR_NULL)
+    asymmetry: float = _key(1.0, _NUMBER_OR_NULL)
 
 
 @dataclass(frozen=True)
 class LoopbackConfig(_Config):
     """The fixed K=127, 424-bit, 512-point packet through the I/Q loopback."""
 
-    # the step-back keeps the prefix rule on a one-tap channel, of span 0
-    keys = _Config.keys | {"loopback_snr_db": _Key("level", optional=True),
-                           "loopback_step_back": _Key("int", least=0, most=LOOPBACK_CP_LEN)}
-    loopback_snr_db: float = None     # None -> noiseless
-    loopback_step_back: int = 6       # samples into the packet's cyclic prefix
+    loopback_snr_db: float = _key(None, _Key("level", optional=True))  # None -> noiseless
+    # samples into the packet's cyclic prefix; at most its length keeps the
+    # prefix rule on the one-tap channel, of span 0
+    loopback_step_back: int = _key(6, _Key("int", least=0, most=LOOPBACK_CP_LEN))
 
 
 @dataclass(frozen=True)
@@ -346,7 +328,7 @@ def write_csv(rows, path, header_note: str = None) -> None:
     if header_note:
         for note in header_note.splitlines():
             lines.append(f"# {note}")
-    lines.append(",".join(CSV_COLUMNS))
+    lines.append(",".join(column.name for column in fields(MetricRow)))
     for r in rows:
         lines.append(
             f"{r.experiment},{r.param_name},{r.param_value:.10g},"
@@ -501,20 +483,19 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # does.  fm_chest's receiver reads its G*T guard cells (G null subcarriers
 # by T preamble symbols) only through their mean power, which for white
 # noise of variance noise_var is exactly noise_var * Gamma(G*T, 1/(G*T)),
-# so that mean is drawn directly, one Gamma draw per packet, in place of
-# G*T complex normals (1,115 at the defaults).  A scheme's payload noise is
-# the unit noise times sqrt(noise_var / 2) on the float view, the multiply
-# `complex_noise` makes, and tm's is fm's reshaped, so every scheme sees,
-# bit for bit, the random stream it would in a sweep of its own.  Polar
-# encoding, the payload and jutted synthesis and the taps' transform run
-# once per chunk, on stacks with a leading packet axis; the gains keep only
-# the subcarriers a link reads.  Each scheme then decodes the chunk (the
-# link, the rotation or channel estimate, pseudo-LLRs, SC decoding) on its
-# own copy of the codewords, since the link works in place, and its own
-# scaled copy of the unit noise.  Each packet keeps its own matrix shapes in
-# the zero-testing products (the packet axis is a stack axis), so every
-# packet's numbers are those of a receiver that decodes one packet at a
-# time, bit for bit.
+# so that mean is drawn directly, one Gamma draw per packet.  A scheme's
+# payload noise is the unit noise times sqrt(noise_var / 2) on the float
+# view, the multiply `complex_noise` makes, and tm's is fm's reshaped, so
+# every scheme sees, bit for bit, the random stream it would in a sweep of
+# its own.  Polar encoding, the payload and jutted synthesis and the taps'
+# transform run once per chunk, on stacks with a leading packet axis; the
+# gains keep only the subcarriers a link reads.  Each scheme then decodes
+# the chunk (the link, the rotation or channel estimate, pseudo-LLRs, SC
+# decoding) on its own copy of the codewords, since the link works in
+# place, and its own scaled copy of the unit noise.  Each packet keeps its
+# own matrix shapes in the zero-testing products (the packet axis is a
+# stack axis), so every packet's numbers are those of a receiver that
+# decodes one packet at a time, bit for bit.
 #
 # A chunk is held whole: its shared draws and stacks and one scheme's decode
 # take about 94 KB per packet per worker thread at K=32 with 512 payload

@@ -144,7 +144,11 @@ def rotation_bins(coeffs, template: Template) -> np.ndarray:
 
 def rotation_mse(true_angles, est_angles) -> float:
     """Mean of min{(phi - phi_hat)^2, (phi - (2 pi - phi_hat))^2} over all
-    estimate pairs; the second term credits wraparound estimates."""
+    estimate pairs.  The second term, (phi + phi_hat - 2 pi)^2, is the
+    circular error only when phi_hat = 0, so it is not a circular distance:
+    rotation_mse([pi + 0.1], [pi - 0.1]) returns 0.0 for an estimate 0.2 rad
+    off, and rotation_mse([0.05], [2 pi - 0.05]) about 3e-32 for one 0.1 rad
+    off."""
     true_angles = np.asarray(true_angles, dtype=float)
     est_angles = np.asarray(est_angles, dtype=float)
     if true_angles.shape != est_angles.shape:

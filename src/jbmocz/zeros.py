@@ -20,10 +20,9 @@ group j has a cached table with one row per bit pattern b,
 
 built by doubling: one zero at a time, T <- [T (w - inner_k); T (w - outer_k)].
 A message stack becomes one table index per group, and X(w_n) is the
-product of the gathered rows, formed SYNTHESIS_BLOCK_ROWS rows at a time;
-no log or exp is taken.  g is the largest size up to 8 whose tables fit
-SYNTHESIS_TABLE_VALUES grid values (8 at K=32, 6 at K=64, 3 at K=128, 2
-past K=156).  The leading coefficient of the monic product is set to
+product of the gathered rows, formed SYNTHESIS_BLOCK_ROWS rows at a time.
+g is the largest size up to 8 whose tables fit SYNTHESIS_TABLE_VALUES grid
+values (8 at K=32, 6 at K=64, 3 at K=128, 2 past K=156).  The leading coefficient of the monic product is set to
 exactly 1 before the rescale, rather than rephasing by the computed one:
 at R=1.5, K=127 that coefficient is ~R^-K of the norm, below its rounding.
 The tables are cached for the last SYNTHESIS_CACHE_SIZE constellations (a

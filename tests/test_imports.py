@@ -60,3 +60,11 @@ def test_gaussian_draws_use_standard_normal():
     # standard_normal gives normal(0, 1)'s stream without its loc/scale pass
     offenders = {path.name: normal_calls(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+def test_package_root_imports_nothing():
+    # callers import from the submodules; a re-export list at the root
+    # would be a second copy of their names
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
