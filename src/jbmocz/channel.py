@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .buffers import checked_out
+
 
 PDP_PROFILES = ("uniform", "exp")  # the power-delay profiles draw_cir implements
 EXP_PDP_DECAY = 3.0  # the "exp" profile's decay length, in taps
@@ -86,9 +88,7 @@ def add_noise(out: np.ndarray, variance: float, rng: np.random.Generator) -> np.
     each times sqrt(variance / 2), drawn a block at a time (module
     docstring); the draws are made even at variance 0.
     """
-    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("add_noise needs a writeable, C-contiguous complex128 array")
+    checked_out(out, np.shape(out))
     scale = np.sqrt(variance / 2.0)
     flat = out.reshape(-1)
     draws = np.empty(min(flat.size, BLOCK_VALUES))

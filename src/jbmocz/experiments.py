@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import mmap
 import numbers
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -488,37 +490,63 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # view, the multiply `complex_noise` makes, and tm's is fm's reshaped, so
 # every scheme sees, bit for bit, the random stream it would in a sweep of
 # its own.  Polar encoding, the payload and jutted synthesis and the taps'
-# transform run once per chunk, on stacks with a leading packet axis; the
-# gains keep only the subcarriers a link reads.  Each scheme then decodes
-# the chunk (the link, the rotation or channel estimate, pseudo-LLRs, SC
-# decoding) on its own copy of the codewords, since the link works in
-# place, and its own scaled copy of the unit noise.  Each packet keeps its
-# own matrix shapes in the zero-testing products (the packet axis is a
-# stack axis), so every packet's numbers are those of a receiver that
-# decodes one packet at a time, bit for bit.
+# transform run once per chunk, on stacks with a leading packet axis.  Each
+# scheme then decodes the chunk (the link, the rotation or channel
+# estimate, pseudo-LLRs, SC decoding) on its own copy of the codewords,
+# since the link works in place; the link adds the scaled unit noise
+# GRID_BLOCK_VALUES values at a time, so no scaled copy of the whole noise
+# is made.  Each packet keeps its own matrix shapes in the zero-testing
+# products (the packet axis is a stack axis), so every packet's numbers are
+# those of a receiver that decodes one packet at a time, bit for bit.
 #
-# A chunk is held whole: its shared draws and stacks and one scheme's decode
-# take about 94 KB per packet per worker thread at K=32 with 512 payload
-# bits, most of it pseudo_llrs' temporaries, the unit noise and the
-# codewords, though bits are carried as uint8 and each scheme's stacks are
-# freed once used.  24 packets keep the peak RSS of the 2-thread ofdm_k32
-# benchmark at about 49 MB; 256-packet chunks would hold about 9 MB per
-# thread of noise alone while a scheme scales its own copy.
+# Each worker thread decodes its chunks in one set of buffers, made on its
+# first chunk for the run's largest chunk and freed when run_ber_ofdm
+# returns; a short last chunk uses their leading rows.  They are views of
+# one anonymous mapping per thread, not heap arrays, so that freeing them
+# returns their pages: heap arrays freed at the end of a 1-thread run stay
+# behind later small allocations as a hole the next 2-thread sweep does not
+# use, which read 48.65 against 47.00 MB of ofdm_k32 peak RSS (medians of
+# four 10-s runs).  Per packet, at K=32 with 512 payload bits and N=256:
+#   noise      (K+1, blocks) complex, 16.9 KB: the unit payload noise, read
+#              by every scheme's link;
+#   codewords  (blocks, K+1) complex, 16.9 KB: the payload codewords;
+#   gains      (N,) complex, 4.1 KB: the taps' transform (none if flat);
+#   cells      (blocks, K+1) complex, 16.9 KB: a scheme's copy of the
+#              codewords through the link, derotated or equalized in place,
+#              then, once pseudo_llrs has read it, SC's bit-major copy of
+#              the LLRs;
+#   work       max(K * blocks, 5N) floats, 10.2 KB: rotation_bins' three
+#              block buffers (fm), then the LLR stack both pseudo_llrs calls
+#              write into (each packet's first codeword, then the payload).
+# That is 65 KB per packet, 1.56 MB per thread at 24 packets.  A chunk's
+# temporaries peak at 0.62 MB more (tracemalloc), 2.18 MB (91 KB per
+# packet) in all; the largest are blocks of at most 256 KiB, reused from
+# the heap chunk after chunk.  With new arrays for every chunk, each chunk
+# freed about 3.7 MB, glibc trimmed its heap and the next chunk faulted the
+# pages in again: 18,228 minor faults per 1-thread ofdm_k32 sweep, against
+# about 380 now, the buffers' own pages (ROADMAP).  256-packet chunks would
+# hold 16.6 MB of buffers per thread.
 
 OFDM_CHUNK_PACKETS = 24
+GRID_BLOCK_VALUES = 2**14  # unit noise values (256 KiB) `_grid_link` scales at once
 
 
-def _draw_packets(rng, count, config: BerOfdmConfig):
+def _draw_packets(rng, count, config: BerOfdmConfig, noise=None):
     """The draws every scheme shares for `count` packets, one generator call
     per field, each with a leading packet axis: the messages, the taps
     ("cirs", absent on a flat channel), then the payload cell noise at unit
     scale, as fm's (S, T) = (K+1, blocks) grid (tm's is the same stream
-    reshaped)."""
+    reshaped).  The noise is drawn into `noise`, a C-contiguous complex128
+    array of that (count, S, T) shape, if given."""
     blocks = config.payload_bits // 16
     draws = {"messages": rng.integers(0, 2, (count, blocks, 16), dtype=np.uint8)}
     if config.channel != "flat":
         draws["cirs"] = chan.draw_cir((count, config.channel_taps), rng, profile=config.pdp)
-    draws["noise"] = chan.complex_noise((count, config.num_zeros + 1, blocks), 2.0, rng)
+    if noise is None:
+        noise = np.empty((count, config.num_zeros + 1, blocks), dtype=complex)
+    # complex_noise's values: add_noise on negative zeros, the additive identity
+    noise.fill(complex(-0.0, -0.0))
+    draws["noise"] = chan.add_noise(noise, 2.0, rng)
     return draws
 
 
@@ -548,14 +576,21 @@ def _scaled(unit, noise_var):
     return (unit.view(float) * np.sqrt(noise_var / 2.0)).view(complex)
 
 
-def _grid_link(cells, noise, gains, step_backs, idft_size):
+def _grid_link(cells, noise, gains, step_backs, idft_size, noise_var=None):
     """(P, S, T) cells, P packets of S subcarriers by T symbols, through
     each packet's gains (the (P, idft_size) transform of its taps; None on
-    a flat channel), `noise`, then its step-back ramp, in place."""
+    a flat channel), noise, then its step-back ramp, in place.  The noise
+    is `noise`, or with noise_var, `_scaled(noise, noise_var)` of the unit
+    noise `noise`, scaled GRID_BLOCK_VALUES values at a time."""
     n_sub = cells.shape[1]
     if gains is not None:
         cells *= gains[:, :n_sub, None]
-    cells += noise
+    if noise_var is None:
+        cells += noise
+    else:
+        step = max(1, GRID_BLOCK_VALUES // math.prod(cells.shape[1:]))
+        for start in range(0, len(cells), step):
+            cells[start : start + step] += _scaled(noise[start : start + step], noise_var)
     cells *= np.exp(-2j * np.pi * np.arange(n_sub) * step_backs[:, None] / idft_size)[..., None]
     return cells
 
@@ -563,28 +598,54 @@ def _grid_link(cells, noise, gains, step_backs, idft_size):
 def run_ber_ofdm(config: BerOfdmConfig) -> list:
     """Packet-level BER/BLER for the configured OFDM schemes.  The schemes
     of a chunk share its draws and synthesis, and each sees the random
-    stream it would in a sweep of its own."""
+    stream it would in a sweep of its own.  Each worker thread decodes its
+    chunks in one set of buffers, freed when the run returns."""
     k, n_idft, ktm = config.num_zeros, config.idft_size, config.tm_preamble_zeros
     blocks = config.payload_bits // 16
     payload, first = huffman_params(k), jutted_params(k)
     preamble = huffman_params(ktm)
     polar_spec = polar_construct(32, 16)
     template = make_template(first, n_idft)
+    # each buffer's shape per packet (comment block above OFDM_CHUNK_PACKETS)
+    shapes = {"noise": ((k + 1, blocks), complex), "codewords": ((blocks, k + 1), complex),
+              "cells": ((blocks, k + 1), complex), "work": ((max(k * blocks, 5 * n_idft),), float)}
+    if config.channel != "flat":
+        shapes["gains"] = ((n_idft,), complex)
+    largest = min(config.trials, OFDM_CHUNK_PACKETS)
+    sizes = {name: largest * math.prod(shape) * np.dtype(dtype).itemsize
+             for name, (shape, dtype) in shapes.items()}
+    local = threading.local()
 
-    def decode(scheme, chunk, own, noise_var):
+    def thread_buffers(n):
+        """This thread's buffers, made on its first chunk, cut to n packets:
+        views of one anonymous mapping, unmapped once its last view dies."""
+        if not hasattr(local, "slots"):
+            spans = [-(-size // 64) * 64 for size in sizes.values()]  # whole cache lines
+            memory = np.frombuffer(mmap.mmap(-1, sum(spans)), np.uint8)
+            local.slots, start = {}, 0
+            for (name, (shape, dtype)), span in zip(shapes.items(), spans):
+                slot = memory[start : start + sizes[name]].view(dtype)
+                local.slots[name] = slot.reshape((largest,) + shape)
+                start += span
+        return {name: slot[:n] for name, slot in local.slots.items()}
+
+    def decode(scheme, chunk, own, noise_var, slots):
         """(P, blocks, 16) decoded messages of a chunk of packets, sent on the
         scheme's own copy of the chunk's (P, blocks, K+1) payload codewords
-        (fm and fm_chest send each packet's first codeword jutted)."""
+        (fm and fm_chest send each packet's first codeword jutted), decoded
+        in the thread's buffers `slots`."""
         gains, step_backs = chunk["gains"], own["step_backs"]
         if scheme == "fm_chest":
             # estimated first, so the preamble cells are freed before the
-            # payload stack is copied
+            # payload is linked
             pre_rx = _grid_link(encode_coeffs(own.pop("pre_bits"), preamble),
                                 own.pop("pre_noise"), gains, step_backs, n_idft)
             equalizer = estimate_channel_blind(pre_rx, preamble,
                                                own.pop("noise_estimate")).equalizer
             del pre_rx
-        cells = chunk["codewords"].copy()
+        cells, work = slots["cells"], slots["work"]
+        np.copyto(cells, chunk["codewords"])
+        n = len(cells)
         if scheme == "tm":
             # (P, S, K+1): subcarrier s carries codeword s, and the ramp is a
             # constant phase per codeword, which rotates no zero
@@ -594,32 +655,36 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
             # a jutted first codeword, then Huffman payload codewords
             cells[:, 0] = chunk["jutted"]
             grid = cells.transpose(0, 2, 1)
-        _grid_link(grid, _scaled(chunk["noise"], noise_var).reshape(grid.shape), gains,
-                   step_backs, n_idft)
-        del grid
+        _grid_link(grid, chunk["noise"].reshape(grid.shape), gains, step_backs, n_idft,
+                   noise_var)
+        # the LLR stack's rows: fm's and fm_chest's first codeword of each
+        # packet, then the payload codewords, packet by packet
+        llrs = work.reshape(-1)[: n * blocks * k]
         if scheme == "tm":
-            llrs = pseudo_llrs(cells, payload)
+            pseudo_llrs(cells, payload, out=llrs.reshape(n, blocks, k))
         else:
             if scheme == "fm_chest":
                 cells *= equalizer[:, None]
             else:
-                bins = rotation_bins(cells[:, 0], template)
-                cells = correct_bins(cells, bins[:, None], template.size)
+                bins = rotation_bins(cells[:, 0], template, work=work)
+                correct_bins(cells, bins[:, None], template.size, out=cells)
             # cells[:, :1] keeps the jutted symbol a one-row product per packet
-            llrs = np.concatenate([pseudo_llrs(cells[:, :1], first),
-                                   pseudo_llrs(cells[:, 1:], payload)], axis=1)
-        del cells
-        return polar_decode_sc(llrs, polar_spec)
+            pseudo_llrs(cells[:, :1], first, out=llrs[: n * k].reshape(n, 1, k))
+            pseudo_llrs(cells[:, 1:], payload, out=llrs[n * k :].reshape(n, blocks - 1, k))
+        decoded = polar_decode_sc(llrs.reshape(-1, k), polar_spec, work=cells.view(float))
+        if scheme == "tm":
+            return decoded.reshape(n, blocks, -1)
+        return np.concatenate([decoded[:n, None], decoded[n:].reshape(n, blocks - 1, -1)], axis=1)
 
     def worker(ebn0, seeds, n):
+        slots = thread_buffers(n)
         rng = np.random.default_rng(seeds)
-        chunk = _draw_packets(rng, n, config)
+        chunk = _draw_packets(rng, n, config, noise=slots["noise"])
         after_shared = rng.bit_generator.state
-        # only the subcarriers the links read: K+1 (fm, fm_chest) or blocks (tm)
-        chunk["gains"] = (np.fft.fft(chunk.pop("cirs"), n_idft)[:, :max(k + 1, blocks)].copy()
+        chunk["gains"] = (np.fft.fft(chunk.pop("cirs"), n_idft, out=slots["gains"])
                           if "cirs" in chunk else None)
         code_bits = polar_encode(chunk["messages"], polar_spec)
-        chunk["codewords"] = encode_coeffs(code_bits, payload)
+        chunk["codewords"] = encode_coeffs(code_bits, payload, out=slots["codewords"])
         chunk["jutted"] = encode_coeffs(code_bits[:, 0], first)
         del code_bits
         counts = ()
@@ -632,8 +697,9 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
                                                (n_idft + config.cp_len) * cells) / n_idft
             rng.bit_generator.state = after_shared
             own = _draw_scheme(rng, n, config, noise_var, with_chest)
-            errs = decode(scheme, chunk, own, noise_var) != chunk["messages"]
-            counts += (int(errs.sum()), int(errs.any(axis=-1).sum()),
+            errs = decode(scheme, chunk, own, noise_var, slots) != chunk["messages"]
+            # count_nonzero: a bool sum would buffer its cast to int
+            counts += (np.count_nonzero(errs), np.count_nonzero(errs.any(axis=-1)),
                        n * config.payload_bits, n * blocks)
         return counts
 

@@ -31,6 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .buffers import work_values
+
 DESIGN_EBN0_DB = 4.0  # the Eb/N0 at which polar_construct ranks the channels
 
 
@@ -172,26 +174,33 @@ def _decode_node(llrs: np.ndarray, plan, u: np.ndarray, x: np.ndarray) -> None:
     x[:half] ^= x[half:]
 
 
-def _sc_decode(llrs: np.ndarray, spec: PolarSpec):
+def _sc_decode(llrs: np.ndarray, spec: PolarSpec, work: np.ndarray = None):
     """(u_bits, x_bits) of (rows, n) LLRs as (rows, n) bool arrays: the
-    decisions of leaf-by-leaf min-sum SC, made node by node."""
-    columns = np.ascontiguousarray(llrs.T)
+    decisions of leaf-by-leaf min-sum SC, made node by node.  The bit-major
+    copy of the LLRs goes into `work` (see polar_decode_sc) if given."""
+    columns = work_values(np.empty(llrs.size) if work is None else work,
+                          llrs.size).reshape(llrs.shape[::-1])
+    columns[...] = llrs.T
     u = np.zeros(columns.shape, dtype=bool)
     x = np.zeros_like(u)
     _decode_node(columns, _node_plan(spec), u, x)
     return u.T, x.T
 
 
-def polar_decode_sc(llrs, spec: PolarSpec) -> np.ndarray:
+def polar_decode_sc(llrs, spec: PolarSpec, work: np.ndarray = None) -> np.ndarray:
     """Successive-cancellation decode of (..., n) LLRs to (..., k) info bits
     (uint8).
 
     Frozen positions are forced to zero; a zero LLR resolves to bit 0.
+    work: None, or a writeable, C-contiguous float64 array of at least
+    llrs.size values, whose leading values hold the decoder's bit-major
+    copy of the LLRs instead of a new array (any other array raises
+    ValueError); the bits are the same either way.
     """
     llrs = np.asarray(llrs, dtype=float)
     n = spec.block_len
     if llrs.shape[-1] != n:
         raise ValueError(f"expected {n} LLRs, got {llrs.shape[-1]}")
-    u, _ = _sc_decode(llrs.reshape(-1, n), spec)
+    u, _ = _sc_decode(llrs.reshape(-1, n), spec, work)
     info = u[:, spec.info_positions].view(np.uint8)
     return info.reshape(llrs.shape[:-1] + (spec.info_len,))

@@ -17,8 +17,9 @@ MB in a core's L2 cache and bounds the peak memory of the call.  The
 zero-padded input, the IFFT output and the magnitudes live in three buffers
 allocated once per call, sized by the smaller of the stack and the block,
 and filled in place for every block; the template's spectrum is computed
-once per Template (`Template.conj_spectrum`).  FFTs treat each row on its
-own, so the bins do not depend on the block size.
+once per Template (`Template.conj_spectrum`).  A caller that repeats the
+call may pass the three buffers' memory as `work`.  FFTs treat each row on
+its own, so the bins do not depend on the block size or the buffers.
 
 A bin m stands for the angle 2 pi m/N, so a receiver derotates with
 `correct_bins(coeffs, bins, N)`, which looks each row's phase ramp up in a
@@ -33,6 +34,7 @@ import functools
 
 import numpy as np
 
+from .buffers import checked_out, work_values
 from .zeros import Template
 
 BLOCK_VALUES = 2**16  # grid values (rows x N) estimated at once by rotation_bins
@@ -64,16 +66,32 @@ def _phase_table(n_bins: int, length: int) -> np.ndarray:
     return table
 
 
-def correct_bins(coeffs, bins, n_bins: int) -> np.ndarray:
+def correct_bins(coeffs, bins, n_bins: int, out: np.ndarray = None) -> np.ndarray:
     """Undo a rotation by bins * 2 pi / n_bins: equal to
     apply_rotation(coeffs, -2 pi bins/n_bins), bit for bit.
 
     coeffs: (..., L).  bins: integers in [n_bins], a scalar or one bin per
     polynomial, of a shape that broadcasts against coeffs.shape[:-1] like
-    apply_rotation's angle.
+    apply_rotation's angle.  out: None, or a writeable, C-contiguous
+    complex128 array of the result shape that the corrected rows are
+    written into, and which is returned (any other array raises
+    ValueError); it may be coeffs itself, to correct in place.  The
+    numbers are the same either way.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    return coeffs * _phase_table(n_bins, coeffs.shape[-1])[bins]
+    table = _phase_table(n_bins, coeffs.shape[-1])
+    if out is None:
+        return coeffs * table[bins]
+    ramp_shape = np.shape(bins) + table.shape[-1:]
+    checked_out(out, np.broadcast_shapes(coeffs.shape, ramp_shape))
+    if ramp_shape != out.shape:
+        # ramps that broadcast are never the product's output
+        return np.multiply(coeffs, table[bins], out=out)
+    # one ramp per row: numpy may compute the product above in the ramps'
+    # temporary, as ramps * coeffs, and a complex product (an FMA) is not
+    # bitwise commutative, so out gets a copy of that same expression
+    np.copyto(out, coeffs * table[bins])
+    return out
 
 
 def oversampled_magnitudes(coeffs, n_samples: int) -> np.ndarray:
@@ -113,7 +131,7 @@ def estimate_rotation_bins(magnitudes, template: Template) -> np.ndarray:
     return np.argmax(_correlation_scores(magnitudes, template), axis=-1)
 
 
-def rotation_bins(coeffs, template: Template) -> np.ndarray:
+def rotation_bins(coeffs, template: Template, work: np.ndarray = None) -> np.ndarray:
     """Rotation bins of (..., L) received coefficients: the magnitudes of
     each row on the template's N-point grid, matched against the template.
     Correct the rows with correct_bins(coeffs, bins, N).
@@ -121,15 +139,19 @@ def rotation_bins(coeffs, template: Template) -> np.ndarray:
     Runs in blocks of at most BLOCK_VALUES grid values through buffers
     allocated once per call (see the module docstring); rows longer than N
     are cropped to N, as ifft(·, n=N) does.  A single (L,) row gives a
-    scalar bin."""
+    scalar bin.  work: None, or a writeable, C-contiguous float64 array
+    of at least 5 * min(rows, max(1, BLOCK_VALUES // N)) * N values, whose
+    leading values hold the buffers instead (any other array raises
+    ValueError); the bins are the same either way."""
     coeffs = np.asarray(coeffs)
     rows = coeffs.reshape(-1, coeffs.shape[-1])
     n = template.size
     step = max(1, min(len(rows), BLOCK_VALUES // n))
     width = min(rows.shape[-1], n)
-    padded = np.zeros((step, n), dtype=complex)  # columns width.. stay zero
-    evals = np.empty((step, n), dtype=complex)
-    magnitudes = np.empty((step, n))
+    values = work_values(np.empty(5 * step * n) if work is None else work, 5 * step * n)
+    padded, evals = values[: 4 * step * n].view(complex).reshape(2, step, n)
+    padded[:, width:] = 0.0  # stays zero; each block fills columns ..width
+    magnitudes = values[4 * step * n :].reshape(step, n)
     bins = np.empty(len(rows), dtype=np.intp)
     for start in range(0, len(rows), step):
         block = rows[start : start + step]

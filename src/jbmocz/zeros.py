@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .buffers import checked_out
+
 SYNTHESIS_CACHE_SIZE = 3  # constellations whose synthesis tables are kept
 SYNTHESIS_TABLE_VALUES = 2**16  # budget of one constellation's group tables
 SYNTHESIS_BLOCK_ROWS = 256  # rows multiplied together while they stay in cache
@@ -188,7 +190,8 @@ def _synthesis_tables(params: ConstellationParams) -> tuple:
     return tuple(tables)
 
 
-def encode_coeffs(bits, params: ConstellationParams, energy: float = None) -> np.ndarray:
+def encode_coeffs(bits, params: ConstellationParams, energy: float = None,
+                  out: np.ndarray = None) -> np.ndarray:
     """Coefficient vectors of binary messages, zeros_to_coeffs(encode_bits(
     bits, params), energy) computed as a product of group tables (module
     docstring).
@@ -196,7 +199,10 @@ def encode_coeffs(bits, params: ConstellationParams, energy: float = None) -> np
     bits: (..., K) array, nonzero meaning 1.  Returns (..., K+1)
     coefficients with squared 2-norm `energy` (default K+1) and a real,
     positive leading coefficient.  Each row's numbers do not depend on the
-    other rows of the stack.
+    other rows of the stack.  out: None, or a writeable, C-contiguous
+    complex128 array of the (..., K+1) result shape that the coefficients
+    are synthesized in, and which is returned (any other array raises
+    ValueError); the numbers are the same either way.
     """
     bits = np.asarray(bits)
     k = params.num_zeros
@@ -219,7 +225,9 @@ def encode_coeffs(bits, params: ConstellationParams, energy: float = None) -> np
     # X(w_n) as the product of the group factors, a block of rows at a
     # time; every index is in range, and take's "clip" mode skips the
     # buffered bounds check of "raise"
-    values = np.empty((n, k + 1), dtype=complex)
+    shape = bits.shape[:-1] + (k + 1,)
+    result = np.empty(shape, dtype=complex) if out is None else checked_out(out, shape)
+    values = result.reshape(n, k + 1)
     factor = np.empty((min(n, SYNTHESIS_BLOCK_ROWS), k + 1), dtype=complex)
     for start in range(0, n, SYNTHESIS_BLOCK_ROWS):
         rows = slice(start, start + SYNTHESIS_BLOCK_ROWS)
@@ -238,7 +246,7 @@ def encode_coeffs(bits, params: ConstellationParams, energy: float = None) -> np
     scale = np.sqrt(energy / np.einsum("ij,ij->i", flat, flat))
     # scaled as floats: a complex-by-real product would buffer a complex cast
     flat *= scale[:, None]
-    return coeffs.reshape(bits.shape[:-1] + (k + 1,))
+    return result
 
 
 def coeffs_to_zeros(coeffs) -> np.ndarray:

@@ -2,8 +2,17 @@
 
 import dataclasses
 import hashlib
+import mmap
+import os
+import platform
 import re
+import subprocess
+import sys
 import tempfile
+import threading
+import tracemalloc
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -589,6 +598,29 @@ ber-ofdm-tm,ebn0_db,inf,ber,0,300,2026
 ber-ofdm-tm,ebn0_db,inf,bler,0,300,2026
 """),
 }
+# 530 packets of 64 payload bits at seed 12, recorded before the chunks
+# decoded in reused buffers: 22 full chunks, then one of 2 packets, which
+# reads the leading rows of buffers a full chunk filled; checked at threads 1
+# and 3
+_SHORT_LAST_CHUNK = """\
+experiment,param_name,param_value,metric,value,trials,seed
+ber-ofdm-fm,ebn0_db,10,ber,0.1791273585,530,12
+ber-ofdm-fm,ebn0_db,10,bler,0.3905660377,530,12
+ber-ofdm-fm,ebn0_db,inf,ber,0.07337853774,530,12
+ber-ofdm-fm,ebn0_db,inf,bler,0.1514150943,530,12
+ber-ofdm-fm_chest,ebn0_db,10,ber,0.2588148585,530,12
+ber-ofdm-fm_chest,ebn0_db,10,bler,0.5655660377,530,12
+ber-ofdm-fm_chest,ebn0_db,inf,ber,0,530,12
+ber-ofdm-fm_chest,ebn0_db,inf,bler,0,530,12
+ber-ofdm-tm,ebn0_db,10,ber,0.09257075472,530,12
+ber-ofdm-tm,ebn0_db,10,bler,0.2047169811,530,12
+ber-ofdm-tm,ebn0_db,inf,ber,0,530,12
+ber-ofdm-tm,ebn0_db,inf,bler,0,530,12
+"""
+for _threads in (1, 3):
+    GOLDEN_OFDM[f"short-last-chunk-t{_threads}"] = (
+        dict(trials=530, payload_bits=64, ebn0_db=(10.0, float("inf")), seed=12,
+             threads=_threads), _SHORT_LAST_CHUNK)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_OFDM))
@@ -598,6 +630,66 @@ def test_ofdm_golden_csv(tmp_path, case):
     path = tmp_path / "golden.csv"
     write_csv(run_ber_ofdm(cfg), path)
     assert path.read_text() == expected
+
+
+class TestOfdmBuffers:
+    # each worker thread decodes its chunks in buffers made inside
+    # run_ber_ofdm, which are freed when the run returns
+    CONFIG = BerOfdmConfig(num_zeros=32, payload_bits=512, trials=60, ebn0_db=(14.0,), seed=4)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_buffer_outlives_the_run(self, threads, monkeypatch):
+        cfg = dataclasses.replace(self.CONFIG, threads=threads)
+        # warms the caches (synthesis tables, phase table, polar node plan) on
+        # another thread and at another payload size, so that buffers kept
+        # past a run would be made during the traced one
+        warm = threading.Thread(target=run_ber_ofdm,
+                                args=(dataclasses.replace(cfg, payload_bits=64),))
+        warm.start()
+        warm.join(timeout=60)
+        assert not warm.is_alive()
+        mappings = []
+
+        def mapping(*args):
+            made = mmap.mmap(*args)
+            mappings.append(weakref.ref(made))
+            return made
+
+        monkeypatch.setattr(experiments, "mmap", types.SimpleNamespace(mmap=mapping))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_ber_ofdm(cfg)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # no heap array, and no thread's mapping of buffers, is left
+        assert after - before < 64 * 1024
+        assert 1 <= len(mappings) <= threads
+        assert [ref() for ref in mappings] == [None] * len(mappings)
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's heap")
+    def test_sweep_does_not_fault_its_heap_in_again(self):
+        # the minor page faults of a second 1-thread sweep in a fresh
+        # process.  Decoded in new arrays, each chunk freed about 3.7 MB,
+        # glibc trimmed the heap and the next chunk faulted it in again:
+        # 9,640 faults; in the worker's buffers, about 380, their own pages
+        script = (
+            "import resource\n"
+            "from jbmocz.experiments import BerOfdmConfig, run_ber_ofdm\n"
+            "cfg = BerOfdmConfig(num_zeros=32, payload_bits=512, trials=240, ebn0_db=(14.0,),\n"
+            "                    channel_taps=5, seed=5)\n"
+            "run_ber_ofdm(cfg)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_ber_ofdm(cfg)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        package_root = str(Path(experiments.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        faults = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, check=True, timeout=300).stdout
+        assert int(faults) < 2000
 
 
 # rows of the two sequence-level runners recorded with the per-point sweep

@@ -68,3 +68,16 @@ def test_package_root_imports_nothing():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+ALLOCATOR_POLICY = ("mallopt", "GLIBC_TUNABLES", "MALLOC_")
+
+
+def test_sets_no_allocator_policy():
+    # the package reuses its own arrays instead of tuning the C allocator:
+    # no module imports ctypes or names mallopt or a glibc malloc tunable
+    offenders = {path.name: sorted(({"ctypes"} & absolute_imports(path))
+                                   | {word for word in ALLOCATOR_POLICY
+                                      if word in path.read_text()})
+                 for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in offenders.items() if found} == {}
