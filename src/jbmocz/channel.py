@@ -172,7 +172,8 @@ def apply_ofdm_channel(samples, taps, spec: ImpairmentSpec, sample_rate: float,
     out = np.concatenate([np.zeros(spec.timing_offset, dtype=complex),
                           np.convolve(samples, taps)])
     if spec.cfo_hz != 0.0:
-        out = out * np.exp(2j * np.pi * spec.cfo_hz * np.arange(out.size) / sample_rate)
+        ramp = np.exp(2j * np.pi * spec.cfo_hz * np.arange(out.size) / sample_rate)
+        out = np.multiply(out, ramp)  # out * ramp runs as ramp * out from 256 KiB
     if spec.noise_var > 0:
         if rng is None:
             raise ValueError("noise requested but no rng supplied")

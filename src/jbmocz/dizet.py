@@ -22,6 +22,8 @@ small calls hold the interpreter lock.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .buffers import checked_out
@@ -30,13 +32,15 @@ from .zeros import ConstellationParams
 BLOCK_VALUES = 2**14  # evaluations (256 KiB) pseudo_llrs forms at once
 
 
+@functools.lru_cache(maxsize=8)
 def _test_powers(params: ConstellationParams, length: int) -> tuple:
     """Powers 0..length-1 of the outer and of the inner test points, as two
     (L, K) matrices; a product with one evaluates polynomials (..., L)
-    there."""
-    exponents = np.arange(length)[:, None]
-    return (params.outer_points()[None, :] ** exponents,
-            params.inner_points()[None, :] ** exponents)
+    there.  Read-only, since every caller shares them."""
+    points = np.stack([params.outer_points(), params.inner_points()])
+    powers = points[:, None, :] ** np.arange(length)[:, None]
+    powers.flags.writeable = False
+    return tuple(powers)
 
 
 def _balance(length: int, params: ConstellationParams) -> np.ndarray:
@@ -57,20 +61,14 @@ def _terms(received: np.ndarray, powers: tuple, scale: np.ndarray) -> tuple:
     return scale**2 * inner, outer
 
 
-def _decision_terms(received, params: ConstellationParams):
-    """_terms of received coefficients, and the balance rho^(L_t-1)."""
-    received = np.asarray(received, dtype=complex)
-    length = received.shape[-1]
-    scale = _balance(length, params)
-    return _terms(received, _test_powers(params, length), scale) + (scale,)
-
-
 def dizet_hard(received, params: ConstellationParams) -> np.ndarray:
     """Hard-decision decode of received coefficients (..., K + L_e).
 
     Bit k is 1 iff |Y(outer_k)| < rho_k^(L_t-1) |Y(inner_k)|.
     """
-    inner, outer, _ = _decision_terms(received, params)
+    received = np.asarray(received, dtype=complex)
+    length = received.shape[-1]
+    inner, outer = _terms(received, _test_powers(params, length), _balance(length, params))
     return (outer < inner).astype(int)
 
 

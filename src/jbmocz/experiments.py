@@ -477,27 +477,27 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # Each chunk of OFDM_CHUNK_PACKETS packets is drawn and synthesized once for
 # all its schemes.  `_draw_packets` makes the fields they share, one
 # generator call per field: messages, channel taps, then the payload cell
-# noise at unit scale (`complex_noise` at variance 2, whose scale is exactly
-# 1).  From the generator state those leave, `_draw_scheme` makes each
+# noise.  From the generator state those leave, `_draw_scheme` makes each
 # scheme's own: fm_chest's preamble bits, preamble noise and noise
 # estimate, then the step-backs.  The step-backs come last, so a fixed
 # step-back, which draws nothing, leaves every other field as a random one
 # does.  fm_chest's receiver reads its G*T guard cells (G null subcarriers
 # by T preamble symbols) only through their mean power, which for white
 # noise of variance noise_var is exactly noise_var * Gamma(G*T, 1/(G*T)),
-# so that mean is drawn directly, one Gamma draw per packet.  A scheme's
-# payload noise is the unit noise times sqrt(noise_var / 2) on the float
-# view, the multiply `complex_noise` makes, and tm's is fm's reshaped, so
-# every scheme sees, bit for bit, the random stream it would in a sweep of
-# its own.  Polar encoding, the payload and jutted synthesis and the taps'
-# transform run once per chunk, on stacks with a leading packet axis.  Each
-# scheme then decodes the chunk (the link, the rotation or channel
-# estimate, pseudo-LLRs, SC decoding) on its own copy of the codewords,
-# since the link works in place; the link adds the scaled unit noise
-# GRID_BLOCK_VALUES values at a time, so no scaled copy of the whole noise
-# is made.  Each packet keeps its own matrix shapes in the zero-testing
-# products (the packet axis is a stack axis), so every packet's numbers are
-# those of a receiver that decodes one packet at a time, bit for bit.
+# so that mean is drawn directly, one Gamma draw per packet.  Both noises
+# are drawn at unit scale (`complex_noise` at variance 2, whose scale is
+# exactly 1), and the link adds them times sqrt(noise_var / 2) on the
+# float view, the multiply `complex_noise` makes, GRID_BLOCK_VALUES values
+# at a time, so no scaled copy of a whole noise is made; tm's payload noise
+# is fm's reshaped, so every scheme sees, bit for bit, the random stream it
+# would in a sweep of its own.  Polar encoding, the payload and jutted
+# synthesis and the taps' transform run once per chunk, on stacks with a
+# leading packet axis.  Each scheme then decodes the chunk (the link, the
+# rotation or channel estimate, pseudo-LLRs, SC decoding) on its own copy
+# of the codewords, since the link works in place.  Each packet keeps its
+# own matrix shapes in the zero-testing products (the packet axis is a
+# stack axis), so every packet's numbers are those of a receiver that
+# decodes one packet at a time, bit for bit.
 #
 # Each worker thread decodes its chunks in one set of buffers, made on its
 # first chunk for the run's largest chunk and freed when run_ber_ofdm
@@ -531,19 +531,17 @@ OFDM_CHUNK_PACKETS = 24
 GRID_BLOCK_VALUES = 2**14  # unit noise values (256 KiB) `_grid_link` scales at once
 
 
-def _draw_packets(rng, count, config: BerOfdmConfig, noise=None):
+def _draw_packets(rng, count, config: BerOfdmConfig, noise):
     """The draws every scheme shares for `count` packets, one generator call
     per field, each with a leading packet axis: the messages, the taps
     ("cirs", absent on a flat channel), then the payload cell noise at unit
     scale, as fm's (S, T) = (K+1, blocks) grid (tm's is the same stream
-    reshaped).  The noise is drawn into `noise`, a C-contiguous complex128
-    array of that (count, S, T) shape, if given."""
+    reshaped), drawn into `noise`, a C-contiguous complex128 array of that
+    (count, S, T) shape."""
     blocks = config.payload_bits // 16
     draws = {"messages": rng.integers(0, 2, (count, blocks, 16), dtype=np.uint8)}
     if config.channel != "flat":
         draws["cirs"] = chan.draw_cir((count, config.channel_taps), rng, profile=config.pdp)
-    if noise is None:
-        noise = np.empty((count, config.num_zeros + 1, blocks), dtype=complex)
     # complex_noise's values: add_noise on negative zeros, the additive identity
     noise.fill(complex(-0.0, -0.0))
     draws["noise"] = chan.add_noise(noise, 2.0, rng)
@@ -552,17 +550,18 @@ def _draw_packets(rng, count, config: BerOfdmConfig, noise=None):
 
 def _draw_scheme(rng, count, config: BerOfdmConfig, noise_var, with_chest):
     """A scheme's own draws for `count` packets, one generator call per
-    field: the fm_chest preamble bits, preamble noise and noise estimate
-    (only with_chest), then the step-backs.  A fixed step-back draws
-    nothing.  The noise estimate is `phy.estimate_noise_var` of a packet's
-    G*T guard cells drawn from its exact law: the mean of G*T Exp(noise_var)
-    cell powers, noise_var * Gamma(G*T, 1/(G*T)), exactly 0.0 at noise_var 0."""
+    field: the fm_chest preamble bits, preamble noise at unit scale (the
+    link scales it) and noise estimate (only with_chest), then the
+    step-backs.  A fixed step-back draws nothing.  The noise estimate is
+    `phy.estimate_noise_var` of a packet's G*T guard cells drawn from its
+    exact law: the mean of G*T Exp(noise_var) cell powers,
+    noise_var * Gamma(G*T, 1/(G*T)), exactly 0.0 at noise_var 0."""
     draws = {}
     if with_chest:
         n_sub, ktm = config.num_zeros + 1, config.tm_preamble_zeros
         guard_cells = (config.idft_size - n_sub) * (ktm + 1)
         draws["pre_bits"] = rng.integers(0, 2, (count, n_sub, ktm), dtype=np.uint8)
-        draws["pre_noise"] = chan.complex_noise((count, n_sub, ktm + 1), noise_var, rng)
+        draws["pre_noise"] = chan.complex_noise((count, n_sub, ktm + 1), 2.0, rng)
         draws["noise_estimate"] = rng.gamma(guard_cells, noise_var / guard_cells, count)
     draws["step_backs"] = (rng.integers(0, OFDM_RANDOM_STEP_BACK + 1, count)
                            if config.step_back == "random" else np.full(count, config.step_back))
@@ -576,21 +575,17 @@ def _scaled(unit, noise_var):
     return (unit.view(float) * np.sqrt(noise_var / 2.0)).view(complex)
 
 
-def _grid_link(cells, noise, gains, step_backs, idft_size, noise_var=None):
+def _grid_link(cells, noise, gains, step_backs, idft_size, noise_var):
     """(P, S, T) cells, P packets of S subcarriers by T symbols, through
     each packet's gains (the (P, idft_size) transform of its taps; None on
-    a flat channel), noise, then its step-back ramp, in place.  The noise
-    is `noise`, or with noise_var, `_scaled(noise, noise_var)` of the unit
-    noise `noise`, scaled GRID_BLOCK_VALUES values at a time."""
+    a flat channel), the unit noise `noise` `_scaled` to noise_var
+    GRID_BLOCK_VALUES values at a time, then its step-back ramp, in place."""
     n_sub = cells.shape[1]
     if gains is not None:
         cells *= gains[:, :n_sub, None]
-    if noise_var is None:
-        cells += noise
-    else:
-        step = max(1, GRID_BLOCK_VALUES // math.prod(cells.shape[1:]))
-        for start in range(0, len(cells), step):
-            cells[start : start + step] += _scaled(noise[start : start + step], noise_var)
+    step = max(1, GRID_BLOCK_VALUES // math.prod(cells.shape[1:]))
+    for start in range(0, len(cells), step):
+        cells[start : start + step] += _scaled(noise[start : start + step], noise_var)
     cells *= np.exp(-2j * np.pi * np.arange(n_sub) * step_backs[:, None] / idft_size)[..., None]
     return cells
 
@@ -639,7 +634,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
             # estimated first, so the preamble cells are freed before the
             # payload is linked
             pre_rx = _grid_link(encode_coeffs(own.pop("pre_bits"), preamble),
-                                own.pop("pre_noise"), gains, step_backs, n_idft)
+                                own.pop("pre_noise"), gains, step_backs, n_idft, noise_var)
             equalizer = estimate_channel_blind(pre_rx, preamble,
                                                own.pop("noise_estimate")).equalizer
             del pre_rx
@@ -679,7 +674,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
     def worker(ebn0, seeds, n):
         slots = thread_buffers(n)
         rng = np.random.default_rng(seeds)
-        chunk = _draw_packets(rng, n, config, noise=slots["noise"])
+        chunk = _draw_packets(rng, n, config, slots["noise"])
         after_shared = rng.bit_generator.state
         chunk["gains"] = (np.fft.fft(chunk.pop("cirs"), n_idft, out=slots["gains"])
                           if "cirs" in chunk else None)

@@ -140,7 +140,7 @@ def sync_search(samples, config: OfdmConfig, threshold: float = 0.99) -> SyncRes
         raise ValueError("stream shorter than one OFDM symbol")
     first = samples[: n_cand + half - 1]
     second = samples[half : n_cand + config.idft_size - 1]
-    prod = first * np.conj(second)
+    prod = np.multiply(first, np.conj(second))
     kernel = np.ones(half)
     u = np.convolve(prod, kernel, mode="valid")[:n_cand]
     v = np.convolve(np.abs(second) ** 2, kernel, mode="valid")[:n_cand]
@@ -158,7 +158,8 @@ def correct_cfo(samples, cfo_hz: float, sample_rate: float) -> np.ndarray:
     """Counter-rotate a stream by the estimated carrier frequency offset."""
     samples = np.asarray(samples, dtype=complex)
     n = np.arange(len(samples))
-    return samples * np.exp(-2j * np.pi * cfo_hz * n / sample_rate)
+    # not samples * <ramp>, which numpy 2 runs as ramp * samples from 256 KiB
+    return np.multiply(samples, np.exp(-2j * np.pi * cfo_hz * n / sample_rate))
 
 
 def papr_fm_huffman(params: ConstellationParams) -> float:

@@ -26,6 +26,12 @@ A bin m stands for the angle 2 pi m/N, so a receiver derotates with
 cached read-only (N, L) table instead of evaluating L complex exponentials
 per row; the table holds exactly the values
 `apply_rotation(coeffs, -2 pi m/N)` multiplies by.
+
+Both end in `_rotated`, np.multiply(ramps, coeffs) into the fresh ramps
+where they have its shape: the order and memory of numpy 2's elided
+`coeffs * ramps` from 256 KiB, kept at every size, since a complex
+product (an FMA) is not bitwise commutative and a row's bits must not
+depend on its stack.
 """
 
 from __future__ import annotations
@@ -48,13 +54,20 @@ def apply_rotation(coeffs, angle) -> np.ndarray:
     shape that broadcasts against coeffs.shape[:-1].
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    return coeffs * _phase_ramp(angle, coeffs.shape[-1])
+    return _rotated(_phase_ramp(angle, coeffs.shape[-1]), coeffs)
 
 
 def _phase_ramp(angle, length: int) -> np.ndarray:
     """e^{-j*angle*l} for l in [length], along a new last axis."""
     angle = np.asarray(angle, dtype=float)[..., None]
     return np.exp(-1j * angle * np.arange(length))
+
+
+def _rotated(ramps, coeffs, out=None) -> np.ndarray:
+    """ramps * coeffs in that order, into out or the ramps (module docstring)."""
+    if out is None and ramps.shape == np.broadcast_shapes(ramps.shape, coeffs.shape):
+        out = ramps
+    return np.multiply(ramps, coeffs, out=out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -79,19 +92,10 @@ def correct_bins(coeffs, bins, n_bins: int, out: np.ndarray = None) -> np.ndarra
     numbers are the same either way.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    table = _phase_table(n_bins, coeffs.shape[-1])
-    if out is None:
-        return coeffs * table[bins]
-    ramp_shape = np.shape(bins) + table.shape[-1:]
-    checked_out(out, np.broadcast_shapes(coeffs.shape, ramp_shape))
-    if ramp_shape != out.shape:
-        # ramps that broadcast are never the product's output
-        return np.multiply(coeffs, table[bins], out=out)
-    # one ramp per row: numpy may compute the product above in the ramps'
-    # temporary, as ramps * coeffs, and a complex product (an FMA) is not
-    # bitwise commutative, so out gets a copy of that same expression
-    np.copyto(out, coeffs * table[bins])
-    return out
+    ramps = _phase_table(n_bins, coeffs.shape[-1]).take(bins, axis=0)
+    if out is not None:
+        checked_out(out, np.broadcast_shapes(coeffs.shape, ramps.shape))
+    return _rotated(ramps, coeffs, out)
 
 
 def oversampled_magnitudes(coeffs, n_samples: int) -> np.ndarray:

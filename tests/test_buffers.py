@@ -40,7 +40,8 @@ CALLS = {"encode_coeffs": encode_case, "pseudo_llrs": pseudo_llrs_case,
          "correct_bins": correct_bins_case}
 # (L,), (R, L) and (a, b, L) stacks; (40, 31) holds several pseudo_llrs
 # blocks, and it and (1200,) make correct_bins' ramps at least 256 KiB, the
-# size from which numpy 2 may compute a product in a temporary operand
+# size from which numpy 2 would compute `coeffs * ramps` as ramps * coeffs
+# in the ramps; correct_bins computes that order at every size
 LEADS = [(), (300,), (1200,), (40, 31)]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jbmocz.channel import complex_noise, convolve_channel
-from jbmocz.dizet import dizet_hard, pseudo_llrs
+from jbmocz.dizet import _test_powers, dizet_hard, pseudo_llrs
 from jbmocz.rotation import apply_rotation
 from jbmocz.zeros import (
     ConstellationParams,
@@ -70,6 +70,19 @@ class TestHardDecisions:
             np.testing.assert_array_equal(
                 dizet_hard(rotated, params), np.roll(bits, m, axis=1)
             )
+
+
+class TestPowersCache:
+    def test_read_only_and_shared(self):
+        params = ConstellationParams(16, 1.1, 1.2)
+        powers = _test_powers(params, 20)
+        assert [matrix.shape for matrix in powers] == [(20, 16), (20, 16)]
+        for matrix in powers:
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+        again = _test_powers(ConstellationParams(16, 1.1, 1.2), 20)
+        assert all(a is b for a, b in zip(again, powers))
+        assert _test_powers(params, 21)[0] is not powers[0]
 
 
 class TestPseudoLlrs:

@@ -464,36 +464,42 @@ class TestDeterminism:
     def test_draw_packets_one_call_per_field(self, channel):
         # a chunk's draws are one generator call per field, in a fixed
         # order: the shared fields, then a scheme's own from the state the
-        # shared ones leave; the scaled unit noise is the noise drawn at the
-        # scheme's variance
+        # shared ones leave; both noises are drawn at unit scale, and the
+        # scaled unit noise is the noise drawn at the scheme's variance
         pdp = "exp" if channel == "fading" else "uniform"  # a flat channel has no profile
         cfg = BerOfdmConfig(channel=channel, pdp=pdp, payload_bits=48, tm_preamble_zeros=3)
         count, noise_var = 5, 0.3
         rng = np.random.default_rng(9)
-        shared = experiments._draw_packets(rng, count, cfg)
+        shared = experiments._draw_packets(rng, count, cfg, np.empty((count, 33, 3), complex))
         after_shared = rng.bit_generator.state
         own = experiments._draw_scheme(rng, count, cfg, noise_var, with_chest=True)
         rng = np.random.default_rng(9)
         expected = {"messages": rng.integers(0, 2, (count, 3, 16), dtype=np.uint8)}
         if channel == "fading":
             expected["cirs"] = draw_cir((count, 5), rng, profile="exp")
-        expected["noise"] = complex_noise((count, 33, 3), noise_var, rng)
+        before_noise = {"noise": rng.bit_generator.state}
+        expected["noise"] = complex_noise((count, 33, 3), 2.0, rng)
         assert rng.bit_generator.state == after_shared
         expected["pre_bits"] = rng.integers(0, 2, (count, 33, 3), dtype=np.uint8)
-        expected["pre_noise"] = complex_noise((count, 33, 4), noise_var, rng)
+        before_noise["pre_noise"] = rng.bit_generator.state
+        expected["pre_noise"] = complex_noise((count, 33, 4), 2.0, rng)
         # the noise estimate over the (256 - 33) x 4 guard cells: one Gamma
         # draw per packet in the slot the guard cells' normals held
         expected["noise_estimate"] = rng.gamma((256 - 33) * 4, noise_var / ((256 - 33) * 4),
                                                count)
         before_step_backs = rng.bit_generator.state
         expected["step_backs"] = rng.integers(0, experiments.OFDM_RANDOM_STEP_BACK + 1, count)
-        shared["noise"] = experiments._scaled(shared["noise"], noise_var)
         draws = shared | own
         assert list(draws) == list(expected)
         for name, value in expected.items():
             assert draws[name].dtype == value.dtype, name
             assert draws[name].shape == value.shape, name
             assert draws[name].tobytes() == value.tobytes(), name
+        for name, state in before_noise.items():
+            rng.bit_generator.state = state
+            at_variance = complex_noise(draws[name].shape, noise_var, rng)
+            scaled = experiments._scaled(draws[name], noise_var)
+            assert scaled.tobytes() == at_variance.tobytes(), name
         # a fixed step-back draws nothing: it leaves the generator where the
         # random one starts, so the other fields, and with them criterion
         # 8(c)'s TM rows, do not depend on the step-back
@@ -832,8 +838,9 @@ class TestGridLink:
                 start = sent.symbol_len - step_back
                 expected = ofdm_demodulate(rx[start : start + window.stream_len], window)
                 gains = np.fft.fft(taps, self.N)[None]
-                linked = experiments._grid_link(grid[None, :, 1:].copy(), 0.0, gains,
-                                                np.array([step_back]), self.N)
+                linked = experiments._grid_link(grid[None, :, 1:].copy(),
+                                                np.zeros((1, self.S, self.T), complex), gains,
+                                                np.array([step_back]), self.N, 1.0)
                 error = np.max(np.abs(linked[0] - expected))
                 if step_back + channel_taps - 1 <= cp_len:
                     assert error < 1e-12, (channel_taps, step_back)
@@ -843,11 +850,11 @@ class TestGridLink:
     def test_flat_channel_is_one_unit_tap(self):
         rng = np.random.default_rng(5)
         cells = rng.normal(size=(4, self.S, self.T)) + 1j * rng.normal(size=(4, self.S, self.T))
-        noise = rng.normal(size=cells.shape) * 1j
+        noise = complex_noise(cells.shape, 2.0, rng)
         step_backs = np.array([0, 1, 5, 8])
-        flat = experiments._grid_link(cells.copy(), noise, None, step_backs, self.N)
+        flat = experiments._grid_link(cells.copy(), noise, None, step_backs, self.N, 0.3)
         unit = experiments._grid_link(cells.copy(), noise, np.fft.fft(np.ones((4, 1)), self.N),
-                                      step_backs, self.N)
+                                      step_backs, self.N, 0.3)
         assert np.array_equal(flat, unit)
 
 

@@ -8,6 +8,7 @@ from jbmocz.dizet import dizet_hard
 from jbmocz.phy import (
     OfdmConfig,
     build_sync_symbol,
+    correct_cfo,
     estimate_channel_blind,
     estimate_noise_var,
     map_fm,
@@ -172,6 +173,29 @@ class TestSyncSearch:
         cfg = OfdmConfig(64, 8, 10e6, 17, 1)
         with pytest.raises(ValueError):
             sync_search(np.zeros(32, dtype=complex), cfg)
+
+    def test_result_does_not_depend_on_the_stream_after_it(self):
+        # the lag products of a 20,000-sample stream, past numpy's 256 KiB
+        # temporary elision, have the bits of a 3,000-sample one
+        rng = np.random.default_rng(10)
+        cfg = OfdmConfig(256, 32, 1e6, 33, 4)
+        stream = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+        half = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        stream[1000:1256] += 5.0 * np.tile(half, 2)
+        assert sync_search(stream, cfg, 0.99) == sync_search(stream[:3000], cfg, 0.99)
+
+
+class TestCfoRamp:
+    # a stream's first samples have the same bits in a 20,000-sample stream,
+    # past numpy's 256 KiB temporary elision, as in a 1,000-sample one
+    @pytest.mark.parametrize("ramp", [
+        lambda x: correct_cfo(x, 1234.5, 1e6),
+        lambda x: apply_ofdm_channel(x, np.array([1.0]), ImpairmentSpec(cfo_hz=1234.5), 1e6)],
+        ids=["correct_cfo", "apply_ofdm_channel"])
+    def test_samples_do_not_depend_on_the_stream_length(self, ramp):
+        rng = np.random.default_rng(11)
+        stream = rng.standard_normal(20000) + 1j * rng.standard_normal(20000)
+        assert ramp(stream)[:1000].tobytes() == ramp(stream[:1000]).tobytes()
 
 
 class TestPapr:

@@ -148,6 +148,56 @@ class TestCorrectBins:
             assert np.array_equal(corrected, apply_rotation(received, -2 * np.pi * expected / 256))
 
 
+class TestRowIndependence:
+    # a derotated row's bits do not depend on its stack: a (4096, 33) stack
+    # of 2.2 MB against its 64-row blocks of 33 KiB and its single rows, on
+    # both sides of the 256 KiB from which numpy 2 computes a product in a
+    # temporary operand
+    ROWS, L, N_BINS = 4096, 33, 1024
+
+    @staticmethod
+    def calls(rows, length, n_bins, seed):
+        """name -> a derotation of the rows `index` selects of one stack."""
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
+        angles = rng.uniform(0.0, 2.0 * np.pi, rows)
+        bins = rng.integers(0, n_bins, rows)
+        return {"apply_rotation": lambda index: apply_rotation(coeffs[index], angles[index]),
+                "correct_bins": lambda index: correct_bins(coeffs[index], bins[index], n_bins)}
+
+    @pytest.mark.parametrize("name", ["apply_rotation", "correct_bins"])
+    def test_stack_equals_its_blocks_and_rows(self, name):
+        call = self.calls(self.ROWS, self.L, self.N_BINS, seed=12)[name]
+        whole = call(slice(None))
+        assert whole.nbytes >= 256 * 1024 > whole[:64].nbytes
+        blocks = [call(slice(start, start + 64)) for start in range(0, self.ROWS, 64)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert np.stack([call(row) for row in range(self.ROWS)]).tobytes() == whole.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 600), length=st.integers(2, 257), step=st.integers(1, 600),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_of_any_size(self, rows, length, step, seed):
+        # stacks of 32 bytes to 2.4 MB, the larger ones past 256 KiB
+        for call in self.calls(rows, length, 2 * length, seed).values():
+            blocks = [call(slice(start, start + step)) for start in range(0, rows, step)]
+            assert np.concatenate(blocks).tobytes() == call(slice(None)).tobytes()
+
+    @pytest.mark.parametrize("name, bound", [("correct_bins", 1.05), ("apply_rotation", 2.05)])
+    def test_peak_memory(self, name, bound):
+        # the product goes into the fresh ramps, so correct_bins makes one
+        # result-sized array and apply_rotation one more, the exponent
+        call = self.calls(self.ROWS, self.L, self.N_BINS, seed=13)[name]
+        call(slice(None))  # builds the cached table
+        tracemalloc.start()
+        try:
+            result = call(slice(None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * result.nbytes, (peak, result.nbytes)
+
+
 class TestEstimator:
     def setup_method(self):
         self.params = ConstellationParams(16, 1.093, 1.15)
