@@ -248,6 +248,9 @@ class BerOfdmConfig(_Config):
             raise ValueError(f"payload_bits={self.payload_bits}: not a positive multiple of 16")
         if self.idft_size < 2 * self.num_zeros + 2:
             raise ValueError(f"idft_size={self.idft_size}: the template needs 2K+2 bins")
+        if "tm" in self.ofdm_schemes and self.payload_bits > 16 * self.idft_size:
+            raise ValueError(f"payload_bits={self.payload_bits}: tm's {self.payload_bits // 16} "
+                             f"codewords, one per subcarrier, exceed idft_size={self.idft_size}")
         if self.channel == "flat" and self.channel_taps != BerOfdmConfig.channel_taps:
             raise ValueError(f"channel_taps={self.channel_taps}: a flat channel has no taps")
         if self.channel == "flat" and self.pdp != BerOfdmConfig.pdp:
@@ -340,23 +343,43 @@ def write_csv(rows, path, header_note: str = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sweep(config, worker, chunk=4096) -> list:
-    """Each Eb/N0 point's counts: worker(ebn0, seeds, size) returns a tuple
-    of counts for one chunk of `size` trials, whose generator it builds from
-    `seeds`, keyed by (point, chunk).  Every (point, chunk) job of the run
-    goes on one pool of config.threads threads, and each point's counts are
-    summed in chunk order, so the sums do not depend on the pool."""
+def _mapped_slots(slots, count) -> dict:
+    """`count` trials of each slot of {name: (shape per trial, dtype)}, on
+    whole cache lines of one anonymous mapping, unmapped with its last view."""
+    sizes = [count * math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in slots.values()]
+    starts = np.cumsum([0] + [-(-size // 64) * 64 for size in sizes])  # whole cache lines
+    memory = np.frombuffer(mmap.mmap(-1, int(starts[-1])), np.uint8)
+    return {name: memory[start : start + size].view(dtype).reshape((count,) + shape)
+            for (name, (shape, dtype)), start, size in zip(slots.items(), starts, sizes)}
+
+
+def _sweep(config, worker, chunk=4096, slots=None) -> list:
+    """Each Eb/N0 point's counts: worker(ebn0, rng, n, buffers) returns a
+    tuple of counts for one chunk of n trials drawn from rng, the generator
+    of SeedSequence(config.seed, spawn_key=(point, chunk)), and `buffers`
+    holds the worker's `slots` as the leading n rows of the largest chunk's
+    `_mapped_slots`, which _sweep makes on each thread's first job and frees
+    when it returns.  Every job goes on one pool of config.threads threads,
+    and each point's counts are summed in chunk order, so the sums do not
+    depend on the pool."""
     full, rest = divmod(config.trials, chunk)
     sizes = [chunk] * full + [rest] * (rest > 0)
-    jobs = [(ebn0, np.random.SeedSequence(config.seed, spawn_key=(point, i)), size)
-            for point, ebn0 in enumerate(config.ebn0_db) for i, size in enumerate(sizes)]
-    if config.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda job: worker(*job), jobs))
-    else:
-        results = [worker(*job) for job in jobs]
+    made = threading.local()  # this thread's slots, made on its first job
+
+    def job(key):
+        (point, i), n = key, sizes[key[1]]
+        if not hasattr(made, "slots"):
+            made.slots = _mapped_slots(slots, sizes[0]) if slots else {}
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=key))
+        return worker(config.ebn0_db[point], rng, n,
+                      {name: whole[:n] for name, whole in made.slots.items()})
+
+    keys = [(point, i) for point in range(len(config.ebn0_db)) for i in range(len(sizes))]
+    # one thread runs the jobs on this one, and the pool starts no thread
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.threads) as pool:
+        results = list((pool.map if config.threads > 1 else map)(job, keys))
     return [[sum(column) for column in zip(*results[first:first + len(sizes)])]
-            for first in range(0, len(jobs), len(sizes))]
+            for first in range(0, len(keys), len(sizes))]
 
 
 def _rate_rows(config, names, counts) -> list:
@@ -415,8 +438,7 @@ def run_ber_sequence(config: BerSequenceConfig) -> list:
     if config.rotation is not None:
         name += "-rot" + ("corr" if config.correct else "")
 
-    def worker(ebn0, seeds, n):
-        rng = np.random.default_rng(seeds)
+    def worker(ebn0, rng, n, _):
         messages = rng.integers(0, 2, (n, n_info))
         bits = polar_encode(messages, polar_spec) if config.coding == "polar" else messages
         noise_var = chan.ebn0_to_noise_var(ebn0, n_info, k + 1)
@@ -442,8 +464,7 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
     k = params.num_zeros
     templates = [make_template(params, nb) for nb in config.estimator_bins]
 
-    def worker(ebn0, seeds, n):
-        rng = np.random.default_rng(seeds)
+    def worker(ebn0, rng, n, _):
         coeffs = encode_coeffs(rng.integers(0, 2, (n, k)), params)
         noise_var = chan.ebn0_to_noise_var(ebn0, k, k + 1)
         received, angles = _sequence_link(rng, coeffs, 1, noise_var, "uniform")
@@ -499,14 +520,15 @@ def run_rotation_mse(config: RotationMseConfig) -> list:
 # stack axis), so every packet's numbers are those of a receiver that
 # decodes one packet at a time, bit for bit.
 #
-# Each worker thread decodes its chunks in one set of buffers, made on its
-# first chunk for the run's largest chunk and freed when run_ber_ofdm
-# returns; a short last chunk uses their leading rows.  They are views of
-# one anonymous mapping per thread, not heap arrays, so that freeing them
-# returns their pages: heap arrays freed at the end of a 1-thread run stay
-# behind later small allocations as a hole the next 2-thread sweep does not
-# use, which read 48.65 against 47.00 MB of ofdm_k32 peak RSS (medians of
-# four 10-s runs).  Per packet, at K=32 with 512 payload bits and N=256:
+# Each worker thread decodes its chunks in one set of buffers: the slots
+# run_ber_ofdm declares per packet (below), which `_sweep`, not the runner,
+# makes on the thread's first chunk and frees when it returns.  They are
+# views of one anonymous mapping per thread, not heap arrays, so that
+# freeing them returns their pages: heap arrays freed at the end of a
+# 1-thread run stay behind later small allocations as a hole the next
+# 2-thread sweep does not use, which read 48.65 against 47.00 MB of ofdm_k32
+# peak RSS (medians of four 10-s runs).  Per packet, at K=32 with 512
+# payload bits and N=256:
 #   noise      (K+1, blocks) complex, 16.9 KB: the unit payload noise, read
 #              by every scheme's link;
 #   codewords  (blocks, K+1) complex, 16.9 KB: the payload codewords;
@@ -593,8 +615,7 @@ def _grid_link(cells, noise, gains, step_backs, idft_size, noise_var):
 def run_ber_ofdm(config: BerOfdmConfig) -> list:
     """Packet-level BER/BLER for the configured OFDM schemes.  The schemes
     of a chunk share its draws and synthesis, and each sees the random
-    stream it would in a sweep of its own.  Each worker thread decodes its
-    chunks in one set of buffers, freed when the run returns."""
+    stream it would in a sweep of its own."""
     k, n_idft, ktm = config.num_zeros, config.idft_size, config.tm_preamble_zeros
     blocks = config.payload_bits // 16
     payload, first = huffman_params(k), jutted_params(k)
@@ -606,23 +627,6 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
               "cells": ((blocks, k + 1), complex), "work": ((max(k * blocks, 5 * n_idft),), float)}
     if config.channel != "flat":
         shapes["gains"] = ((n_idft,), complex)
-    largest = min(config.trials, OFDM_CHUNK_PACKETS)
-    sizes = {name: largest * math.prod(shape) * np.dtype(dtype).itemsize
-             for name, (shape, dtype) in shapes.items()}
-    local = threading.local()
-
-    def thread_buffers(n):
-        """This thread's buffers, made on its first chunk, cut to n packets:
-        views of one anonymous mapping, unmapped once its last view dies."""
-        if not hasattr(local, "slots"):
-            spans = [-(-size // 64) * 64 for size in sizes.values()]  # whole cache lines
-            memory = np.frombuffer(mmap.mmap(-1, sum(spans)), np.uint8)
-            local.slots, start = {}, 0
-            for (name, (shape, dtype)), span in zip(shapes.items(), spans):
-                slot = memory[start : start + sizes[name]].view(dtype)
-                local.slots[name] = slot.reshape((largest,) + shape)
-                start += span
-        return {name: slot[:n] for name, slot in local.slots.items()}
 
     def decode(scheme, chunk, own, noise_var, slots):
         """(P, blocks, 16) decoded messages of a chunk of packets, sent on the
@@ -671,9 +675,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
             return decoded.reshape(n, blocks, -1)
         return np.concatenate([decoded[:n, None], decoded[n:].reshape(n, blocks - 1, -1)], axis=1)
 
-    def worker(ebn0, seeds, n):
-        slots = thread_buffers(n)
-        rng = np.random.default_rng(seeds)
+    def worker(ebn0, rng, n, slots):
         chunk = _draw_packets(rng, n, config, slots["noise"])
         after_shared = rng.bit_generator.state
         chunk["gains"] = (np.fft.fft(chunk.pop("cirs"), n_idft, out=slots["gains"])
@@ -699,7 +701,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
         return counts
 
     names = [f"ber-ofdm-{scheme}" for scheme in config.ofdm_schemes]
-    return _rate_rows(config, names, _sweep(config, worker, chunk=OFDM_CHUNK_PACKETS))
+    return _rate_rows(config, names, _sweep(config, worker, OFDM_CHUNK_PACKETS, shapes))
 
 
 # ---------------------------------------------------------------------------
@@ -867,16 +869,12 @@ def run_loopback(config: LoopbackConfig, iq_path: str = None) -> LoopbackReport:
 
 
 def loopback_rows(report: LoopbackReport, config: LoopbackConfig) -> list:
-    return [
-        MetricRow("loopback-header", "num_zeros", 127, "ber",
-                  report.header_errors / report.header_bits, 1, config.seed),
-        MetricRow("loopback-payload", "num_zeros", 127, "ber",
-                  report.payload_errors / report.payload_bits, 1, config.seed),
-        MetricRow("loopback-payload", "num_zeros", 127, "papr_db",
-                  report.payload_papr_db, 1, config.seed),
-        MetricRow("loopback-template", "num_zeros", 127, "papr_db",
-                  report.template_papr_db, 1, config.seed),
-    ]
+    values = [("loopback-header", "ber", report.header_errors / report.header_bits),
+              ("loopback-payload", "ber", report.payload_errors / report.payload_bits),
+              ("loopback-payload", "papr_db", report.payload_papr_db),
+              ("loopback-template", "papr_db", report.template_papr_db)]
+    return [MetricRow(name, "num_zeros", 127, metric, value, 1, config.seed)
+            for name, metric, value in values]
 
 
 # kind -> (config class, runner); cli.load_config builds the class

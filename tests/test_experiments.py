@@ -299,6 +299,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             BerOfdmConfig(**settings)
 
+    def test_ofdm_tm_grid_wider_than_the_idft_rejected(self):
+        # tm puts a payload codeword on each subcarrier; 257 of them on a
+        # 256-point IDFT used to build and then fail in _grid_link's broadcast
+        with pytest.raises(ValueError, match=r"payload_bits=4112\b.*idft_size=256\b"):
+            BerOfdmConfig(payload_bits=16 * 257)
+
+    def test_ofdm_tm_grid_as_wide_as_the_idft_accepted(self):
+        cfg = BerOfdmConfig(payload_bits=16 * 256, ofdm_schemes=("tm",), trials=1, ebn0_db=(20.0,))
+        assert [row.experiment for row in run_ber_ofdm(cfg)] == ["ber-ofdm-tm"] * 2
+        # fm and fm_chest send the payload on K+1 subcarriers
+        BerOfdmConfig(payload_bits=16 * 257, ofdm_schemes=("fm", "fm_chest"))
+
     def test_ofdm_link_inside_prefix_accepted(self):
         BerOfdmConfig(step_back=5)
         BerOfdmConfig(cp_len=10, channel_taps=6)
@@ -638,9 +650,68 @@ def test_ofdm_golden_csv(tmp_path, case):
     assert path.read_text() == expected
 
 
+def mapping_of(array):
+    """The mmap that an array's memory is a view of."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj
+
+
+class TestSweep:
+    # _sweep's job contract, on a toy worker over 10 trials in chunks of 4,
+    # 4 and 2 at two Eb/N0 points
+    SLOTS = {"a": ((3,), complex), "b": ((2, 5), np.uint8)}
+    SIZES = (4, 4, 2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_job_contract(self, threads):
+        config = types.SimpleNamespace(seed=11, trials=10, threads=threads, ebn0_db=(3.0, 7.0))
+        jobs, first_mapping = [], {}
+
+        def worker(ebn0, rng, n, buffers):
+            # every view of every job of this thread is of its first job's mapping
+            mapping = mapping_of(buffers["a"])
+            first = first_mapping.setdefault(threading.get_ident(), weakref.ref(mapping))
+            assert first() is mapping
+            assert all(mapping_of(view) is mapping for view in buffers.values())
+            views = {name: (view.__array_interface__["data"][0], view.shape, view.dtype)
+                     for name, view in buffers.items()}
+            jobs.append((threading.get_ident(), ebn0, n, rng.integers(0, 2**62, 4).tolist(), views))
+            return n, 1
+
+        counts = experiments._sweep(config, worker, chunk=4, slots=self.SLOTS)
+        assert counts == [[10, 3], [10, 3]]
+        # each job draws the stream of its (point, chunk) key
+        expected = [(ebn0, n, np.random.default_rng(np.random.SeedSequence(
+                        11, spawn_key=(point, chunk))).integers(0, 2**62, 4).tolist())
+                    for point, ebn0 in enumerate(config.ebn0_db)
+                    for chunk, n in enumerate(self.SIZES)]
+        assert sorted(job[1:4] for job in jobs) == sorted(expected)
+        # at one address per slot, each on a cache line, so a short last
+        # chunk gets the leading rows
+        starts = {}
+        for ident, _, n, _, views in jobs:
+            assert {name: view[1:] for name, view in views.items()} == {
+                name: ((n,) + shape, np.dtype(dtype))
+                for name, (shape, dtype) in self.SLOTS.items()}
+            starts.setdefault(ident, set()).add(tuple(view[0] for view in views.values()))
+        assert 1 <= len(starts) <= threads
+        assert all(len(thread) == 1 for thread in starts.values())
+        assert all(start % 64 == 0 for (thread,) in starts.values() for start in thread)
+        # and no mapping outlives the sweep
+        assert [ref() for ref in first_mapping.values()] == [None] * len(first_mapping)
+
+    def test_no_slots_no_buffers(self):
+        config = types.SimpleNamespace(seed=11, trials=10, threads=1, ebn0_db=(3.0,))
+        made = []
+        experiments._sweep(config, lambda ebn0, rng, n, buffers: made.append(buffers) or (n,),
+                           chunk=4)
+        assert made == [{}] * 3
+
+
 class TestOfdmBuffers:
-    # each worker thread decodes its chunks in buffers made inside
-    # run_ber_ofdm, which are freed when the run returns
+    # each worker thread decodes its chunks in buffers that _sweep makes
+    # from run_ber_ofdm's slots, and frees when the run returns
     CONFIG = BerOfdmConfig(num_zeros=32, payload_bits=512, trials=60, ebn0_db=(14.0,), seed=4)
 
     @pytest.mark.parametrize("threads", [1, 2])
