@@ -98,9 +98,10 @@ def pseudo_llrs(received, params: ConstellationParams, out: np.ndarray = None) -
     if received.ndim < 3:
         blocks = [(received, energy, out)]
     else:
-        matrices = received.reshape((-1,) + received.shape[-2:])
-        count, rows = matrices.shape[:2]
-        energies, dest = energy.reshape(count, rows), out.reshape(count, rows, -1)
+        # explicit sizes: -1 cannot be inferred where another axis is 0
+        count, rows = int(np.prod(received.shape[:-2])), received.shape[-2]
+        matrices = received.reshape((count, rows, length))
+        energies, dest = energy.reshape(count, rows), out.reshape(count, rows, params.num_zeros)
         step = max(1, BLOCK_VALUES // max(1, rows * params.num_zeros))
         blocks = [(matrices[start : start + step], energies[start : start + step],
                    dest[start : start + step]) for start in range(0, count, step)]

@@ -57,10 +57,10 @@ from .rotation import (
 )
 from .stability import (
     EXACT_LIMIT,
+    EXTREMES,
     MIN_SAMPLE_COUNT,
     RADIUS_GRID,
     codebook_stabilities,
-    codebook_stability,
     min_codebook_stability,
     optimize_radius,
 )
@@ -79,6 +79,7 @@ JUTTED_DESIGNS = {
 OFDM_SCHEMES = ("fm", "fm_chest", "tm")  # receivers ber_ofdm can run
 OFDM_RANDOM_STEP_BACK = 5  # step_back "random" draws uniformly from 0..5 samples
 LOOPBACK_CP_LEN = 8  # the cyclic prefix of the loopback packet
+SEQUENCE_TEMPLATE_BINS = 1024  # the grid of ber-seq's rotation estimator (correct=True)
 
 
 def jutted_params(num_zeros: int) -> ConstellationParams:
@@ -221,6 +222,9 @@ class BerSequenceConfig(_ConstellationConfig):
             raise ValueError(f"channel_taps={self.channel_taps}: an awgn channel has no taps")
         if self.correct and self.rotation is None:
             raise ValueError("correct=True: there is no rotation to correct; set rotation")
+        if self.correct and 2 * self.num_zeros + 2 > SEQUENCE_TEMPLATE_BINS:
+            raise ValueError(f"num_zeros={self.num_zeros}: correct=True needs 2K+2 <= "
+                             f"{SEQUENCE_TEMPLATE_BINS}, the bins of its template")
 
 
 @dataclass(frozen=True)
@@ -431,7 +435,7 @@ def run_ber_sequence(config: BerSequenceConfig) -> list:
     polar_spec = polar_construct(32, 16) if config.coding == "polar" else None
     n_info = 16 if config.coding == "polar" else k
     channel_taps = config.channel_taps if config.channel == "fading" else None
-    template = make_template(params, 1024) if config.correct else None
+    template = make_template(params, SEQUENCE_TEMPLATE_BINS) if config.correct else None
     name = f"ber-seq-{config.scheme}"
     if config.coding == "polar":
         name += "-polar"
@@ -673,7 +677,7 @@ def run_ber_ofdm(config: BerOfdmConfig) -> list:
         decoded = polar_decode_sc(llrs.reshape(-1, k), polar_spec, work=cells.view(float))
         if scheme == "tm":
             return decoded.reshape(n, blocks, -1)
-        return np.concatenate([decoded[:n, None], decoded[n:].reshape(n, blocks - 1, -1)], axis=1)
+        return np.concatenate([decoded[:n, None], decoded[n:].reshape(n, blocks - 1, 16)], axis=1)
 
     def worker(ebn0, rng, n, slots):
         chunk = _draw_packets(rng, n, config, slots["noise"])
@@ -747,19 +751,18 @@ SAMPLED_CODEBOOK_SIZE = 256
 def run_stability_report(config: StabilityReportConfig) -> list:
     params = config.constellation()
     k = params.num_zeros
+    # one scoring gives both rows; a sampled minimum covers what
+    # min_codebook_stability's would, the extremes and MIN_SAMPLE_COUNT more
     if k <= EXACT_LIMIT:
-        # one scoring of the whole codebook gives both the mean and the minimum
-        scores = codebook_stabilities(params)
-        cbar, cmin = float(np.mean(scores)), float(np.min(scores))
-        n_eval = n_min = 2**k
+        mean_part = min_part = codebook_stabilities(params)
     else:
-        cbar = codebook_stability(params, samples=SAMPLED_CODEBOOK_SIZE, seed=config.seed)
-        cmin = min_codebook_stability(params, seed=config.seed)
-        # the two extreme codewords and the random sample
-        n_eval, n_min = SAMPLED_CODEBOOK_SIZE, MIN_SAMPLE_COUNT + 2
+        scores = codebook_stabilities(params, SAMPLED_CODEBOOK_SIZE, config.seed)
+        mean_part, min_part = scores[EXTREMES:], scores[: EXTREMES + MIN_SAMPLE_COUNT]
     return [
-        MetricRow("stability", "num_zeros", k, "c_bar", cbar, n_eval, config.seed),
-        MetricRow("stability", "num_zeros", k, "c_min", cmin, n_min, config.seed),
+        MetricRow("stability", "num_zeros", k, "c_bar", float(np.mean(mean_part)),
+                  len(mean_part), config.seed),
+        MetricRow("stability", "num_zeros", k, "c_min", float(np.min(min_part)),
+                  len(min_part), config.seed),
     ]
 
 
@@ -833,8 +836,9 @@ def run_loopback(config: LoopbackConfig, iq_path: str = None) -> LoopbackReport:
     rx = chan.apply_ofdm_channel(tx_replay, np.array([1.0]), spec, fs, rng)
 
     sync = sync_search(rx, cfg, threshold=0.99)
-    rx = correct_cfo(rx, sync.cfo_hat, fs)
-    start = sync.tau_hat - cfg.cp_len - config.loopback_step_back
+    # padded by a packet on each side, so a sync miss shows as bit errors
+    rx = np.pad(correct_cfo(rx, sync.cfo_hat, fs), cfg.stream_len)
+    start = cfg.stream_len + sync.tau_hat - cfg.cp_len - config.loopback_step_back
     rx_grid = ofdm_demodulate(rx[start : start + cfg.stream_len], cfg)
 
     # residual timing from the raw samples of the jutted symbol's window

@@ -8,6 +8,9 @@ that zero survives additive coefficient noise.  Averaging over zeros gives a
 per-polynomial score, and averaging over messages a per-codebook score, which
 drives the constellation parameter search.
 
+`_codebook_messages` alone decides which messages a codebook score covers,
+and `optimize_radius` draws them once and scores every radius on them.
+
 The profile is computed by spectral division rather than by deflating X once
 per zero.  On the grid w_n = e^{j 2 pi n/N} the deflated polynomial satisfies
 
@@ -47,6 +50,7 @@ from .zeros import ConstellationParams, coeffs_to_zeros, encode_bits, encode_coe
 GRID_SIZE = 1024  # N, the unit-circle grid of the capacity
 EXACT_LIMIT = 16  # full codebook enumeration refused above this many zeros
 MIN_SAMPLE_COUNT = 64
+EXTREMES = 2  # the all-outside and all-inside codewords that lead a sample
 ROOT_TOL = 1e-6  # |X(alpha)| relative to sum_i |c_i||alpha|^i
 ON_GRID_DISTANCE = 1e-4  # closer roots are scored by deflation
 BLOCK_VALUES = 2**17  # grid values formed at once by reliability_profile
@@ -192,16 +196,25 @@ def _message_stabilities(messages, params: ConstellationParams) -> np.ndarray:
     return np.mean(reliability_profile(coeffs, zeros), axis=-1)
 
 
-def codebook_stabilities(params: ConstellationParams) -> np.ndarray:
-    """Polynomial stability of every codeword of the full 2^K codebook, in
-    message order (message m carries bit i of m on zero i); refused for
-    K > 16."""
-    k = params.num_zeros
-    if k > EXACT_LIMIT:
-        raise ValueError(f"exact enumeration of 2^{k} codewords refused; sample instead")
-    idx = np.arange(2**k, dtype=np.uint32)
-    messages = (idx[:, None] >> np.arange(k)) & 1
-    return _message_stabilities(messages, params)
+def _codebook_messages(k: int, samples: int, seed: int) -> np.ndarray:
+    """The messages of codebook_stabilities; a seed's shorter draw is the
+    first rows of its longer one."""
+    if samples is None:
+        if k > EXACT_LIMIT:
+            raise ValueError(f"exact enumeration of 2^{k} codewords refused; sample instead")
+        idx = np.arange(2**k, dtype=np.uint32)
+        return (idx[:, None] >> np.arange(k)) & 1
+    return np.vstack([np.ones((1, k), dtype=int), np.zeros((1, k), dtype=int),
+                      np.random.default_rng(seed).integers(0, 2, (samples, k))])
+
+
+def codebook_stabilities(params: ConstellationParams, samples: int = None,
+                         seed: int = 0) -> np.ndarray:
+    """Polynomial stability of each message a codebook score covers
+    (`_codebook_messages`): all 2^K in message order for samples=None
+    (refused for K > 16), else the EXTREMES, then `samples` messages drawn
+    by default_rng(seed)."""
+    return _message_stabilities(_codebook_messages(params.num_zeros, samples, seed), params)
 
 
 def codebook_stability(
@@ -209,15 +222,10 @@ def codebook_stability(
     samples: int = None,
     seed: int = 0,
 ) -> float:
-    """Mean polynomial stability over the codebook.
-
-    With samples=None the full 2^K codebook is enumerated (refused for
-    K > 16); otherwise a seeded random subset of that many messages is used.
-    """
-    if samples is None:
-        return float(np.mean(codebook_stabilities(params)))
-    messages = np.random.default_rng(seed).integers(0, 2, (samples, params.num_zeros))
-    return float(np.mean(_message_stabilities(messages, params)))
+    """Mean polynomial stability over the codebook, or over its `samples`
+    seeded random messages (the EXTREMES left out)."""
+    scores = codebook_stabilities(params, samples, seed)
+    return float(np.mean(scores if samples is None else scores[EXTREMES:]))
 
 
 def min_codebook_stability(
@@ -226,22 +234,9 @@ def min_codebook_stability(
     seed: int = 0,
 ) -> float:
     """Minimum polynomial stability over the codebook: exact for K <= 16,
-    sampled by `_sampled_min_stability` beyond."""
-    if params.num_zeros <= EXACT_LIMIT:
-        return float(np.min(codebook_stabilities(params)))
-    return _sampled_min_stability(params, samples, seed)
-
-
-def _sampled_min_stability(params: ConstellationParams, samples: int, seed: int) -> float:
-    """The smallest stability of the all-outside and all-inside codewords
-    (the consistent extremes) and a seeded random sample of the codebook."""
+    over the EXTREMES and a seeded random sample beyond."""
     k = params.num_zeros
-    rng = np.random.default_rng(seed)
-    messages = np.vstack(
-        [np.ones((1, k), dtype=int), np.zeros((1, k), dtype=int),
-         rng.integers(0, 2, (samples, k))]
-    )
-    return float(np.min(_message_stabilities(messages, params)))
+    return float(np.min(codebook_stabilities(params, None if k <= EXACT_LIMIT else samples, seed)))
 
 
 def optimize_radius(
@@ -262,9 +257,10 @@ def optimize_radius(
     radius_grid = np.asarray(radius_grid, dtype=float)
     if radius_grid.size == 0:
         raise ValueError("radius grid is empty")
+    # min_codebook_stability's messages, drawn once
+    messages = _codebook_messages(num_zeros, None if num_zeros <= EXACT_LIMIT else samples, seed)
     scores = [
-        min_codebook_stability(ConstellationParams(num_zeros, float(r), asymmetry),
-                               samples=samples, seed=seed)
+        np.min(_message_stabilities(messages, ConstellationParams(num_zeros, float(r), asymmetry)))
         for r in radius_grid
     ]
     best = int(np.argmax(scores))

@@ -278,11 +278,10 @@ def aacf(coeffs) -> np.ndarray:
 def aacf_edge_scale(params: ConstellationParams) -> float:
     """Closed-form scale of the codebook AACF, i.e. -a_K / (K+1).
 
-    Reduces to 1/(R^K + R^-K) for a Huffman constellation.
+    Reduces to 1/(R^K + R^-K) for a Huffman constellation, bit for bit:
+    at zeta = 1 the middle term is exactly 0.
     """
     k, r, zeta = params.num_zeros, params.radius, params.asymmetry
-    if zeta == 1.0:
-        return 1.0 / (r**k + r**-k)
     middle = (1.0 - zeta) * (1.0 - 1.0 / zeta)
     middle *= (r ** (k - 1) - r ** -(k - 1)) / (r - 1.0 / r)
     return 1.0 / (zeta * r**k + r**-k / zeta - middle)
@@ -313,15 +312,14 @@ def aacf_closed_form(params: ConstellationParams, energy: float = None) -> np.nd
 
 def power_spectrum(params: ConstellationParams, omega, energy: float = None) -> np.ndarray:
     """Codebook-common power |X(e^{j omega})|^2 of a codeword with the given
-    energy (default K+1); nonnegative for all omega."""
+    energy (default K+1); nonnegative for all omega.  At zeta = 1 the ratio
+    and the scale factor are exactly 1, so a Huffman power is `base`."""
     k, r, zeta = params.num_zeros, params.radius, params.asymmetry
     if energy is None:
         energy = float(k + 1)
     omega = np.asarray(omega, dtype=float)
     eta_h = aacf_edge_scale(ConstellationParams(k, r))
     base = energy * (1.0 - 2.0 * eta_h * np.cos(k * omega))
-    if zeta == 1.0:
-        return base
     a = zeta * r + 1.0 / (zeta * r)
     b = r + 1.0 / r
     ratio = (2.0 * np.cos(omega) - a) / (2.0 * np.cos(omega) - b)

@@ -76,7 +76,8 @@ def whole_stack_llrs(received, params):
     return (scale**2 * inner - outer) / (scale * energy[..., None])
 
 
-@pytest.mark.parametrize("lead", LEADS + [(3, 2, 7)], ids=str)
+# (2, 0) and (0, 3): empty stacks, such as a one-block OFDM packet's payload
+@pytest.mark.parametrize("lead", LEADS + [(3, 2, 7), (2, 0), (0, 3)], ids=str)
 def test_pseudo_llrs_blocks_give_the_whole_stack_numbers(lead):
     received = complex_normal(np.random.default_rng(sum(lead)), lead + (K + 5,))
     assert pseudo_llrs(received, JUTTED).tobytes() == whole_stack_llrs(received, JUTTED).tobytes()

@@ -21,7 +21,7 @@ import yaml
 
 from jbmocz import experiments
 from jbmocz.channel import ImpairmentSpec, apply_ofdm_channel, complex_noise, draw_cir
-from jbmocz.cli import COMMANDS, load_config, main
+from jbmocz.cli import COMMANDS, ENERGY_NOTE, load_config, main
 from jbmocz.experiments import (
     EXPERIMENTS,
     BerOfdmConfig,
@@ -44,7 +44,7 @@ from jbmocz.experiments import (
     run_stability_report,
     write_csv,
 )
-from jbmocz.phy import OfdmConfig, estimate_noise_var, ofdm_demodulate, ofdm_modulate
+from jbmocz.phy import OfdmConfig, estimate_noise_var, ofdm_demodulate, ofdm_modulate, read_iq
 from jbmocz.rotation import apply_rotation
 from jbmocz.stability import min_codebook_stability
 from jbmocz.zeros import ConstellationParams, encode_coeffs
@@ -183,6 +183,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="correct"):
             BerSequenceConfig(num_zeros=32, correct=True)
         BerSequenceConfig(num_zeros=32, rotation=0.3, correct=True)
+
+    # the corrected receiver's template has 1024 bins, and needs 2K+2 of them
+    CORRECTED = dict(scheme="huffman", channel="awgn", rotation="uniform", correct=True,
+                     ebn0_db=(8.0,), trials=4)
+
+    def test_sequence_correct_template_too_narrow_rejected(self):
+        # K=512 used to build and fail in make_template, naming no key
+        with pytest.raises(ValueError, match="num_zeros=512: correct=True"):
+            BerSequenceConfig(num_zeros=512, **self.CORRECTED)
+        BerSequenceConfig(num_zeros=512, **(self.CORRECTED | dict(correct=False)))
+
+    def test_sequence_correct_template_as_wide_as_allowed_runs(self):
+        rows = run_ber_sequence(BerSequenceConfig(num_zeros=511, **self.CORRECTED))
+        assert [r.metric for r in rows] == ["ber", "bler"]
+        assert all(0.0 <= r.value <= 1.0 for r in rows)
 
     def test_rotation_mse_too_few_estimator_bins_rejected(self):
         # the CLI default (64, 1024) is too coarse for K=32; the run used to
@@ -534,7 +549,9 @@ class TestDeterminism:
         dict(channel="fading", step_back="random", ebn0_db=(8.0, float("inf"))),
         dict(channel="flat", step_back=4, ebn0_db=(6.0, float("inf"))),
         dict(channel="fading", pdp="exp", channel_taps=3, step_back=2, ebn0_db=(10.0,)),
-        dict(channel="flat", step_back="random", ebn0_db=(float("inf"),))])
+        dict(channel="flat", step_back="random", ebn0_db=(float("inf"),)),
+        # one polar block per packet, the jutted codeword alone
+        dict(channel="fading", step_back="random", payload_bits=16, ebn0_db=(8.0,))])
     @pytest.mark.parametrize("schemes", [experiments.OFDM_SCHEMES, ("tm", "fm_chest", "fm")])
     def test_ofdm_scheme_rows_equal_its_own_run(self, settings, schemes):
         # every scheme sees the random stream it would in a sweep of its
@@ -1038,6 +1055,15 @@ class TestOtherRunners:
         assert report.payload_errors == 0
         assert (tmp_path / "pkt.iq").exists()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loopback_sync_miss_counts_bit_errors(self, seed):
+        # at -20 dB sync_search misses; its windows used to run off the
+        # capture, which failed the run
+        cfg = LoopbackConfig(seed=seed, loopback_snr_db=-20.0)
+        rows = loopback_rows(run_loopback(cfg), cfg)
+        assert len(rows) == 4
+        assert all(0.0 <= r.value <= 1.0 for r in rows if r.metric == "ber")
+
     def test_loopback_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         report = run_loopback(LoopbackConfig(seed=5))
@@ -1162,6 +1188,17 @@ class TestCli:
             named[name] = tuple(value) if isinstance(value, list) else value
         assert named == {f.name: f.default for f in dataclasses.fields(config_class)
                          if f.name not in ("seed", "out")}
+
+    def test_loopback_command(self, tmp_path):
+        # the CLI's own branch: the I/Q file beside the CSV, and the rows of
+        # loopback_rows for the same config
+        out = tmp_path / "x.csv"
+        assert main(["loopback", "--out", str(out)]) == 0
+        config = LoopbackConfig(out=str(out))
+        expected = tmp_path / "expected.csv"
+        write_csv(loopback_rows(run_loopback(config), config), expected, header_note=ENERGY_NOTE)
+        assert out.read_bytes() == expected.read_bytes()
+        assert read_iq(str(out) + ".iq").shape == (2600,)
 
     def test_stability_command(self, tmp_path):
         out = tmp_path / "stab.csv"

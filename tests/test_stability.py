@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jbmocz import experiments
-from jbmocz.experiments import DesignCurvesConfig, run_design_curves
+from jbmocz import experiments, stability
+from jbmocz.experiments import (
+    DesignCurvesConfig,
+    StabilityReportConfig,
+    run_design_curves,
+    run_stability_report,
+)
 from jbmocz.phy import papr_fm
 from jbmocz.rotation import oversampled_magnitudes
 from jbmocz.stability import (
@@ -18,7 +23,6 @@ from jbmocz.stability import (
     ON_GRID_DISTANCE,
     _check_roots,
     _grid_log_distance,
-    _sampled_min_stability,
     codebook_stabilities,
     codebook_stability,
     deflate,
@@ -385,7 +389,7 @@ class TestMinCodebookStability:
     def test_fast_path_matches_exhaustive(self, k):
         params = ConstellationParams(k, default_radius(k), 1.08)
         exact = min(codebook_stabilities(params))
-        fast = _sampled_min_stability(params, MIN_SAMPLE_COUNT, seed=0)
+        fast = min(codebook_stabilities(params, MIN_SAMPLE_COUNT))
         assert fast == pytest.approx(exact, abs=1e-12)
 
     def test_extremes_bracket_codebook(self):
@@ -401,6 +405,47 @@ class TestMinCodebookStability:
             for _ in range(25):
                 c, z = unit_codeword(rng.integers(0, 2, k), params)
                 assert lo - 1e-12 <= poly_stability(c, z) <= hi + 1e-12
+
+
+class TestOneSample:
+    """Each sample is drawn and scored once: the stability report scores one
+    sample for both rows, and a radius search scores every radius on one."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"draws": 0, "scored": 0}
+        profile, default_rng = stability.reliability_profile, np.random.default_rng
+
+        def counted_profile(coeffs, roots):
+            counts["scored"] += len(coeffs)
+            return profile(coeffs, roots)
+
+        def counted_rng(*args, **kwargs):
+            counts["draws"] += 1
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "reliability_profile", counted_profile)
+        monkeypatch.setattr(np.random, "default_rng", counted_rng)
+        return counts
+
+    def test_report_scores_each_message_once(self, counts):
+        # 256 sampled messages and the two extremes; c_min's 66 are among them
+        run_stability_report(StabilityReportConfig(num_zeros=24, radius=1.1))
+        assert counts == {"draws": 1, "scored": 258}
+
+    def test_search_draws_its_sample_once(self, counts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the grid's edge may win
+            optimize_radius(24, 1.0, np.linspace(1.02, 1.06, 5))
+        assert counts == {"draws": 1, "scored": 5 * (MIN_SAMPLE_COUNT + 2)}
+
+    @pytest.mark.parametrize("k, seed", [(17, 0), (24, 1), (33, 7), (128, 0)])
+    def test_shorter_draw_is_the_first_rows_of_the_longer(self, k, seed):
+        # why one 256-message sample also holds the minimum's 64
+        longer = stability._codebook_messages(k, 256, seed)
+        assert np.array_equal(stability._codebook_messages(k, MIN_SAMPLE_COUNT, seed),
+                              longer[: stability.EXTREMES + MIN_SAMPLE_COUNT])
+        assert longer[0].all() and not longer[1].any()
 
 
 class TestOptimizeRadius:

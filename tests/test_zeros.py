@@ -421,6 +421,27 @@ class TestPowerSpectrum:
             np.testing.assert_allclose(aacf_closed_form(p), brute_force_aacf(x), atol=1e-9)
 
 
+class TestHuffmanClosedForms:
+    """aacf_edge_scale and power_spectrum once kept a zeta == 1 branch each;
+    their general formulas give those closed forms bit for bit."""
+
+    @pytest.mark.parametrize("k, r, n", [(2, 1.0001, 64), (3, 5.0, 64), (8, 1.176, 1024),
+                                         (31, 1.05, 1000), (64, 1.029, 1024),
+                                         (127, 1.018, 8192), (500, 1.0001, 1024)])
+    def test_general_formulas_equal_the_huffman_closed_forms(self, k, r, n):
+        params = ConstellationParams(k, r)
+        eta = 1.0 / (r**k + r**-k)
+        assert aacf_edge_scale(params) == eta
+        omega = 2.0 * np.pi * np.arange(n) / n
+        power = float(k + 1) * (1.0 - 2.0 * eta * np.cos(k * omega))
+        samples = make_template(params, n).samples
+        assert samples.tobytes() == np.sqrt(np.maximum(power, 0.0)).tobytes()
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            aacf_edge_scale(ConstellationParams(500, 5.0))
+
+
 class TestTemplate:
     def test_huffman_periodicity(self):
         t = make_template(ConstellationParams(8, 1.176), 1024)
