@@ -9,10 +9,10 @@ length) for correct scaling.  The soft output is the hard decision's two
 terms scaled by the balance and the row's energy, so its sign is the hard
 decision.
 
-pseudo_llrs evaluates a stack of three or more axes a block of whole
-(rows, L) matrices at a time, at most BLOCK_VALUES evaluations per block
-(one matrix where a single one is larger), and writes each block's soft
-output into its result, which may be a caller's `out`; its temporaries
+pseudo_llrs reads a stack of any rank as (rows, L) matrices by one path, a
+block of whole matrices at a time, at most BLOCK_VALUES evaluations per
+block (one matrix where a single one is larger), and writes each block's
+soft output into its result, which may be a caller's `out`; its temporaries
 are then the block's.  Each matrix goes through the same product as in a
 product of the whole stack, so the numbers do not depend on the blocks.
 A block's temporaries stay in a core's 2 MiB L2 cache; blocks under 64
@@ -95,18 +95,15 @@ def pseudo_llrs(received, params: ConstellationParams, out: np.ndarray = None) -
     out = np.empty(shape) if out is None else checked_out(out, shape, float)
     length = received.shape[-1]
     scale, powers = _balance(length, params), _test_powers(params, length)
-    if received.ndim < 3:
-        blocks = [(received, energy, out)]
-    else:
-        # explicit sizes: -1 cannot be inferred where another axis is 0
-        count, rows = int(np.prod(received.shape[:-2])), received.shape[-2]
-        matrices = received.reshape((count, rows, length))
-        energies, dest = energy.reshape(count, rows), out.reshape(count, rows, params.num_zeros)
-        step = max(1, BLOCK_VALUES // max(1, rows * params.num_zeros))
-        blocks = [(matrices[start : start + step], energies[start : start + step],
-                   dest[start : start + step]) for start in range(0, count, step)]
-    for block, norms, llrs in blocks:
-        inner, outer = _terms(block, powers, scale)
-        np.subtract(inner, outer, out=llrs)
-        llrs /= scale * norms[..., None]
+    # (count, rows, L), 1-D as (1, 1, L); no -1, as it fails where an axis is 0
+    *lead, rows = (1, 1) + received.shape[:-1]
+    count = int(np.prod(lead))
+    matrices = received.reshape((count, rows, length))
+    energies, dest = energy.reshape(count, rows), out.reshape(count, rows, params.num_zeros)
+    step = max(1, BLOCK_VALUES // max(1, rows * params.num_zeros))
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        inner, outer = _terms(matrices[block], powers, scale)
+        np.subtract(inner, outer, out=dest[block])
+        dest[block] /= scale * energies[block, :, None]
     return out

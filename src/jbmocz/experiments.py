@@ -61,7 +61,6 @@ from .stability import (
     MIN_SAMPLE_COUNT,
     RADIUS_GRID,
     codebook_stabilities,
-    min_codebook_stability,
     optimize_radius,
 )
 from .zeros import ConstellationParams, default_radius, encode_coeffs, make_template
@@ -294,6 +293,18 @@ class DesignCurvesConfig(_Config):
     num_zeros: int = _key(32, _Key("int", least=32))
     asymmetry: tuple = _key((1.0, 1.03, 1.06, 1.09, 1.12, 1.15), _Key("number", least=1, many=True))
 
+    def __post_init__(self):
+        super().__post_init__()
+        # as R^K grows, the extremes' synthesized zeros fail their root check
+        # first, and a K that fails on the grid fails at its last radius
+        for zeta in self.asymmetry:
+            try:
+                codebook_stabilities(ConstellationParams(self.num_zeros, RADIUS_GRID[-1], zeta), 0)
+            except ArithmeticError as error:
+                raise ValueError(f"num_zeros={self.num_zeros}, asymmetry={zeta}: at the grid's "
+                                 f"last radius {RADIUS_GRID[-1]:.6g}, R^K is too large for the "
+                                 f"synthesized codewords to keep their zeros ({error})") from None
+
 
 @dataclass(frozen=True)
 class PaprTableConfig(_Config):
@@ -308,6 +319,17 @@ class StabilityReportConfig(_ConstellationConfig):
     num_zeros: int = _key(8, _NUM_ZEROS)
     radius: float = _key(1.176, _NUMBER_OR_NULL)
     asymmetry: float = _key(1.0, _NUMBER_OR_NULL)
+
+    def __post_init__(self):
+        super().__post_init__()
+        # as for design-curves: the extremes fail first where R^K is large
+        params = self.constellation()
+        try:
+            codebook_stabilities(params, 0)
+        except ArithmeticError as error:
+            raise ValueError(f"num_zeros={self.num_zeros}, radius={params.radius}: R^K is too "
+                             "large for the synthesized codewords to keep their zeros "
+                             f"({error})") from None
 
 
 @dataclass(frozen=True)
@@ -723,7 +745,7 @@ def run_design_curves(config: DesignCurvesConfig) -> list:
                              f"is an edge of the radius grid [{RADIUS_GRID[0]:.6g}, "
                              f"{RADIUS_GRID[-1]:.6g}]")
         params = ConstellationParams(config.num_zeros, r_star, zeta)
-        c_min = min_codebook_stability(params, seed=config.seed)
+        c_min = float(np.min(codebook_stabilities(params, MIN_SAMPLE_COUNT, config.seed)))
         papr_db, _ = papr_fm(params)
         for metric, value in (("r_star", r_star), ("c_min", c_min), ("papr_db", papr_db)):
             rows.append(MetricRow("design-curves", "asymmetry", zeta, metric, value, 1,
@@ -751,8 +773,8 @@ SAMPLED_CODEBOOK_SIZE = 256
 def run_stability_report(config: StabilityReportConfig) -> list:
     params = config.constellation()
     k = params.num_zeros
-    # one scoring gives both rows; a sampled minimum covers what
-    # min_codebook_stability's would, the extremes and MIN_SAMPLE_COUNT more
+    # one scoring gives both rows; a sampled minimum covers the extremes
+    # and MIN_SAMPLE_COUNT more, the messages a radius search scores
     if k <= EXACT_LIMIT:
         mean_part = min_part = codebook_stabilities(params)
     else:

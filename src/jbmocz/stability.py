@@ -228,17 +228,6 @@ def codebook_stability(
     return float(np.mean(scores if samples is None else scores[EXTREMES:]))
 
 
-def min_codebook_stability(
-    params: ConstellationParams,
-    samples: int = MIN_SAMPLE_COUNT,
-    seed: int = 0,
-) -> float:
-    """Minimum polynomial stability over the codebook: exact for K <= 16,
-    over the EXTREMES and a seeded random sample beyond."""
-    k = params.num_zeros
-    return float(np.min(codebook_stabilities(params, None if k <= EXACT_LIMIT else samples, seed)))
-
-
 def optimize_radius(
     num_zeros: int,
     asymmetry: float,
@@ -257,7 +246,7 @@ def optimize_radius(
     radius_grid = np.asarray(radius_grid, dtype=float)
     if radius_grid.size == 0:
         raise ValueError("radius grid is empty")
-    # min_codebook_stability's messages, drawn once
+    # the messages every radius is scored on, drawn once
     messages = _codebook_messages(num_zeros, None if num_zeros <= EXACT_LIMIT else samples, seed)
     scores = [
         np.min(_message_stabilities(messages, ConstellationParams(num_zeros, float(r), asymmetry)))

@@ -298,28 +298,24 @@ def _one_sided_factor(num_zeros: int, radius: float, zeta: float) -> np.ndarray:
     return c
 
 
-def aacf_closed_form(params: ConstellationParams, energy: float = None) -> np.ndarray:
+def aacf_closed_form(params: ConstellationParams) -> np.ndarray:
     """Codebook-common AACF coefficients (lags -K..K) from the constellation
-    parameters alone, scaled to a_0 = energy (default K+1)."""
+    parameters alone, scaled to a_0 = K+1, the energy of every codeword."""
     k = params.num_zeros
-    if energy is None:
-        energy = float(k + 1)
     outer = _one_sided_factor(k, params.radius, params.asymmetry)
     inner = _one_sided_factor(k, 1.0 / params.radius, 1.0 / params.asymmetry)
     prod = np.convolve(outer, inner)
-    return (-aacf_edge_scale(params) * energy * prod).astype(complex)
+    return (-aacf_edge_scale(params) * (k + 1.0) * prod).astype(complex)
 
 
-def power_spectrum(params: ConstellationParams, omega, energy: float = None) -> np.ndarray:
-    """Codebook-common power |X(e^{j omega})|^2 of a codeword with the given
-    energy (default K+1); nonnegative for all omega.  At zeta = 1 the ratio
+def power_spectrum(params: ConstellationParams, omega) -> np.ndarray:
+    """Codebook-common power |X(e^{j omega})|^2 of a codeword, of energy K+1
+    as every codeword; nonnegative for all omega.  At zeta = 1 the ratio
     and the scale factor are exactly 1, so a Huffman power is `base`."""
     k, r, zeta = params.num_zeros, params.radius, params.asymmetry
-    if energy is None:
-        energy = float(k + 1)
     omega = np.asarray(omega, dtype=float)
     eta_h = aacf_edge_scale(ConstellationParams(k, r))
-    base = energy * (1.0 - 2.0 * eta_h * np.cos(k * omega))
+    base = (k + 1.0) * (1.0 - 2.0 * eta_h * np.cos(k * omega))
     a = zeta * r + 1.0 / (zeta * r)
     b = r + 1.0 / r
     ratio = (2.0 * np.cos(omega) - a) / (2.0 * np.cos(omega) - b)

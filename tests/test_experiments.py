@@ -46,7 +46,7 @@ from jbmocz.experiments import (
 )
 from jbmocz.phy import OfdmConfig, estimate_noise_var, ofdm_demodulate, ofdm_modulate, read_iq
 from jbmocz.rotation import apply_rotation
-from jbmocz.stability import min_codebook_stability
+from jbmocz.stability import MIN_SAMPLE_COUNT, codebook_stabilities
 from jbmocz.zeros import ConstellationParams, encode_coeffs
 
 
@@ -131,6 +131,25 @@ class TestConfig:
         # the search used to report the grid's first radius for every zeta
         with pytest.raises(ValueError, match="num_zeros"):
             load_config("design_curves", overrides={"num_zeros": num_zeros})
+
+    def test_design_curves_synthesis_limit_rejected(self):
+        # K=48 used to build and stop mid-search, at the grid's last radii,
+        # with an ArithmeticError naming no key
+        with pytest.raises(ValueError, match=r"num_zeros=48, asymmetry=1\.0: .* R\^K"):
+            DesignCurvesConfig(num_zeros=48, asymmetry=(1.0,))
+
+    def test_design_curves_below_the_synthesis_limit_builds(self):
+        DesignCurvesConfig(num_zeros=47, asymmetry=(1.0,))
+
+    def test_stability_synthesis_limit_rejected(self):
+        # the report used to stop with an ArithmeticError naming no key
+        with pytest.raises(ValueError, match=r"num_zeros=128, radius=1\.157: R\^K"):
+            StabilityReportConfig(scheme="huffman", num_zeros=128, radius=1.157)
+
+    def test_stability_below_the_synthesis_limit_runs(self):
+        rows = run_stability_report(
+            StabilityReportConfig(scheme="huffman", num_zeros=128, radius=1.156))
+        assert [(r.metric, r.trials) for r in rows] == [("c_bar", 256), ("c_min", 66)]
 
     @pytest.mark.parametrize("overrides, field", [
         (dict(num_zeros=32, info_bits=16), "info_bits"),    # derived: no key
@@ -1007,8 +1026,8 @@ class TestOtherRunners:
         by = {(r.param_value, r.metric): r.value for r in rows}
         for zeta, r_star in ((1.0, 1.036), (1.15, 1.044)):
             assert by[(zeta, "r_star")] == pytest.approx(r_star)
-            assert by[(zeta, "c_min")] == min_codebook_stability(
-                ConstellationParams(32, by[(zeta, "r_star")], zeta))
+            assert by[(zeta, "c_min")] == np.min(codebook_stabilities(
+                ConstellationParams(32, by[(zeta, "r_star")], zeta), MIN_SAMPLE_COUNT))
         assert by[(1.15, "c_min")] <= by[(1.0, "c_min")]
         assert by[(1.15, "papr_db")] >= by[(1.0, "papr_db")]
 
@@ -1138,6 +1157,12 @@ class TestCli:
         config = tmp_path / "bad.yaml"
         config.write_text("warp_factor: 9\n")
         with pytest.raises(ValueError):
+            load_config("papr_table", str(config))
+
+    def test_config_file_not_a_mapping(self, tmp_path):
+        config = tmp_path / "list.yaml"
+        config.write_text("- seed\n- 3\n")
+        with pytest.raises(ValueError, match="must hold a key-value mapping"):
             load_config("papr_table", str(config))
 
     def test_kind_key_rejected(self, tmp_path):

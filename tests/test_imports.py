@@ -2,6 +2,7 @@
 and imports nothing beyond its declared dependencies."""
 
 import ast
+import math
 import pathlib
 import sys
 
@@ -81,3 +82,49 @@ def test_sets_no_allocator_policy():
                                       if word in path.read_text()})
                  for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+ROOT = pathlib.Path(__file__).parent.parent
+CALLERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def defaulted_parameters(path):
+    """(function, parameter, position) of each parameter with a default of
+    each top-level function in the file; position None if keyword-only."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            found += [(node.name, arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            found += [(node.name, arg.arg, None) for arg, default
+                      in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
+    return found
+
+
+def passed_arguments(paths):
+    """For each called name, the (positional count, keywords) of each call;
+    a *args call passes every position and a **kwargs call every keyword."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords = {kw.arg for kw in node.keywords}
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args), keywords))
+    return calls
+
+
+def test_every_default_parameter_is_passed():
+    # a default no call overrides is an option nobody uses
+    calls = passed_arguments(CALLERS)
+    unused = [f"{path.name}: {function}({parameter})"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for function, parameter, position in defaulted_parameters(path)
+              if not any(position is not None and count > position
+                         or parameter in keywords or None in keywords
+                         for count, keywords in calls.get(function, []))]
+    assert unused == []

@@ -43,6 +43,22 @@ def random_codewords(rng, params, n):
     return zeros_to_coeffs(encode_bits(bits, params))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: OfdmConfig(32, 8, 10e6, 33, 4), "more active subcarriers than IDFT bins"),
+    (lambda: OfdmConfig(256, -1, 10e6, 33, 4), "negative CP length"),
+    (lambda: OfdmConfig(255, 8, 10e6, 33, 4), "IDFT size must be even"),
+    (lambda: build_sync_symbol(np.ones(16, dtype=int), ConstellationParams(16, 1.09), 32),
+     "sync codeword does not fit on the even subcarriers"),
+    (lambda: sync_search(np.zeros(512, dtype=complex), CFG, threshold=1.5),
+     r"threshold must be in \(0, 1\], got 1.5"),
+    (lambda: papr_peak_at_dc(ConstellationParams(8, 1.1)),
+     "condition is posed for asymmetry > 1"),
+], ids=["subcarriers", "cp_len", "odd idft_size", "sync fit", "threshold", "papr domain"])
+def test_rejects(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestResourceMapping:
     def test_fm_single_codeword(self):
         grid = map_fm(np.array([1.0, 2.0, 3.0]))

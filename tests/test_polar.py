@@ -66,6 +66,16 @@ def sc_cases(draw):
     return PolarSpec(n, n - len(frozen), frozen), llrs
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: PolarSpec(8, 4, (0, 1, 2)), "frozen set size must be block_len - info_len"),
+    (lambda: PolarSpec(8, 4, (0, 1, 2, 8)), "frozen indices out of range"),
+    (lambda: polar_construct(8, 9), "info length 9 out of range for n=8"),
+], ids=["frozen size", "frozen index", "info_len"])
+def test_rejects(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestConstruction:
     def test_single_step_freezes_degraded_index(self):
         assert polar_construct(2, 1).frozen == (0,)

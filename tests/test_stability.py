@@ -26,7 +26,6 @@ from jbmocz.stability import (
     codebook_stabilities,
     codebook_stability,
     deflate,
-    min_codebook_stability,
     optimize_radius,
     poly_stability,
     reliability_profile,
@@ -381,7 +380,7 @@ class TestMinCodebookStability:
     def test_equals_all_outside(self):
         params = ConstellationParams(8, 1.176)
         outside, z_out = unit_codeword(np.ones(8, dtype=int), params)
-        assert min_codebook_stability(params) == pytest.approx(
+        assert np.min(codebook_stabilities(params)) == pytest.approx(
             poly_stability(outside, z_out), abs=1e-12
         )
 
@@ -400,7 +399,7 @@ class TestMinCodebookStability:
             inside, z_in = unit_codeword(np.zeros(k, dtype=int), params)
             outside, z_out = unit_codeword(np.ones(k, dtype=int), params)
             lo, hi = poly_stability(outside, z_out), poly_stability(inside, z_in)
-            assert min_codebook_stability(params) == pytest.approx(lo, abs=1e-12)
+            assert np.min(codebook_stabilities(params)) == pytest.approx(lo, abs=1e-12)
             rng = np.random.default_rng(3)
             for _ in range(25):
                 c, z = unit_codeword(rng.integers(0, 2, k), params)
@@ -429,8 +428,12 @@ class TestOneSample:
         return counts
 
     def test_report_scores_each_message_once(self, counts):
+        # the config's build checks the two extremes alone
+        config = StabilityReportConfig(num_zeros=24, radius=1.1)
+        assert counts == {"draws": 1, "scored": 2}
         # 256 sampled messages and the two extremes; c_min's 66 are among them
-        run_stability_report(StabilityReportConfig(num_zeros=24, radius=1.1))
+        counts.update(draws=0, scored=0)
+        run_stability_report(config)
         assert counts == {"draws": 1, "scored": 258}
 
     def test_search_draws_its_sample_once(self, counts):
@@ -453,7 +456,7 @@ class TestOptimizeRadius:
         grid = np.arange(1.1, 1.6, 0.02)
         with pytest.warns(RuntimeWarning, match=r"K=8, zeta=1\.0: .* first radius"):
             best = optimize_radius(8, 1.0, grid)
-        scores = [min_codebook_stability(ConstellationParams(8, float(r))) for r in grid]
+        scores = [np.min(codebook_stabilities(ConstellationParams(8, float(r)))) for r in grid]
         assert best == grid[int(np.argmax(scores))]
 
     def test_tie_breaks_to_smaller(self):
@@ -492,7 +495,7 @@ class TestAsymmetrySweep:
         stab, papr = [], []
         for zeta in (1.0, 1.06, 1.15):
             params = ConstellationParams(32, optimize_radius(32, zeta, grid), zeta)
-            stab.append(min_codebook_stability(params))
+            stab.append(np.min(codebook_stabilities(params, MIN_SAMPLE_COUNT)))
             papr.append(papr_fm(params)[0])
         assert all(a >= b for a, b in zip(stab, stab[1:]))
         assert all(a <= b for a, b in zip(papr, papr[1:]))

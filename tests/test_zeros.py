@@ -322,6 +322,10 @@ class TestCoeffsToZeros:
         with pytest.raises(ArithmeticError):
             coeffs_to_zeros(np.array([1.0, 1.0, 0.0]))
 
+    def test_stack_rejected(self):
+        with pytest.raises(ValueError, match="takes a single coefficient vector"):
+            coeffs_to_zeros(np.ones((2, 3)))
+
 
 class TestAacf:
     def test_zero_lag_is_energy(self):
