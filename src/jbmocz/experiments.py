@@ -25,7 +25,6 @@ import math
 import mmap
 import numbers
 import os
-import tempfile
 import threading
 from dataclasses import dataclass, field, fields
 
@@ -43,7 +42,6 @@ from .phy import (
     ofdm_demodulate,
     ofdm_modulate,
     papr_fm,
-    read_iq,
     sync_search,
     write_iq,
 )
@@ -153,6 +151,19 @@ def _key(default, rule: _Key):
     return field(default=default, metadata={"rule": rule})
 
 
+def _check_synthesis_limit(params: ConstellationParams, keys: str) -> None:
+    """Reject, in a message starting with `keys`, a constellation whose
+    codewords miss their zeros (encode_coeffs' smallest coefficients go wrong
+    above R^K ~ 1e8).  The all-outside and all-inside codewords fail the root
+    check first, so only they are scored.  Callers skip a null radius: each
+    scheme's own design passes, at R^K <= e^(pi/2) or zeta R^K <= 9.9."""
+    try:
+        codebook_stabilities(params, 0)
+    except ArithmeticError as error:
+        raise ValueError(f"{keys} R^K is too large for the synthesized codewords to keep "
+                         f"their zeros ({error})") from None
+
+
 @dataclass(frozen=True)
 class _Config:
     """The keys of every kind; each field carries its rule (see _key)."""
@@ -185,7 +196,9 @@ class _ConstellationConfig(_Config):
         if self.scheme == "jutted" and self.radius is not None and not (self.asymmetry or 0) > 1:
             raise ValueError(f"asymmetry={self.asymmetry}: a jutted constellation with a radius "
                              "needs asymmetry > 1")
-        self.constellation()  # an unpinned jutted K fails here, not mid-run
+        params = self.constellation()  # an unpinned jutted K fails here, not mid-run
+        if self.radius is not None:
+            _check_synthesis_limit(params, f"num_zeros={self.num_zeros}, radius={self.radius}:")
 
     def constellation(self) -> ConstellationParams:
         if self.radius is not None:
@@ -295,15 +308,10 @@ class DesignCurvesConfig(_Config):
 
     def __post_init__(self):
         super().__post_init__()
-        # as R^K grows, the extremes' synthesized zeros fail their root check
-        # first, and a K that fails on the grid fails at its last radius
-        for zeta in self.asymmetry:
-            try:
-                codebook_stabilities(ConstellationParams(self.num_zeros, RADIUS_GRID[-1], zeta), 0)
-            except ArithmeticError as error:
-                raise ValueError(f"num_zeros={self.num_zeros}, asymmetry={zeta}: at the grid's "
-                                 f"last radius {RADIUS_GRID[-1]:.6g}, R^K is too large for the "
-                                 f"synthesized codewords to keep their zeros ({error})") from None
+        for zeta in self.asymmetry:  # a K that fails on the grid fails at its last radius
+            _check_synthesis_limit(ConstellationParams(self.num_zeros, RADIUS_GRID[-1], zeta),
+                                   f"num_zeros={self.num_zeros}, asymmetry={zeta}: at the grid's "
+                                   f"last radius {RADIUS_GRID[-1]:.6g},")
 
 
 @dataclass(frozen=True)
@@ -319,17 +327,6 @@ class StabilityReportConfig(_ConstellationConfig):
     num_zeros: int = _key(8, _NUM_ZEROS)
     radius: float = _key(1.176, _NUMBER_OR_NULL)
     asymmetry: float = _key(1.0, _NUMBER_OR_NULL)
-
-    def __post_init__(self):
-        super().__post_init__()
-        # as for design-curves: the extremes fail first where R^K is large
-        params = self.constellation()
-        try:
-            codebook_stabilities(params, 0)
-        except ArithmeticError as error:
-            raise ValueError(f"num_zeros={self.num_zeros}, radius={params.radius}: R^K is too "
-                             "large for the synthesized codewords to keep their zeros "
-                             f"({error})") from None
 
 
 @dataclass(frozen=True)
@@ -805,11 +802,11 @@ class LoopbackReport:
 
 
 def run_loopback(config: LoopbackConfig, iq_path: str = None) -> LoopbackReport:
-    """Synthesize the hybrid multi-polynomial packet, write it to an I/Q
-    file (`iq_path`, or a temporary file that is removed before returning),
-    replay it through the sample-level channel, and run the full
-    receive chain: coarse sync, CFO correction, step-back, residual timing
-    estimation from the jutted symbol, and hard-decision decoding.
+    """Synthesize the hybrid multi-polynomial packet, write it as I/Q
+    (to `iq_path`, if given), replay those samples through the sample-level
+    channel, and run the full receive chain: coarse sync, CFO correction,
+    step-back, residual timing estimation from the jutted symbol, and
+    hard-decision decoding.
 
     Defaults follow the radio demo profile: K=127 zeros, 63 header bits,
     424 payload bits, uncoded, in 4 codewords of 127 bits each (the last
@@ -844,10 +841,7 @@ def run_loopback(config: LoopbackConfig, iq_path: str = None) -> LoopbackReport:
     ])
     tx = ofdm_modulate(grid, cfg)
 
-    with tempfile.TemporaryDirectory() as scratch:
-        path = iq_path or os.path.join(scratch, "packet.iq")
-        write_iq(path, tx)
-        tx_replay = read_iq(path)
+    tx_replay = write_iq(iq_path or os.devnull, tx)  # the file's float32 samples
 
     noise_var = 0.0
     if config.loopback_snr_db is not None:

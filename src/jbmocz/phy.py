@@ -251,13 +251,15 @@ def estimate_channel_blind(received_tm_grid, params_tm: ConstellationParams,
     return ChannelEstimate(gains=gains, equalizer=equalizer)
 
 
-def write_iq(path, samples) -> None:
-    """Interleaved little-endian float32 I/Q pairs."""
+def write_iq(path, samples) -> np.ndarray:
+    """Interleaved little-endian float32 I/Q pairs; returns the samples the
+    file holds."""
     samples = np.asarray(samples, dtype=np.complex128)
     flat = np.empty(2 * len(samples), dtype="<f4")
     flat[0::2] = samples.real
     flat[1::2] = samples.imag
     flat.tofile(path)
+    return flat.view("<c8").astype(np.complex128)
 
 
 def read_iq(path) -> np.ndarray:

@@ -45,7 +45,7 @@ import warnings
 import numpy as np
 
 from .rotation import oversampled_magnitudes
-from .zeros import ConstellationParams, coeffs_to_zeros, encode_bits, encode_coeffs
+from .zeros import ConstellationParams, encode_bits, encode_coeffs
 
 GRID_SIZE = 1024  # N, the unit-circle grid of the capacity
 EXACT_LIMIT = 16  # full codebook enumeration refused above this many zeros
@@ -178,15 +178,9 @@ def _block_profile(coeffs, roots) -> np.ndarray:
     return scores
 
 
-def poly_stability(coeffs, roots=None) -> float:
-    """Mean per-zero reliability of one unit-norm polynomial.
-
-    If `roots` is omitted they are computed numerically; pass exact roots
-    whenever they are known (ill-conditioned polynomials shift badly).
-    """
+def poly_stability(coeffs, roots) -> float:
+    """Mean per-zero reliability of one unit-norm polynomial at its roots."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    if roots is None:
-        roots = coeffs_to_zeros(coeffs)
     return float(np.mean(reliability_profile(coeffs, roots)))
 
 

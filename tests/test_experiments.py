@@ -32,6 +32,7 @@ from jbmocz.experiments import (
     RotationMseConfig,
     StabilityReportConfig,
     MetricRow,
+    huffman_params,
     jutted_params,
     loopback_rows,
     run_ber_ofdm,
@@ -44,7 +45,8 @@ from jbmocz.experiments import (
     run_stability_report,
     write_csv,
 )
-from jbmocz.phy import OfdmConfig, estimate_noise_var, ofdm_demodulate, ofdm_modulate, read_iq
+from jbmocz.phy import (OfdmConfig, estimate_noise_var, ofdm_demodulate, ofdm_modulate,
+                        read_iq, write_iq)
 from jbmocz.rotation import apply_rotation
 from jbmocz.stability import MIN_SAMPLE_COUNT, codebook_stabilities
 from jbmocz.zeros import ConstellationParams, encode_coeffs
@@ -150,6 +152,44 @@ class TestConfig:
         rows = run_stability_report(
             StabilityReportConfig(scheme="huffman", num_zeros=128, radius=1.156))
         assert [(r.metric, r.trials) for r in rows] == [("c_bar", 256), ("c_min", 66)]
+
+    @pytest.mark.parametrize("kind", ["ber_sequence", "rotation_mse"])
+    @pytest.mark.parametrize("num_zeros, radius", [(128, 1.5), (32, 5.0)])
+    def test_sequence_synthesis_limit_rejected(self, kind, num_zeros, radius):
+        # both used to build and decode wrongly at no noise (BER 8.4e-4 and
+        # 1.8e-3 with ber_sequence), with no warning
+        with pytest.raises(ValueError, match=rf"num_zeros={num_zeros}, radius={radius}: R\^K"):
+            load_config(kind, overrides=dict(scheme="huffman", num_zeros=num_zeros,
+                                             radius=radius))
+
+    def test_sequence_below_the_synthesis_limit_decodes(self):
+        # the rule is no looser than noiseless decoding needs
+        config = BerSequenceConfig(scheme="huffman", num_zeros=128, radius=1.156,
+                                   channel="awgn", ebn0_db=(float("inf"),), trials=512)
+        assert [(r.metric, r.value) for r in run_ber_sequence(config)] == [("ber", 0.0),
+                                                                          ("bler", 0.0)]
+
+    @pytest.mark.parametrize("params", [
+        *(jutted_params(k) for k in sorted(experiments.JUTTED_DESIGNS)),
+        *(huffman_params(k) for k in (2, 8, 31, 64, 127, 128, 256, 511)),
+    ], ids=repr)
+    def test_scheme_designs_within_the_synthesis_limit(self, params):
+        # why a null radius needs no check: each scheme's own design passes
+        assert codebook_stabilities(params, 0).shape == (2,)
+
+    def test_null_radius_configs_score_nothing_at_build(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "codebook_stabilities",
+                            lambda *args: calls.append(args) or codebook_stabilities(*args))
+        configs = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+        for name, kind in (("ofdm_k32", "ber_ofdm"), ("seq_k32_polar_rot", "ber_sequence"),
+                           ("seq_k64_fading", "ber_sequence")):
+            load_config(kind, str(configs / f"{name}.yaml"))
+        load_config("ber_sequence")
+        load_config("rotation_mse")
+        assert calls == []
+        StabilityReportConfig()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("overrides, field", [
         (dict(num_zeros=32, info_bits=16), "info_bits"),    # derived: no key
@@ -877,6 +917,18 @@ def test_loopback_golden_csv(tmp_path):
     assert (tmp_path / "golden.csv").read_text() == expected
     assert {key: getattr(report, key) for key in readings} == readings
     assert hashlib.sha256((tmp_path / "pkt.iq").read_bytes()).hexdigest() == iq_sha256
+
+
+def test_loopback_replays_the_file_it_writes(tmp_path, monkeypatch):
+    # the run replays write_iq's samples, bit for bit those read_iq reads back
+    replayed = []
+    monkeypatch.setattr(experiments, "write_iq",
+                        lambda path, samples: replayed.append(write_iq(path, samples))
+                        or replayed[-1])
+    run_loopback(GOLDEN_LOOPBACK[0], iq_path=str(tmp_path / "pkt.iq"))
+    [samples] = replayed
+    np.testing.assert_array_equal(samples.view(np.uint64),
+                                  read_iq(str(tmp_path / "pkt.iq")).view(np.uint64))
 
 
 class TestBerSequenceRows:

@@ -128,3 +128,26 @@ def test_every_default_parameter_is_passed():
                          or parameter in keywords or None in keywords
                          for count, keywords in calls.get(function, []))]
     assert unused == []
+
+
+def arithmetic_error_handlers(path):
+    """Enclosing function (None at module level) of each `except` clause of
+    the file that names ArithmeticError."""
+    tree = ast.parse(path.read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "ArithmeticError" in ast.unparse(node.type)):
+            while not isinstance(node, (ast.FunctionDef, ast.Module)):
+                node = parents[node]
+            found.append(getattr(node, "name", None))
+    return found
+
+
+def test_one_arithmetic_error_handler():
+    # the synthesis limit is one rule: one helper turns the root check's
+    # ArithmeticError into a config error
+    handlers = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+                for name in arithmetic_error_handlers(path)]
+    assert handlers == [("experiments.py", "_check_synthesis_limit")]

@@ -32,6 +32,7 @@ from jbmocz.stability import (
 )
 from jbmocz.zeros import (
     ConstellationParams,
+    coeffs_to_zeros,
     default_radius,
     encode_bits,
     encode_coeffs,
@@ -347,7 +348,8 @@ class TestPolyStability:
     def test_roots_computed_when_missing(self):
         params = ConstellationParams(8, 1.176)
         coeffs, zeros = unit_codeword(np.ones(8, dtype=int), params)
-        assert poly_stability(coeffs) == pytest.approx(poly_stability(coeffs, zeros), abs=1e-6)
+        assert poly_stability(coeffs, coeffs_to_zeros(coeffs)) == pytest.approx(
+            poly_stability(coeffs, zeros), abs=1e-6)
 
 
 class TestCodebookStability:
