@@ -56,6 +56,7 @@ from .rotation import (
 from .stability import (
     EXACT_LIMIT,
     EXTREMES,
+    GRID_SIZE,
     MIN_SAMPLE_COUNT,
     RADIUS_GRID,
     codebook_stabilities,
@@ -237,6 +238,18 @@ class BerSequenceConfig(_ConstellationConfig):
         if self.correct and 2 * self.num_zeros + 2 > SEQUENCE_TEMPLATE_BINS:
             raise ValueError(f"num_zeros={self.num_zeros}: correct=True needs 2K+2 <= "
                              f"{SEQUENCE_TEMPLATE_BINS}, the bins of its template")
+        if self.coding == "polar" and self.channel == "fading":
+            # pseudo_llrs' LLR k is at most B_k = rho_k^(L-1) / (1 - rho_k^-2), L = K + taps
+            # (Cauchy-Schwarz), an SC node's LLR the sum of its leaves' B, and so
+            # SC's check-node product a * b, of two nodes that share no leaf,
+            # sum(B) (sum(B) - max(B)), which must be a finite float
+            rho = self.constellation().zero_radii
+            log_b = np.sort((self.num_zeros + self.channel_taps - 1) * np.log(rho)
+                            - np.log1p(-rho**-2.0))
+            if (np.logaddexp.reduce(log_b) + np.logaddexp.reduce(log_b[:-1])
+                    > np.log(np.finfo(float).max)):
+                raise ValueError(f"channel_taps={self.channel_taps}: pseudo-LLRs that scale "
+                                 "like rho^(K + channel_taps - 1) can overflow polar SC")
 
 
 @dataclass(frozen=True)
@@ -324,7 +337,8 @@ class StabilityReportConfig(_ConstellationConfig):
     """Mean and minimum noiseless codebook stability of one constellation."""
 
     scheme: str = _key("huffman", _SCHEME)
-    num_zeros: int = _key(8, _NUM_ZEROS)
+    # K+1 coefficients fit the capacity grid uncropped
+    num_zeros: int = _key(8, _Key("int", least=2, most=GRID_SIZE - 1))
     radius: float = _key(1.176, _NUMBER_OR_NULL)
     asymmetry: float = _key(1.0, _NUMBER_OR_NULL)
 

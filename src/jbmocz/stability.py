@@ -116,7 +116,8 @@ def _grid_log_distance(roots, grid_size: int) -> np.ndarray:
 def reliability_profile(coeffs, roots) -> np.ndarray:
     """Per-zero reliability of a unit-norm polynomial.
 
-    coeffs: (..., K+1), roots: (..., K).  Returns (..., K) scores
+    coeffs: (..., K+1) with K+1 <= N = GRID_SIZE, as the grid crops a longer
+    polynomial; roots: (..., K).  Returns (..., K) scores
     (1/N) * sum_n log2(1 + |H_k(e^{j2pi n/N})|^2), where H_k is the
     polynomial deflated at roots[..., k].  Raises ArithmeticError if any
     root is not a root of its polynomial (the test `deflate` applies).

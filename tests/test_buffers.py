@@ -65,15 +65,18 @@ def test_out_returns_out_with_the_allocating_numbers(name, lead):
 
 def whole_stack_llrs(received, params):
     """pseudo_llrs' arithmetic in one product of the whole stack per set of
-    test points, unblocked."""
+    test points, unblocked: the outer powers divided by the balance
+    rho^(L-1), and the difference of the terms times rho^(L-1) over the
+    energy."""
     length = received.shape[-1]
     scale = params.zero_radii ** (length - 1)
     exponents = np.arange(length)[:, None]
-    outer = np.abs(received @ params.outer_points()[None, :] ** exponents) ** 2
-    inner = np.abs(received @ params.inner_points()[None, :] ** exponents) ** 2
+    phases = np.exp(1j * params.zero_phases * exponents)
+    outer = np.abs(received @ (params.zero_radii ** -(length - 1 - exponents) * phases)) ** 2
+    inner = np.abs(received @ (params.zero_radii ** -exponents * phases)) ** 2
     energy = (np.einsum("...l,...l->...", received.real, received.real)
               + np.einsum("...l,...l->...", received.imag, received.imag))
-    return (scale**2 * inner - outer) / (scale * energy[..., None])
+    return (inner - outer) * (scale / energy[..., None])
 
 
 # (2, 0) and (0, 3): empty stacks, such as a one-block OFDM packet's payload

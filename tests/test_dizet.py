@@ -84,6 +84,16 @@ class TestPowersCache:
         assert all(a is b for a, b in zip(again, powers))
         assert _test_powers(params, 21)[0] is not powers[0]
 
+    @pytest.mark.parametrize("length", [9, 40, 20_000])
+    @pytest.mark.parametrize("params", [ConstellationParams(8, 1.2),
+                                        ConstellationParams(8, 1.05, 1.5)], ids=repr)
+    def test_bounded_by_one(self, params, length):
+        # the balance is folded in, so no length overflows: each entry is a
+        # radius factor of at most 1 times e^{j psi l}, whose magnitude
+        # rounds to within one ulp of 1
+        for matrix in _test_powers(params, length):
+            assert np.abs(matrix).max() <= 1 + np.finfo(float).eps
+
 
 class TestPseudoLlrs:
     def test_noiseless_signs(self):
@@ -127,6 +137,41 @@ def normalize_first_llrs(received, params):
     inner = np.abs(received @ params.inner_points()[None, :] ** powers) ** 2
     outer = np.abs(received @ params.outer_points()[None, :] ** powers) ** 2
     return (scale**2 * inner - outer) / scale
+
+
+def unfolded_zero_test(received, params):
+    """The zero test with the raw powers (rho e^{j psi})^l and the balance
+    rho^(L-1) applied to the inner term, as it was before the balance moved
+    into the cached powers; it overflows on long channels.  Returns its hard
+    bits, its soft output and, per value, the scale of the terms it
+    subtracts."""
+    length = received.shape[-1]
+    scale = params.zero_radii ** (length - 1)
+    exponents = np.arange(length)[:, None]
+    outer = np.abs(received @ params.outer_points()[None, :] ** exponents) ** 2
+    inner = scale**2 * np.abs(received @ params.inner_points()[None, :] ** exponents) ** 2
+    norm = scale * np.sum(np.abs(received) ** 2, axis=-1, keepdims=True)
+    return (outer < inner).astype(int), (inner - outer) / norm, (inner + outer) / norm
+
+
+@pytest.mark.parametrize("k", [2, 8, 31, 32, 64, 127, 128, 256])
+@pytest.mark.parametrize("jutted", [False, True], ids=["huffman", "jutted"])
+def test_folded_powers_agree_with_the_unfolded_zero_test(k, jutted):
+    params = ConstellationParams(k, default_radius(k), 1.15 if jutted else 1.0)
+    rng = np.random.default_rng(k)
+    compared = 0
+    for taps in (1, 2, k // 2 + 1, k + 3, 2 * k + 5):  # up to more than K
+        for noise_var in (0.0, 0.3):
+            coeffs = encode_coeffs(rng.integers(0, 2, (40, k)), params)
+            received = convolve_channel(coeffs, complex_noise((40, taps), 1.0, rng), noise_var, rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                hard, llrs, terms = unfolded_zero_test(received, params)
+            finite = np.isfinite(terms).all(axis=-1)
+            compared += finite.sum()
+            np.testing.assert_array_equal(dizet_hard(received, params)[finite], hard[finite])
+            tolerance = 1e-10 * terms[finite].max(axis=-1, keepdims=True)
+            assert np.all(np.abs(pseudo_llrs(received, params)[finite] - llrs[finite]) <= tolerance)
+    assert compared > 0
 
 
 class TestPseudoLlrsTerms:

@@ -169,6 +169,31 @@ class TestConfig:
         assert [(r.metric, r.value) for r in run_ber_sequence(config)] == [("ber", 0.0),
                                                                           ("bler", 0.0)]
 
+    @pytest.mark.parametrize("settings, largest", [
+        (dict(), 3079),  # the default jutted design; SC overflowed from about 3150
+        (dict(scheme="huffman", radius=1.2), 1890),
+    ], ids=repr)
+    def test_sequence_polar_long_channel_edge(self, settings, largest):
+        # the rule bounds the pseudo-LLRs, which grow like rho^(K + taps - 1),
+        # so that SC's check-node products stay finite; at the largest
+        # accepted length a noiseless run decodes every bit
+        settings = dict(num_zeros=32, coding="polar", **settings)
+        with pytest.raises(ValueError, match=rf"channel_taps={largest + 1}: .* polar SC"):
+            BerSequenceConfig(channel_taps=largest + 1, **settings)
+        cfg = BerSequenceConfig(channel_taps=largest, ebn0_db=(float("inf"),), trials=64,
+                                **settings)
+        assert [(r.metric, r.value) for r in run_ber_sequence(cfg)] == [("ber", 0.0),
+                                                                       ("bler", 0.0)]
+
+    def test_stability_past_the_capacity_grid_rejected(self):
+        # the grid of 1024 points cropped the polynomial, and the report
+        # scored a truncated one with no warning
+        with pytest.raises(ValueError, match=r"num_zeros=1024 must be an integer in 2\.\.1023"):
+            StabilityReportConfig(num_zeros=1024, radius=1.001, asymmetry=1.0)
+
+    def test_stability_on_the_capacity_grid_builds(self):
+        StabilityReportConfig(num_zeros=1023, radius=1.001, asymmetry=1.0)
+
     @pytest.mark.parametrize("params", [
         *(jutted_params(k) for k in sorted(experiments.JUTTED_DESIGNS)),
         *(huffman_params(k) for k in (2, 8, 31, 64, 127, 128, 256, 511)),
@@ -946,6 +971,19 @@ class TestBerSequenceRows:
         bers = [r.value for r in run_ber_sequence(cfg) if r.metric == "ber"]
         inversions = sum(a < b for a, b in zip(bers, bers[1:]))
         assert inversions <= 1
+
+    @pytest.mark.parametrize("settings", [
+        dict(scheme="jutted", num_zeros=3, radius=1.05, asymmetry=1.5, channel_taps=1000),
+        dict(scheme="huffman", num_zeros=8, radius=1.2, channel_taps=4000),
+        dict(scheme="jutted", num_zeros=2, radius=1.2, asymmetry=1.01, channel_taps=4000),
+        dict(scheme="jutted", num_zeros=32, coding="polar", channel_taps=2000),
+    ], ids=repr)
+    def test_noiseless_long_channel_is_error_free(self, settings):
+        # the test points' raw powers (rho e^{j psi})^l used to overflow
+        # here, and these runs read BER 0.17-0.50
+        cfg = BerSequenceConfig(ebn0_db=(float("inf"),), trials=64, **settings)
+        assert [(r.metric, r.value) for r in run_ber_sequence(cfg)] == [("ber", 0.0),
+                                                                       ("bler", 0.0)]
 
     def test_values_in_range(self):
         cfg = BerSequenceConfig(scheme="jutted", num_zeros=32,

@@ -345,7 +345,7 @@ class TestPolyStability:
         value = poly_stability(wilkinson_unit_norm(), np.arange(1, 21, dtype=complex))
         assert value == pytest.approx(0.0381, abs=0.002)
 
-    def test_roots_computed_when_missing(self):
+    def test_computed_roots_score_as_the_exact_ones(self):
         params = ConstellationParams(8, 1.176)
         coeffs, zeros = unit_codeword(np.ones(8, dtype=int), params)
         assert poly_stability(coeffs, coeffs_to_zeros(coeffs)) == pytest.approx(
